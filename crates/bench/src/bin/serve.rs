@@ -115,6 +115,7 @@ struct Row {
     fairness_spread: f64,
     cold_builds_steady: u64,
     warm_binds: u64,
+    unconverged_steps: u64,
 }
 
 fn run_level(level: usize, case: &Arc<SharedCase>, steps: u32, top: bool) -> Row {
@@ -200,6 +201,7 @@ fn run_level(level: usize, case: &Arc<SharedCase>, steps: u32, top: bool) -> Row
         fairness_spread: report.fairness_spread(),
         cold_builds_steady: cold_steady,
         warm_binds: report.warm_binds,
+        unconverged_steps: report.unconverged_steps(),
     }
 }
 
@@ -246,7 +248,7 @@ fn main() {
         let row = run_level(level, &shared, args.steps, args.top);
         println!(
             "  {:>4} sessions × {} tenants: {:>8.1} sessions/s  {:>8.1} items/s  \
-             p50 {:.3} ms  p99 {:.3} ms  spread {:.3}  warm {} cold-steady {}",
+             p50 {:.3} ms  p99 {:.3} ms  spread {:.3}  warm {} cold-steady {} unconverged {}",
             row.sessions,
             row.tenants,
             row.sessions_per_s,
@@ -256,6 +258,7 @@ fn main() {
             row.fairness_spread,
             row.warm_binds,
             row.cold_builds_steady,
+            row.unconverged_steps,
         );
         rows.push(row);
     }
@@ -292,7 +295,7 @@ fn render_json(args: &Args, ne: usize, nn: usize, hw: usize, rows: &[Row]) -> St
                  \"sessions_per_s\": {:.3}, \"items_per_s\": {:.3}, \
                  \"p50_step_ms\": {:.6}, \"p99_step_ms\": {:.6}, \
                  \"fairness_spread\": {:.6}, \"cold_builds_steady\": {}, \
-                 \"warm_binds\": {}}}",
+                 \"warm_binds\": {}, \"unconverged_steps\": {}}}",
                 r.sessions,
                 r.tenants,
                 r.steps_per_session,
@@ -306,6 +309,7 @@ fn render_json(args: &Args, ne: usize, nn: usize, hw: usize, rows: &[Row]) -> St
                 r.fairness_spread,
                 r.cold_builds_steady,
                 r.warm_binds,
+                r.unconverged_steps,
             )
         })
         .collect();

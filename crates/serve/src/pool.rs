@@ -77,6 +77,9 @@ pub(crate) struct Slot {
     pub remaining: u32,
     /// Work items already run for the current session.
     pub steps_done: u32,
+    /// Steps of the current session whose pressure solve hit the
+    /// iteration cap or broke down instead of converging.
+    pub unconverged_steps: u32,
     /// Running output digest ([`WorkKind::Assemble`] accumulates here).
     pub digest: u64,
     /// Wall time of the most recent work item, nanoseconds.
@@ -122,6 +125,7 @@ impl SessionPool {
                 kind: WorkKind::Step,
                 remaining: 0,
                 steps_done: 0,
+                unconverged_steps: 0,
                 digest: FNV_OFFSET,
                 last_step_ns: 0,
                 case: None,

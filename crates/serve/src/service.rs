@@ -10,7 +10,9 @@
 //! assembly, and releases the lock. A session whose items are exhausted
 //! is retired: its final state is digested, its telemetry window rotated
 //! out and absorbed into the owning tenant's usage report, and the slot
-//! index recycled.
+//! index recycled. Steps whose pressure solve did not converge are counted
+//! per session ([`SessionOutcome::unconverged_steps`]) and warned about
+//! once at retirement.
 //!
 //! Per-tenant Table-I profiles come straight out of that usage report via
 //! [`alya_core::metrics::table_one`] — the same closed-form contract the
@@ -133,6 +135,9 @@ pub struct SessionOutcome {
     pub kind: WorkKind,
     /// Items executed.
     pub steps: u32,
+    /// Steps whose pressure solve did not converge (the state digested
+    /// below then carries a divergence the projection did not remove).
+    pub unconverged_steps: u32,
     /// Case mesh elements.
     pub elements: u64,
     /// RHS assemblies per item.
@@ -189,6 +194,15 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Steps, over every retired session, whose pressure solve did not
+    /// converge; 0 in a healthy run.
+    pub fn unconverged_steps(&self) -> u64 {
+        self.outcomes
+            .iter()
+            .map(|o| u64::from(o.unconverged_steps))
+            .sum()
+    }
+
     /// Latency quantile in nanoseconds over the recorded window
     /// (`q` in `[0, 1]`); 0 when nothing was recorded.
     pub fn step_latency_ns(&self, q: f64) -> u64 {
@@ -361,6 +375,7 @@ impl Service {
         slot.kind = spec.kind;
         slot.remaining = spec.steps.max(1);
         slot.steps_done = 0;
+        slot.unconverged_steps = 0;
         slot.digest = FNV_OFFSET;
     }
 
@@ -411,7 +426,8 @@ impl Service {
         match slot.kind {
             WorkKind::Step => {
                 if let (Some(solver), Some(case)) = (slot.solver.as_mut(), slot.case.as_ref()) {
-                    solver.step(case.variant);
+                    let stats = solver.step(case.variant);
+                    slot.unconverged_steps += u32::from(!stats.cg.converged);
                 }
             }
             WorkKind::Assemble => {
@@ -485,6 +501,7 @@ impl Service {
                 case,
                 kind: slot.kind,
                 steps: slot.steps_done,
+                unconverged_steps: slot.unconverged_steps,
                 elements,
                 rhs_evals,
                 digest,
@@ -501,6 +518,17 @@ impl Service {
             }
             outcome
         };
+        if outcome.unconverged_steps > 0 {
+            telemetry::warn(format!(
+                "serve: session of case \"{}\" (tenant {}, slot {}) ran {} of {} steps \
+                 with an unconverged pressure solve",
+                outcome.case,
+                outcome.tenant,
+                outcome.slot,
+                outcome.unconverged_steps,
+                outcome.steps
+            ));
+        }
         lock(&self.outcomes).push(outcome);
         self.pool.release_index(item.slot);
     }
@@ -718,6 +746,41 @@ mod tests {
         assert_eq!(rep.outcomes[0].slot, rep.outcomes[1].slot);
         assert_eq!(rep.outcomes[0].digest, rep.outcomes[1].digest);
         assert_eq!(rep.warm_binds, 1);
+    }
+
+    #[test]
+    fn unconverged_pressure_solves_are_counted_and_warned_once_per_session() {
+        let mut cfg = StepConfig::default();
+        cfg.dt = 5e-4;
+        cfg.cg_max_iters = 1;
+        let starved = Arc::new(SharedCase::new(
+            "starved-cg",
+            BoxMeshBuilder::new(3, 3, 3).build(),
+            cfg,
+            Variant::Rsp,
+            |p| [(2.0 * std::f64::consts::PI * p[0]).sin(), 0.0, 0.0],
+        ));
+        let s = service(2);
+        let t = s.add_tenant("a", 1, 2);
+        s.admit(t, &SessionSpec::new(starved, 3)).unwrap();
+        s.admit(t, &SessionSpec::new(small_case("healthy"), 3))
+            .unwrap();
+        s.run_to_idle();
+        let rep = s.report();
+        let count = |case: &str| {
+            let o = rep.outcomes.iter().find(|o| o.case == case).unwrap();
+            o.unconverged_steps
+        };
+        assert_eq!(count("starved-cg"), 3);
+        assert_eq!(count("healthy"), 0);
+        assert_eq!(rep.unconverged_steps(), 3);
+        let warnings = telemetry::drain_warnings();
+        let ours: Vec<_> = warnings
+            .iter()
+            .filter(|w| w.contains("starved-cg"))
+            .collect();
+        assert_eq!(ours.len(), 1, "{warnings:?}");
+        assert!(ours[0].contains("3 of 3 steps"), "{ours:?}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Jacobi-preconditioned conjugate gradients.
+//! Preconditioned conjugate gradients.
 //!
 //! The pressure Poisson system is symmetric positive (semi-)definite; CG
 //! with diagonal preconditioning is the classic workhorse (the paper's
 //! production setting points at AMG-preconditioned solvers as future work —
-//! Jacobi-PCG is the honest laptop-scale stand-in).
+//! Jacobi-PCG is the honest laptop-scale stand-in). There is one CG loop,
+//! [`pcg`], generic over the [`Preconditioner`]; [`solve_cg`],
+//! [`solve_cg_with`] and [`crate::multigrid::solve_pcg`] are wrappers.
 
 use alya_telemetry as telemetry;
 
@@ -59,6 +61,33 @@ impl LinOp for CsrMatrix {
     }
 }
 
+/// An SPD approximation of `A⁻¹` for [`pcg`].
+pub trait Preconditioner {
+    /// `z ≈ A⁻¹ r`.
+    fn apply(&self, r: &[f64], z: &mut [f64]);
+    /// Floating-point operations one [`Self::apply`] performs, used for
+    /// telemetry accounting only. 0 = unknown.
+    fn apply_flops(&self) -> u64 {
+        0
+    }
+}
+
+/// Jacobi as [`solve_cg_with`] applies it: `z = r / d` (a zero diagonal
+/// entry passes the residual through).
+struct DiagonalDivide<'a>(&'a [f64]);
+
+impl Preconditioner for DiagonalDivide<'_> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        for ((z, r), d) in z.iter_mut().zip(r).zip(self.0) {
+            *z = if d.abs() > 0.0 { r / d } else { *r };
+        }
+    }
+
+    fn apply_flops(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
 /// Convergence report.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgResult {
@@ -88,12 +117,9 @@ impl CgScratch {
         Self::default()
     }
 
-    fn ensure(&mut self, n: usize) {
-        self.r.resize(n, 0.0);
-        self.z.resize(n, 0.0);
-        self.p.resize(n, 0.0);
-        self.ap.resize(n, 0.0);
-        self.diag.resize(n, 0.0);
+    /// The four work vectors of [`pcg`].
+    pub(crate) fn work(&mut self) -> [&mut Vec<f64>; 4] {
+        [&mut self.r, &mut self.z, &mut self.p, &mut self.ap]
     }
 }
 
@@ -113,10 +139,7 @@ pub fn solve_cg(
 /// [`solve_cg`] with caller-owned scratch: bitwise identical results (the
 /// floating-point statement order is unchanged — every work vector is
 /// fully overwritten before it is read), but repeat solves allocate
-/// nothing. Opens a `solve-cg` telemetry span and tallies the solve's
-/// flops into [`Scope::GLOBAL`](alya_telemetry::Scope::GLOBAL) — batch
-/// granularity, one add per solve — so solver steps inside serve sessions
-/// are accounted to the adopting tenant.
+/// nothing. Jacobi-preconditioned from `a`'s diagonal.
 pub fn solve_cg_with(
     a: &impl LinOp,
     b: &[f64],
@@ -125,33 +148,49 @@ pub fn solve_cg_with(
     max_iters: usize,
     scratch: &mut CgScratch,
 ) -> CgResult {
+    let CgScratch { r, z, p, ap, diag } = scratch;
+    diag.resize(a.dim(), 0.0);
+    a.precond_diagonal_into(diag);
+    let jacobi = DiagonalDivide(diag);
+    pcg(a, &jacobi, b, x, rel_tol, max_iters, [r, z, p, ap])
+}
+
+/// The CG loop: solves `A x = b` in place of `x`, preconditioned by `m`,
+/// in the four `work` vectors (resized to the problem; every one is fully
+/// overwritten before it is read). Opens a `solve-cg` telemetry span and
+/// tallies the solve's flops into
+/// [`Scope::GLOBAL`](alya_telemetry::Scope::GLOBAL) — batch granularity,
+/// one add per solve — so solver steps inside serve sessions are
+/// accounted to the adopting tenant.
+pub(crate) fn pcg(
+    a: &impl LinOp,
+    m: &impl Preconditioner,
+    b: &[f64],
+    x: &mut [f64],
+    rel_tol: f64,
+    max_iters: usize,
+    work: [&mut Vec<f64>; 4],
+) -> CgResult {
     let n = b.len();
     assert_eq!(a.dim(), n);
     assert_eq!(x.len(), n);
     let _sp = telemetry::span("solve-cg");
 
-    scratch.ensure(n);
-    let CgScratch { r, z, p, ap, diag } = scratch;
-    a.precond_diagonal_into(diag);
-    let precond = |r: &[f64], z: &mut [f64], diag: &[f64]| {
-        for i in 0..n {
-            z[i] = if diag[i].abs() > 0.0 {
-                r[i] / diag[i]
-            } else {
-                r[i]
-            };
-        }
-    };
+    let [r, z, p, ap] = work.map(|v| {
+        v.resize(n, 0.0);
+        v.as_mut_slice()
+    });
 
-    // Vector-op flops per iteration: pap (2n) + x/r updates (4n) +
-    // residual (2n) + precond (n) + rz (2n) + p update (2n) = 13n; the
-    // setup adds ~8n; each `apply` contributes the operator's own count.
-    let vec_flops = |iters: u64| 8 * n as u64 + 13 * n as u64 * iters;
+    // Vector-op flops: norms, residual and `rz` of the setup (7n), then
+    // per iteration pap (2n) + x/r updates (4n) + residual (2n) + rz (2n)
+    // + p update (2n) = 12n; every iteration and the setup add one
+    // operator apply and one preconditioner apply.
     let tally = |iters: usize| {
+        let (n, iters) = (n as u64, iters as u64);
         telemetry::add(
             telemetry::Scope::GLOBAL,
             telemetry::Metric::Flops,
-            vec_flops(iters as u64) + (iters as u64 + 1) * a.apply_flops(),
+            7 * n + 12 * n * iters + (iters + 1) * (a.apply_flops() + m.apply_flops()),
         );
     };
 
@@ -162,7 +201,7 @@ pub fn solve_cg_with(
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
-    precond(r, z, diag);
+    m.apply(r, z);
     p.copy_from_slice(z);
     let mut rz: f64 = r.iter().zip(&*z).map(|(a, b)| a * b).sum();
 
@@ -201,7 +240,7 @@ pub fn solve_cg_with(
                 converged: true,
             };
         }
-        precond(r, z, diag);
+        m.apply(r, z);
         let rz_new: f64 = r.iter().zip(&*z).map(|(a, b)| a * b).sum();
         let beta = rz_new / rz;
         rz = rz_new;

@@ -7,9 +7,12 @@
 //! the examples can run an actual simulation end to end:
 //!
 //! * [`csr`] — compressed sparse row matrices with thread-parallel SpMV;
-//! * [`cg`] — Jacobi-preconditioned conjugate gradients;
+//! * [`cg`] — preconditioned conjugate gradients (one loop; Jacobi by
+//!   default);
 //! * [`poisson`] — the pressure-Poisson operator (P1 Laplacian), lumped
-//!   mass matrix, and weak divergence/gradient operators;
+//!   mass matrix, weak divergence/gradient operators and the projection
+//!   operator `D M⁻¹ Dᵀ`, each uncached and driven from a per-case
+//!   geometry table (bitwise equal);
 //! * [`step`] — the fractional-step integrator: explicit momentum
 //!   prediction with the assembly variant of your choice, pressure
 //!   projection, velocity correction.

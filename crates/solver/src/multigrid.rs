@@ -19,16 +19,13 @@
 //! * **coarse solve** — dense Cholesky with a tiny diagonal shift (also
 //!   absorbs the Neumann null space).
 
+use std::cell::RefCell;
+
 use alya_mesh::{NodeToElements, Partition, TetMesh};
 
-use crate::cg::{CgResult, LinOp};
+pub use crate::cg::Preconditioner;
+use crate::cg::{pcg, CgResult, CgScratch, LinOp};
 use crate::csr::CsrMatrix;
-
-/// Preconditioner interface for [`solve_pcg`].
-pub trait Preconditioner {
-    /// `z ≈ A⁻¹ r`.
-    fn apply(&self, r: &[f64], z: &mut [f64]);
-}
 
 /// Plain Jacobi (diagonal) preconditioning.
 pub struct Jacobi {
@@ -53,6 +50,10 @@ impl Preconditioner for Jacobi {
             *z = r * d;
         }
     }
+
+    fn apply_flops(&self) -> u64 {
+        self.inv_diag.len() as u64
+    }
 }
 
 /// Two-level aggregation multigrid V(1,1) cycle.
@@ -65,6 +66,20 @@ pub struct TwoLevelMg {
     num_coarse: usize,
     inv_diag: Vec<f64>,
     omega: f64,
+    /// Work vectors of one cycle (`Preconditioner::apply` takes `&self`;
+    /// CG applies it from one thread, one cycle at a time).
+    scratch: RefCell<MgScratch>,
+}
+
+struct MgScratch {
+    /// `A z` on the fine level.
+    az: Vec<f64>,
+    /// Restricted residual.
+    rc: Vec<f64>,
+    /// Forward-substitution result of the coarse solve.
+    yc: Vec<f64>,
+    /// Coarse solution.
+    xc: Vec<f64>,
 }
 
 impl TwoLevelMg {
@@ -120,6 +135,12 @@ impl TwoLevelMg {
             num_coarse: nc,
             inv_diag,
             omega: 2.0 / 3.0,
+            scratch: RefCell::new(MgScratch {
+                az: vec![0.0; nn],
+                rc: vec![0.0; nc],
+                yc: vec![0.0; nc],
+                xc: vec![0.0; nc],
+            }),
         }
     }
 
@@ -135,32 +156,38 @@ impl TwoLevelMg {
 impl Preconditioner for TwoLevelMg {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let n = r.len();
-        let nc = self.num_coarse;
-        z.fill(0.0);
-        let mut scratch = vec![0.0; n];
+        let MgScratch { az, rc, yc, xc } = &mut *self.scratch.borrow_mut();
 
-        // Pre-smooth from zero: z = omega D^{-1} r, then one full sweep.
+        // Pre-smooth from zero: z = omega D^{-1} r.
         for i in 0..n {
             z[i] = self.omega * self.inv_diag[i] * r[i];
         }
 
         // Coarse correction on the smoothed residual.
-        self.a.par_spmv(z, &mut scratch);
-        let mut rc = vec![0.0; nc];
+        self.a.par_spmv(z, az);
+        rc.fill(0.0);
         for i in 0..n {
-            rc[self.aggregate_of[i] as usize] += r[i] - scratch[i];
+            rc[self.aggregate_of[i] as usize] += r[i] - az[i];
         }
-        let xc = cholesky_solve(&self.coarse_l, nc, &rc);
+        cholesky_solve(&self.coarse_l, self.num_coarse, rc, yc, xc);
         for i in 0..n {
             z[i] += xc[self.aggregate_of[i] as usize];
         }
 
         // Post-smooth (symmetric counterpart).
-        self.smooth(r, z, &mut scratch);
+        self.smooth(r, z, az);
+    }
+
+    fn apply_flops(&self) -> u64 {
+        // Two SpMVs, the smoothing/restriction/prolongation vector work
+        // (~9 per fine node) and two dense triangular solves.
+        let (n, nc) = (self.inv_diag.len() as u64, self.num_coarse as u64);
+        4 * self.a.nnz() as u64 + 9 * n + 2 * nc * nc
     }
 }
 
-/// Preconditioned conjugate gradients with an arbitrary SPD preconditioner.
+/// Preconditioned conjugate gradients with an arbitrary SPD preconditioner
+/// — [`crate::cg::solve_cg_with`]'s loop with `m` in place of Jacobi.
 pub fn solve_pcg(
     a: &impl LinOp,
     m: &impl Preconditioner,
@@ -169,66 +196,7 @@ pub fn solve_pcg(
     rel_tol: f64,
     max_iters: usize,
 ) -> CgResult {
-    let n = b.len();
-    assert_eq!(a.dim(), n);
-    let norm_b = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-    let tol = rel_tol * norm_b + 1e-300;
-
-    let mut r = vec![0.0; n];
-    a.apply(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let mut z = vec![0.0; n];
-    m.apply(&r, &mut z);
-    let mut p = z.clone();
-    let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-    let mut ap = vec![0.0; n];
-
-    let mut residual = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if residual <= tol {
-        return CgResult {
-            iterations: 0,
-            residual,
-            converged: true,
-        };
-    }
-    for it in 1..=max_iters {
-        a.apply(&p, &mut ap);
-        let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-        if pap.abs() < 1e-300 {
-            return CgResult {
-                iterations: it,
-                residual,
-                converged: false,
-            };
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        residual = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if residual <= tol {
-            return CgResult {
-                iterations: it,
-                residual,
-                converged: true,
-            };
-        }
-        m.apply(&r, &mut z);
-        let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-    CgResult {
-        iterations: max_iters,
-        residual,
-        converged: false,
-    }
+    pcg(a, m, b, x, rel_tol, max_iters, CgScratch::new().work())
 }
 
 /// Dense Cholesky factorization (lower triangular, row-major).
@@ -256,9 +224,8 @@ fn cholesky(mut a: Vec<f64>, n: usize) -> Vec<f64> {
     a
 }
 
-/// Solves `L Lᵀ x = b` from a [`cholesky`] factor.
-fn cholesky_solve(l: &[f64], n: usize, b: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0; n];
+/// Solves `L Lᵀ x = b` from a [`cholesky`] factor (`y` holds `L⁻¹ b`).
+fn cholesky_solve(l: &[f64], n: usize, b: &[f64], y: &mut [f64], x: &mut [f64]) {
     for i in 0..n {
         let mut s = b[i];
         for k in 0..i {
@@ -266,7 +233,6 @@ fn cholesky_solve(l: &[f64], n: usize, b: &[f64]) -> Vec<f64> {
         }
         y[i] = s / l[i * n + i];
     }
-    let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut s = y[i];
         for k in (i + 1)..n {
@@ -274,7 +240,6 @@ fn cholesky_solve(l: &[f64], n: usize, b: &[f64]) -> Vec<f64> {
         }
         x[i] = s / l[i * n + i];
     }
-    x
 }
 
 #[cfg(test)]
@@ -304,7 +269,8 @@ mod tests {
         let a = vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0];
         let l = cholesky(a.clone(), 3);
         let b = vec![1.0, 2.0, 3.0];
-        let x = cholesky_solve(&l, 3, &b);
+        let (mut y, mut x) = (vec![0.0; 3], vec![0.0; 3]);
+        cholesky_solve(&l, 3, &b, &mut y, &mut x);
         for i in 0..3 {
             let ax: f64 = (0..3).map(|j| a[i * 3 + j] * x[j]).sum();
             assert!((ax - b[i]).abs() < 1e-12);

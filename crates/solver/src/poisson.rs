@@ -3,8 +3,19 @@
 //! * [`laplacian`] — the stiffness matrix `L[a][b] = Σ_e V_e ∇N_a·∇N_b`;
 //! * [`lumped_mass`] — row-sum lumped mass (`V_e/4` per node);
 //! * [`weak_divergence`] — `b_a = ∫ N_a ∇·u` (constant per element);
-//! * [`nodal_gradient`] — lumped-mass-weighted nodal pressure gradient,
-//!   the correction operator of the fractional step.
+//! * [`nodal_gradient`] — lumped-mass-weighted nodal pressure gradient;
+//! * [`weak_gradient_adjoint`] / [`ProjectionOp`] — `Dᵀ` and the compatible
+//!   projection operator `D M⁻¹ Dᵀ` the fractional step solves with;
+//! * [`GeomTable`] / [`TableProjectionOp`] — the same operators driven
+//!   from a per-case table of the element constants instead of
+//!   recomputing them, writing into caller-owned scratch.
+//!
+//! Every operator that exists in both forms has **one** loop body, generic
+//! over where an element's [`TetGeom`] comes from, so the table-driven
+//! form is bitwise identical to the public uncached one — which stays as
+//! the independent oracle (the role `Variant::B` plays for the kernels).
+
+use std::cell::RefCell;
 
 use alya_fem::geometry::tet4_gradients;
 use alya_fem::{ScalarField, VectorField};
@@ -44,13 +55,91 @@ pub fn lumped_mass(mesh: &TetMesh) -> Vec<f64> {
     m
 }
 
-/// Weak divergence of a velocity field: `b_a = ∫ N_a (∇·u) dV`
-/// (`∇·u` is constant per P1 element, `∫ N_a = V/4`).
-pub fn weak_divergence(mesh: &TetMesh, u: &VectorField) -> ScalarField {
-    let mut b = ScalarField::zeros(mesh.num_nodes());
+/// The constants of one P1 tet that every solver element loop needs:
+/// 13 `f64`, 104 B.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TetGeom {
+    /// `∇N_a`, constant over the element.
+    pub grads: [[f64; 3]; 4],
+    /// Signed volume.
+    pub vol: f64,
+}
+
+impl TetGeom {
+    /// Computes the constants of element `e` from its coordinates (a 3×3
+    /// inverse and a division — what the uncached operators pay per
+    /// element per sweep).
+    #[inline]
+    pub fn of(mesh: &TetMesh, e: usize) -> Self {
+        let (grads, vol) = tet4_gradients(&mesh.element_coords(e));
+        Self { grads, vol }
+    }
+}
+
+/// [`TetGeom`] of every element of one mesh, computed once per case and
+/// shared by all its sessions. The methods take the mesh the table was
+/// built from (for the connectivity) and write into caller-owned storage.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GeomTable {
+    elems: Vec<TetGeom>,
+}
+
+impl GeomTable {
+    /// Tabulates `mesh`.
+    pub fn build(mesh: &TetMesh) -> Self {
+        Self {
+            elems: (0..mesh.num_elements())
+                .map(|e| TetGeom::of(mesh, e))
+                .collect(),
+        }
+    }
+
+    /// Elements tabulated.
+    pub fn len(&self) -> usize {
+        self.elems.len()
+    }
+
+    /// True for the table of an empty mesh.
+    pub fn is_empty(&self) -> bool {
+        self.elems.is_empty()
+    }
+
+    /// [`weak_divergence`] into `b` (length `num_nodes`), bitwise equal.
+    // alya:hot
+    pub fn weak_divergence_into(&self, mesh: &TetMesh, u: &VectorField, b: &mut [f64]) {
+        debug_assert_eq!(self.elems.len(), mesh.num_elements());
+        b.fill(0.0);
+        divergence_sweep(mesh, |e| self.elems[e], u, b);
+    }
+
+    /// [`weak_gradient_adjoint`] into `g`, bitwise equal.
+    // alya:hot
+    pub fn weak_gradient_adjoint_into(&self, mesh: &TetMesh, p: &[f64], g: &mut VectorField) {
+        debug_assert_eq!(self.elems.len(), mesh.num_elements());
+        g.fill_zero();
+        gradient_adjoint_sweep(mesh, |e| self.elems[e], p, g);
+    }
+
+    /// The P1 stiffness diagonal `Σ_e V_e |∇N_a|²`, accumulated in element
+    /// order — [`laplacian`]'s diagonal without the matrix (equal to it up
+    /// to the last ulp: the CSR build sums duplicates in sorted order).
+    pub fn stiffness_diagonal(&self, mesh: &TetMesh) -> Vec<f64> {
+        debug_assert_eq!(self.elems.len(), mesh.num_elements());
+        stiffness_diagonal_sweep(mesh, |e| self.elems[e])
+    }
+}
+
+/// `b_a += Σ_e V_e/4 (∇·u)|_e` over the elements containing `a`.
+#[inline]
+fn divergence_sweep(
+    mesh: &TetMesh,
+    geom_of: impl Fn(usize) -> TetGeom,
+    u: &VectorField,
+    b: &mut [f64],
+) {
     for e in 0..mesh.num_elements() {
         let conn = mesh.element(e);
-        let (grads, vol) = tet4_gradients(&mesh.element_coords(e));
+        let TetGeom { grads, vol } = geom_of(e);
         let mut div = 0.0;
         for (a, &n) in conn.iter().enumerate() {
             let v = u.get(n as usize);
@@ -58,9 +147,67 @@ pub fn weak_divergence(mesh: &TetMesh, u: &VectorField) -> ScalarField {
         }
         let w = vol * 0.25 * div;
         for &n in &conn {
-            b.set(n as usize, b.get(n as usize) + w);
+            b[n as usize] += w;
         }
     }
+}
+
+/// `g_a += Σ_e V_e p̄_e ∇N_a` over the elements containing `a`.
+#[inline]
+fn gradient_adjoint_sweep(
+    mesh: &TetMesh,
+    geom_of: impl Fn(usize) -> TetGeom,
+    p: &[f64],
+    g: &mut VectorField,
+) {
+    for e in 0..mesh.num_elements() {
+        let conn = mesh.element(e);
+        let TetGeom { grads, vol } = geom_of(e);
+        let mut pbar = 0.0;
+        for &n in &conn {
+            pbar += p[n as usize];
+        }
+        pbar *= 0.25;
+        let w = vol * pbar;
+        for (a, &n) in conn.iter().enumerate() {
+            g.add(
+                n as usize,
+                [w * grads[a][0], w * grads[a][1], w * grads[a][2]],
+            );
+        }
+    }
+}
+
+fn stiffness_diagonal_sweep(mesh: &TetMesh, geom_of: impl Fn(usize) -> TetGeom) -> Vec<f64> {
+    let mut diag = vec![0.0; mesh.num_nodes()];
+    for e in 0..mesh.num_elements() {
+        let conn = mesh.element(e);
+        let TetGeom { grads, vol } = geom_of(e);
+        for (a, &n) in conn.iter().enumerate() {
+            diag[n as usize] += vol
+                * (grads[a][0] * grads[a][0]
+                    + grads[a][1] * grads[a][1]
+                    + grads[a][2] * grads[a][2]);
+        }
+    }
+    diag
+}
+
+/// `g ← M⁻¹ g` with the lumped mass.
+#[inline]
+fn scale_by_inverse_mass(g: &mut VectorField, mass: &[f64]) {
+    for (n, m) in mass.iter().enumerate() {
+        let m = m.max(1e-300);
+        let v = g.get(n);
+        g.set(n, [v[0] / m, v[1] / m, v[2] / m]);
+    }
+}
+
+/// Weak divergence of a velocity field: `b_a = ∫ N_a (∇·u) dV`
+/// (`∇·u` is constant per P1 element, `∫ N_a = V/4`).
+pub fn weak_divergence(mesh: &TetMesh, u: &VectorField) -> ScalarField {
+    let mut b = ScalarField::zeros(mesh.num_nodes());
+    divergence_sweep(mesh, |e| TetGeom::of(mesh, e), u, b.as_mut_slice());
     b
 }
 
@@ -99,11 +246,7 @@ pub fn nodal_gradient(mesh: &TetMesh, p: &ScalarField, mass: &[f64]) -> VectorFi
             g.add(n as usize, [w * gp[0], w * gp[1], w * gp[2]]);
         }
     }
-    for n in 0..mesh.num_nodes() {
-        let m = mass[n].max(1e-300);
-        let v = g.get(n);
-        g.set(n, [v[0] / m, v[1] / m, v[2] / m]);
-    }
+    scale_by_inverse_mass(&mut g, mass);
     g
 }
 
@@ -113,22 +256,7 @@ pub fn nodal_gradient(mesh: &TetMesh, p: &ScalarField, mass: &[f64]) -> VectorFi
 /// by the boundary term).
 pub fn weak_gradient_adjoint(mesh: &TetMesh, p: &[f64]) -> VectorField {
     let mut g = VectorField::zeros(mesh.num_nodes());
-    for e in 0..mesh.num_elements() {
-        let conn = mesh.element(e);
-        let (grads, vol) = tet4_gradients(&mesh.element_coords(e));
-        let mut pbar = 0.0;
-        for &n in &conn {
-            pbar += p[n as usize];
-        }
-        pbar *= 0.25;
-        let w = vol * pbar;
-        for (a, &n) in conn.iter().enumerate() {
-            g.add(
-                n as usize,
-                [w * grads[a][0], w * grads[a][1], w * grads[a][2]],
-            );
-        }
-    }
+    gradient_adjoint_sweep(mesh, |e| TetGeom::of(mesh, e), p, &mut g);
     g
 }
 
@@ -153,19 +281,19 @@ impl<'a> ProjectionOp<'a> {
     /// Builds the operator (uses the P1 stiffness diagonal as Jacobi
     /// preconditioner — spectrally equivalent).
     pub fn new(mesh: &'a TetMesh, mass: &'a [f64]) -> Self {
-        let diag = std::borrow::Cow::Owned(laplacian(mesh).diagonal());
-        Self { mesh, mass, diag }
+        let diag = stiffness_diagonal_sweep(mesh, |e| TetGeom::of(mesh, e));
+        Self {
+            mesh,
+            mass,
+            diag: std::borrow::Cow::Owned(diag),
+        }
     }
 }
 
 impl crate::cg::LinOp for ProjectionOp<'_> {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         let mut g = weak_gradient_adjoint(self.mesh, x);
-        for n in 0..self.mesh.num_nodes() {
-            let m = self.mass[n].max(1e-300);
-            let v = g.get(n);
-            g.set(n, [v[0] / m, v[1] / m, v[2] / m]);
-        }
+        scale_by_inverse_mass(&mut g, self.mass);
         let div = weak_divergence(self.mesh, &g);
         y.copy_from_slice(div.as_slice());
     }
@@ -183,17 +311,185 @@ impl crate::cg::LinOp for ProjectionOp<'_> {
     }
 
     fn apply_flops(&self) -> u64 {
-        // Algebraic work only (the per-element geometry recomputation in
-        // `tet4_gradients` is excluded): Dᵀ (~30/elem) + M⁻¹ scale (6/node)
-        // + D (~30/elem), per apply.
-        60 * self.mesh.num_elements() as u64 + 6 * self.mesh.num_nodes() as u64
+        projection_flops(self.mesh)
     }
+}
+
+/// [`ProjectionOp`] driven from a [`GeomTable`]: the same `D M⁻¹ Dᵀ`,
+/// bitwise, with the intermediate `M⁻¹ Dᵀ x` written into scratch lent by
+/// the caller, so an apply computes no geometry and allocates nothing.
+pub struct TableProjectionOp<'a> {
+    mesh: &'a TetMesh,
+    table: &'a GeomTable,
+    mass: &'a [f64],
+    diag: &'a [f64],
+    /// `LinOp::apply` takes `&self`; CG applies the operator from one
+    /// thread, one apply at a time.
+    grad: RefCell<&'a mut VectorField>,
+}
+
+impl<'a> TableProjectionOp<'a> {
+    /// The operator on `mesh` with `table` built from it, Jacobi diagonal
+    /// `diag`, and `grad` (on `mesh.num_nodes()` nodes) as its scratch.
+    pub fn new(
+        mesh: &'a TetMesh,
+        table: &'a GeomTable,
+        mass: &'a [f64],
+        diag: &'a [f64],
+        grad: &'a mut VectorField,
+    ) -> Self {
+        assert_eq!(table.len(), mesh.num_elements());
+        assert_eq!(grad.num_nodes(), mesh.num_nodes());
+        Self {
+            mesh,
+            table,
+            mass,
+            diag,
+            grad: RefCell::new(grad),
+        }
+    }
+}
+
+impl crate::cg::LinOp for TableProjectionOp<'_> {
+    // alya:hot
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let g = &mut **self.grad.borrow_mut();
+        self.table.weak_gradient_adjoint_into(self.mesh, x, g);
+        scale_by_inverse_mass(g, self.mass);
+        self.table.weak_divergence_into(self.mesh, g, y);
+    }
+
+    fn dim(&self) -> usize {
+        self.mesh.num_nodes()
+    }
+
+    fn precond_diagonal(&self) -> Vec<f64> {
+        self.diag.to_vec()
+    }
+
+    fn precond_diagonal_into(&self, out: &mut [f64]) {
+        out.copy_from_slice(self.diag);
+    }
+
+    fn apply_flops(&self) -> u64 {
+        projection_flops(self.mesh)
+    }
+}
+
+/// Algebraic work of one `D M⁻¹ Dᵀ` apply (geometry excluded): Dᵀ
+/// (~30/elem) + M⁻¹ scale (6/node) + D (~30/elem).
+fn projection_flops(mesh: &TetMesh) -> u64 {
+    60 * mesh.num_elements() as u64 + 6 * mesh.num_nodes() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alya_mesh::BoxMeshBuilder;
+    use crate::cg::LinOp;
+    use alya_mesh::{BoxMeshBuilder, Rng64, TerrainMeshBuilder};
+
+    /// A jittered box and the 1536-element terrain mesh of the benchmark.
+    fn meshes() -> [TetMesh; 2] {
+        [
+            BoxMeshBuilder::new(4, 3, 5).jitter(0.15).seed(11).build(),
+            TerrainMeshBuilder::with_approx_elements(1536).build(),
+        ]
+    }
+
+    fn random(rng: &mut Rng64, len: usize) -> Vec<f64> {
+        (0..len).map(|_| rng.range_f64(-1.0, 1.0)).collect()
+    }
+
+    fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x:e} vs {y:e}");
+        }
+    }
+
+    #[test]
+    fn table_driven_operators_equal_the_uncached_ones_bitwise() {
+        assert_eq!(size_of::<TetGeom>(), 104);
+        let mut rng = Rng64::new(2024);
+        for mesh in meshes() {
+            let n = mesh.num_nodes();
+            let table = GeomTable::build(&mesh);
+            assert_eq!(table.len(), mesh.num_elements());
+            let mass = lumped_mass(&mesh);
+
+            let mut u = VectorField::zeros(n);
+            u.as_mut_slice().copy_from_slice(&random(&mut rng, 3 * n));
+            // Dirty outputs: the table-driven sweeps overwrite, not add.
+            let mut div = random(&mut rng, n);
+            table.weak_divergence_into(&mesh, &u, &mut div);
+            assert_bitwise(&div, weak_divergence(&mesh, &u).as_slice(), "D u");
+
+            let p = random(&mut rng, n);
+            let mut grad = u.clone();
+            table.weak_gradient_adjoint_into(&mesh, &p, &mut grad);
+            assert_bitwise(
+                grad.as_slice(),
+                weak_gradient_adjoint(&mesh, &p).as_slice(),
+                "Dt p",
+            );
+
+            let oracle = ProjectionOp::new(&mesh, &mass);
+            let diag = table.stiffness_diagonal(&mesh);
+            assert_bitwise(&diag, &oracle.diag, "stiffness diagonal");
+            let mut scratch = u.clone();
+            let fast = TableProjectionOp::new(&mesh, &table, &mass, &diag, &mut scratch);
+            let (mut y_fast, mut y_oracle) = (random(&mut rng, n), vec![0.0; n]);
+            for _ in 0..2 {
+                fast.apply(&p, &mut y_fast);
+                oracle.apply(&p, &mut y_oracle);
+                assert_bitwise(&y_fast, &y_oracle, "D M^-1 Dt p");
+            }
+            assert_eq!(fast.dim(), oracle.dim());
+            assert_eq!(fast.apply_flops(), oracle.apply_flops());
+            assert_bitwise(&fast.precond_diagonal(), &oracle.precond_diagonal(), "diag");
+        }
+    }
+
+    #[test]
+    fn stiffness_diagonal_is_the_laplacian_diagonal() {
+        for mesh in meshes() {
+            let from_csr = laplacian(&mesh).diagonal();
+            let direct = GeomTable::build(&mesh).stiffness_diagonal(&mesh);
+            for (a, b) in from_csr.iter().zip(&direct) {
+                assert!(
+                    (a - b).abs() <= 4.0 * f64::EPSILON * a.abs(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_projection_is_symmetric_positive_semidefinite() {
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+        for mesh in meshes() {
+            let n = mesh.num_nodes();
+            let table = GeomTable::build(&mesh);
+            let mass = lumped_mass(&mesh);
+            let diag = table.stiffness_diagonal(&mesh);
+            let mut scratch = VectorField::zeros(n);
+            let op = TableProjectionOp::new(&mesh, &table, &mass, &diag, &mut scratch);
+            let (mut ax, mut ay) = (vec![0.0; n], vec![0.0; n]);
+            for seed in 0..20 {
+                let mut rng = Rng64::new(seed);
+                let (x, y) = (random(&mut rng, n), random(&mut rng, n));
+                op.apply(&x, &mut ax);
+                op.apply(&y, &mut ay);
+                let (xay, yax) = (dot(&x, &ay), dot(&y, &ax));
+                let scale = (dot(&x, &ax) * dot(&y, &ay)).sqrt();
+                assert!(
+                    (xay - yax).abs() <= 1e-12 * scale,
+                    "seed {seed}: x.Ay {xay:e} vs y.Ax {yax:e}"
+                );
+                assert!(dot(&x, &ax) >= 0.0, "seed {seed}: x.Ax < 0");
+            }
+        }
+    }
 
     #[test]
     fn laplacian_is_symmetric_with_zero_row_sums() {

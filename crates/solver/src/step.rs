@@ -11,7 +11,6 @@
 //! The projection reduces the discrete divergence every step (asserted by
 //! tests), which is the property a fractional-step scheme must deliver.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use alya_core::{assemble_parallel, assemble_serial, AssemblyInput, ParallelStrategy, Variant};
@@ -22,7 +21,7 @@ use alya_mesh::TetMesh;
 use alya_telemetry as telemetry;
 
 use crate::cg::{solve_cg_with, CgResult, CgScratch};
-use crate::poisson;
+use crate::poisson::{self, GeomTable, TableProjectionOp};
 
 /// Explicit time-integration scheme for the momentum prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,9 +113,11 @@ impl MeshHandle<'_> {
 }
 
 /// The immutable per-case data every session of the same case shares:
-/// the Poisson preconditioner diagonal, the lumped mass, and the
-/// coloring-based parallel strategy. Built once per case, `Arc`-cloned
-/// into each [`FractionalStep`] (the serve pool's copy-on-write story).
+/// the Poisson preconditioner diagonal, the lumped mass, the
+/// coloring-based parallel strategy, and the element geometry table the
+/// projection half of the step runs from. Built once per case,
+/// `Arc`-cloned into each [`FractionalStep`] (the serve pool's
+/// copy-on-write story).
 #[derive(Clone)]
 pub struct CaseParts {
     /// Jacobi diagonal for the projection operator (P1 stiffness diagonal).
@@ -125,15 +126,19 @@ pub struct CaseParts {
     pub mass: Arc<Vec<f64>>,
     /// Parallel assembly strategy (element coloring).
     pub strategy: Arc<ParallelStrategy>,
+    /// `∇N_a` and volume of every element (104 B each).
+    pub geom: Arc<GeomTable>,
 }
 
 impl CaseParts {
     /// Assembles the shared parts for `mesh`.
     pub fn build(mesh: &TetMesh) -> Self {
+        let geom = GeomTable::build(mesh);
         Self {
-            proj_diag: Arc::new(poisson::laplacian(mesh).diagonal()),
+            proj_diag: Arc::new(geom.stiffness_diagonal(mesh)),
             mass: Arc::new(poisson::lumped_mass(mesh)),
             strategy: Arc::new(ParallelStrategy::colored(mesh)),
+            geom: Arc::new(geom),
         }
     }
 }
@@ -149,6 +154,12 @@ pub struct FractionalStep<'m> {
     parts: CaseParts,
     cg_scratch: CgScratch,
     pressure_scratch: Vec<f64>,
+    /// `M⁻¹ Dᵀ x` inside the projection operator, then `Dᵀ p` of the
+    /// correction. Like the CG scratch, sized by the first step (a pooled
+    /// slot that only ever assembles never pays for it) and kept after.
+    grad_scratch: VectorField,
+    /// `D u*` (the pressure RHS), then `D u` of the corrected velocity.
+    div_scratch: ScalarField,
     time: f64,
 }
 
@@ -189,6 +200,8 @@ impl<'m> FractionalStep<'m> {
             parts,
             cg_scratch: CgScratch::new(),
             pressure_scratch: Vec::new(),
+            grad_scratch: VectorField::zeros(0),
+            div_scratch: ScalarField::zeros(0),
             time: 0.0,
         }
     }
@@ -298,6 +311,7 @@ impl<'m> FractionalStep<'m> {
         };
 
         // 1. Momentum prediction (one or three RHS assemblies).
+        let predict_span = telemetry::span("momentum-predict");
         let mut u_star = match cfg.scheme {
             TimeScheme::ForwardEuler => euler_stage(&self.velocity, cfg.dt),
             TimeScheme::SspRk3 => {
@@ -318,9 +332,7 @@ impl<'m> FractionalStep<'m> {
             }
         };
         self.bc.apply_to_field(&mut u_star);
-        // The projection controls the *weak* divergence D u (what the
-        // pressure equation sees); report its norm.
-        let divergence_before = poisson::weak_divergence(mesh, &u_star).norm();
+        drop(predict_span);
 
         // 2. Pressure projection: solve the *compatible* discrete operator
         // (D M⁻¹ Dᵀ) p = (ρ/Δt) D u*, so the subsequent correction
@@ -329,20 +341,34 @@ impl<'m> FractionalStep<'m> {
         // for every null vector q of Dᵀ — do NOT de-mean (constants are not
         // in this operator's null space; subtracting the mean would inject
         // an inconsistent component that CG amplifies without bound).
-        let op = poisson::ProjectionOp {
-            mesh,
-            mass,
-            diag: Cow::Borrowed(self.parts.proj_diag.as_slice()),
-        };
-        let mut b = poisson::weak_divergence(mesh, &u_star);
+        // Everything from here on runs from the case's geometry table into
+        // solver-owned scratch and, after the first step, allocates nothing.
+        let geom = &*self.parts.geom;
+        if self.div_scratch.len() != n {
+            self.grad_scratch = VectorField::zeros(n);
+            self.div_scratch = ScalarField::zeros(n);
+        }
+        let rhs_span = telemetry::span("pressure-rhs");
+        let b = &mut self.div_scratch;
+        geom.weak_divergence_into(mesh, &u_star, b.as_mut_slice());
+        // The projection controls the *weak* divergence D u (what the
+        // pressure equation sees); report its norm.
+        let divergence_before = b.norm();
         for v in b.as_mut_slice() {
             *v *= rho / cfg.dt;
         }
-        // Warm start from the previous step's pressure; the scratch keeps
-        // its capacity, so repeat steps allocate nothing.
+        // Warm start from the previous step's pressure.
         self.pressure_scratch.clear();
         self.pressure_scratch
             .extend_from_slice(self.pressure.as_slice());
+        drop(rhs_span);
+        let op = TableProjectionOp::new(
+            mesh,
+            geom,
+            mass,
+            self.parts.proj_diag.as_slice(),
+            &mut self.grad_scratch,
+        );
         let cg = solve_cg_with(
             &op,
             b.as_slice(),
@@ -357,7 +383,9 @@ impl<'m> FractionalStep<'m> {
 
         // 3. Velocity correction with the same Dᵀ the projection operator
         // used: u = u* − (Δt/ρ) M⁻¹ Dᵀ p.
-        let grad_p = poisson::weak_gradient_adjoint(mesh, self.pressure.as_slice());
+        let correct_span = telemetry::span("velocity-correct");
+        let grad_p = &mut self.grad_scratch;
+        geom.weak_gradient_adjoint_into(mesh, self.pressure.as_slice(), grad_p);
         for node in 0..n {
             let g = grad_p.get(node);
             let m = mass[node].max(1e-300);
@@ -372,10 +400,12 @@ impl<'m> FractionalStep<'m> {
         self.bc.apply_to_field(&mut u_star);
         self.velocity = u_star;
         self.time += cfg.dt;
+        drop(correct_span);
 
+        geom.weak_divergence_into(mesh, &self.velocity, self.div_scratch.as_mut_slice());
         StepStats {
             divergence_before,
-            divergence_after: poisson::weak_divergence(mesh, &self.velocity).norm(),
+            divergence_after: self.div_scratch.norm(),
             cg,
             kinetic_energy: self.velocity.kinetic_energy(),
         }
@@ -564,6 +594,39 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(pooled.time(), fresh.time());
+    }
+
+    #[test]
+    fn sessions_of_one_case_share_the_geometry_table_and_reset_reuses_every_buffer() {
+        let mesh = Arc::new(BoxMeshBuilder::new(3, 3, 3).build());
+        let parts = CaseParts::build(&mesh);
+        let cfg = StepConfig::default();
+        let mut a =
+            FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg.clone(), parts.clone());
+        let b = FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg, parts.clone());
+        assert!(Arc::ptr_eq(&a.parts.geom, &b.parts.geom));
+        assert!(Arc::ptr_eq(&a.parts.geom, &parts.geom));
+
+        let init = VectorField::from_fn(&mesh, |p| [0.1 * p[2], 0.0, 0.05 * p[0]]);
+        a.reset(&init);
+        a.step(Variant::Rsp);
+        // Where every buffer the solver owns lives; the last three are the
+        // projection half's scratch, which a step must not move either.
+        let buffers = |s: &FractionalStep<'_>| {
+            [
+                s.velocity.as_slice().as_ptr(),
+                s.pressure.as_slice().as_ptr(),
+                s.temperature.as_slice().as_ptr(),
+                s.pressure_scratch.as_ptr(),
+                s.grad_scratch.as_slice().as_ptr(),
+                s.div_scratch.as_slice().as_ptr(),
+            ]
+        };
+        let before = buffers(&a);
+        a.reset(&init);
+        assert_eq!(buffers(&a), before, "reset reallocated a buffer");
+        a.step(Variant::Rsp);
+        assert_eq!(buffers(&a)[3..], before[3..], "a step reallocated scratch");
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Cross-crate integration tests: mesh → FEM → assembly → solver,
 //! end to end.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use alya_core::{assemble_parallel, assemble_serial, ParallelStrategy, Variant};
 use alya_fem::bc::DirichletBc;
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
-use alya_mesh::{BoxMeshBuilder, TerrainMeshBuilder};
+use alya_mesh::{BoxMeshBuilder, TerrainMeshBuilder, TetMesh};
 use alya_solver::poisson;
-use alya_solver::step::{FractionalStep, StepConfig};
+use alya_solver::step::{CaseParts, FractionalStep, StepConfig, StepStats, TimeScheme};
+use alya_solver::{solve_cg_with, CgScratch};
 
 #[test]
 fn terrain_mesh_through_full_pipeline() {
@@ -128,6 +132,169 @@ fn laplacian_consistent_with_assembly_diffusion() {
                 (got - expect).abs() < 1e-11,
                 "node {n} comp {d}: {got} vs {expect}"
             );
+        }
+    }
+}
+
+/// One fractional step composed, statement for statement, from the public
+/// *uncached* operators (`weak_divergence`, `ProjectionOp`,
+/// `weak_gradient_adjoint` — each recomputes the tet geometry per element
+/// and allocates its result). Returns the new velocity, pressure and stats.
+fn reference_step(
+    mesh: &TetMesh,
+    parts: &CaseParts,
+    bc: &DirichletBc,
+    cfg: &StepConfig,
+    variant: Variant,
+    velocity: &VectorField,
+    pressure: &ScalarField,
+) -> (VectorField, ScalarField, StepStats) {
+    let (n, rho, dt) = (mesh.num_nodes(), cfg.props.density, cfg.dt);
+    let mass = parts.mass.as_slice();
+    let temperature = ScalarField::zeros(n);
+    let euler_stage = |state: &VectorField| {
+        let input = alya_core::AssemblyInput::new(mesh, state, pressure, &temperature)
+            .props(cfg.props)
+            .body_force(cfg.body_force)
+            .vreman_c(cfg.vreman_c);
+        let rhs = if cfg.parallel {
+            assemble_parallel(variant, &input, &parts.strategy)
+        } else {
+            assemble_serial(variant, &input)
+        };
+        let mut out = state.clone();
+        for (node, m) in mass.iter().enumerate() {
+            let m = (m * rho).max(1e-300);
+            let (r, mut v) = (rhs.get(node), out.get(node));
+            for d in 0..3 {
+                v[d] += dt * r[d] / m;
+            }
+            out.set(node, v);
+        }
+        bc.apply_to_field(&mut out);
+        out
+    };
+    let mut u_star = match cfg.scheme {
+        TimeScheme::ForwardEuler => euler_stage(velocity),
+        TimeScheme::SspRk3 => {
+            let mut u2 = euler_stage(&euler_stage(velocity));
+            for (w, u) in u2.as_mut_slice().iter_mut().zip(velocity.as_slice()) {
+                *w = 0.75 * u + 0.25 * *w;
+            }
+            bc.apply_to_field(&mut u2);
+            let mut us = euler_stage(&u2);
+            for (w, u) in us.as_mut_slice().iter_mut().zip(velocity.as_slice()) {
+                *w = *u / 3.0 + 2.0 / 3.0 * *w;
+            }
+            us
+        }
+    };
+    bc.apply_to_field(&mut u_star);
+    let divergence_before = poisson::weak_divergence(mesh, &u_star).norm();
+    let mut b = poisson::weak_divergence(mesh, &u_star);
+    for v in b.as_mut_slice() {
+        *v *= rho / dt;
+    }
+    let op = poisson::ProjectionOp {
+        mesh,
+        mass,
+        diag: Cow::Borrowed(parts.proj_diag.as_slice()),
+    };
+    let mut p = pressure.as_slice().to_vec();
+    let cg = solve_cg_with(
+        &op,
+        b.as_slice(),
+        &mut p,
+        cfg.cg_tol,
+        cfg.cg_max_iters,
+        &mut CgScratch::new(),
+    );
+    let grad_p = poisson::weak_gradient_adjoint(mesh, &p);
+    for (node, m) in mass.iter().enumerate() {
+        let m = m.max(1e-300);
+        let (g, mut v) = (grad_p.get(node), u_star.get(node));
+        for d in 0..3 {
+            v[d] -= dt / rho * g[d] / m;
+        }
+        u_star.set(node, v);
+    }
+    bc.apply_to_field(&mut u_star);
+    let stats = StepStats {
+        divergence_before,
+        divergence_after: poisson::weak_divergence(mesh, &u_star).norm(),
+        cg,
+        kinetic_energy: u_star.kinetic_energy(),
+    };
+    (u_star, ScalarField::from_values(p), stats)
+}
+
+#[test]
+fn step_equals_its_recomposition_from_the_uncached_operators_bitwise() {
+    let mesh = Arc::new(BoxMeshBuilder::new(4, 4, 3).jitter(0.12).seed(9).build());
+    let parts = CaseParts::build(&mesh);
+    let bc = DirichletBc::no_slip_ground(&mesh, 1e-9);
+    let init = VectorField::from_fn(&mesh, |p| {
+        [
+            0.3 * (std::f64::consts::PI * p[2]).sin() + 0.1 * p[1],
+            0.2 * (2.0 * p[0]).cos() * p[2],
+            0.1 * p[0] * p[1],
+        ]
+    });
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (scheme, parallel) in [
+        (TimeScheme::ForwardEuler, false),
+        (TimeScheme::SspRk3, true),
+    ] {
+        let mut cfg = StepConfig::default();
+        cfg.dt = 5e-4;
+        cfg.scheme = scheme;
+        cfg.parallel = parallel;
+        cfg.props = ConstantProperties {
+            density: 1.2,
+            viscosity: 1e-2,
+        };
+        let mut borrowed = FractionalStep::new(&mesh, cfg.clone());
+        let mut shared =
+            FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg.clone(), parts.clone());
+        for solver in [&mut borrowed, &mut shared] {
+            solver.set_bc(bc.clone());
+            solver.reset(&init);
+            for step in 0..3 {
+                let (u, p, want) = reference_step(
+                    &mesh,
+                    &parts,
+                    &bc,
+                    &cfg,
+                    Variant::Rsp,
+                    solver.velocity(),
+                    solver.pressure(),
+                );
+                let got = solver.step(Variant::Rsp);
+                let at = format!("{scheme:?} step {step}");
+                assert!(
+                    got.cg.converged && got.cg.iterations > 5,
+                    "{at}: {:?}",
+                    got.cg
+                );
+                assert_eq!(got.cg, want.cg, "{at}");
+                assert_eq!(
+                    bits(solver.velocity().as_slice()),
+                    bits(u.as_slice()),
+                    "{at}"
+                );
+                assert_eq!(
+                    bits(solver.pressure().as_slice()),
+                    bits(p.as_slice()),
+                    "{at}"
+                );
+                for (g, w) in [
+                    (got.divergence_before, want.divergence_before),
+                    (got.divergence_after, want.divergence_after),
+                    (got.kinetic_energy, want.kinetic_energy),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{at}: {g:e} vs {w:e}");
+                }
+            }
         }
     }
 }
