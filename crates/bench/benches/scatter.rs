@@ -1,6 +1,5 @@
-//! Parallel scatter-strategy ablation: two-phase vs colored vs
-//! owner-computes partitions vs compact-numbered shards (all race-free by
-//! construction).
+//! Parallel scatter-strategy ablation: colored vs owner-computes
+//! partitions vs compact-numbered shards (all race-free by construction).
 
 use alya_bench::harness::{BenchmarkId, Criterion, Throughput};
 use alya_bench::{criterion_group, criterion_main};
@@ -17,7 +16,6 @@ fn bench_scatter(c: &mut Criterion) {
     let ne = case.mesh.num_elements() as u64;
 
     let strategies = [
-        ("two_phase", ParallelStrategy::TwoPhase),
         ("colored", ParallelStrategy::colored(&case.mesh)),
         ("partitioned", ParallelStrategy::partitioned(&case.mesh, 8)),
         ("sharded", ParallelStrategy::sharded(&case.mesh, 8)),

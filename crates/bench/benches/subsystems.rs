@@ -1,19 +1,17 @@
 //! Benchmarks of the extension subsystems: mixed-element assembly, the
-//! tetrahedral decomposition, halo-exchange assembly, multigrid
-//! preconditioning, and reuse-distance analysis.
+//! tetrahedral decomposition, multigrid preconditioning, and
+//! reuse-distance analysis.
 
 use alya_bench::harness::{Criterion, Throughput};
 use alya_bench::{criterion_group, criterion_main};
 
 use alya_core::kernels::generic::{assemble_mixed, MixedInput};
-use alya_core::{AssemblyInput, Variant};
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
 use alya_machine::reuse::analyze;
 use alya_machine::NoRecord;
 use alya_mesh::mixed::mixed_box;
 use alya_mesh::BoxMeshBuilder;
-use alya_solver::halo::{assemble_distributed, DistributedMesh};
 use alya_solver::multigrid::{solve_pcg, Jacobi, TwoLevelMg};
 use alya_solver::poisson::{laplacian, lumped_mass};
 
@@ -37,21 +35,6 @@ fn bench_subsystems(c: &mut Criterion) {
         b.iter(|| assemble_mixed(&minput, &mut NoRecord));
     });
     group.bench_function("to_tets_decomposition", |b| b.iter(|| mixed.to_tets()));
-    group.finish();
-
-    // Distributed halo assembly.
-    let mesh = BoxMeshBuilder::new(10, 10, 5).build();
-    let vel = VectorField::from_fn(&mesh, |p| [p[2], 0.1 * p[0], 0.0]);
-    let pre = ScalarField::zeros(mesh.num_nodes());
-    let tem = ScalarField::zeros(mesh.num_nodes());
-    let input = AssemblyInput::new(&mesh, &vel, &pre, &tem);
-    let dist = DistributedMesh::build(&mesh, 8);
-    let mut group = c.benchmark_group("halo_assembly");
-    group.throughput(Throughput::Elements(mesh.num_elements() as u64));
-    group.sample_size(10);
-    group.bench_function("8_ranks", |b| {
-        b.iter(|| assemble_distributed(Variant::Rsp, &input, &dist));
-    });
     group.finish();
 
     // Multigrid-PCG vs Jacobi-PCG on the shifted Laplacian.

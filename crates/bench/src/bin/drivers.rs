@@ -1,5 +1,5 @@
 //! Driver-throughput benchmark: Melem/s of every assembly strategy
-//! (serial / two-phase / colored / partitioned / sharded) across variants
+//! (serial / colored / partitioned / sharded) across variants
 //! and thread counts on the Bolund-like terrain case, emitted as
 //! `BENCH_drivers.json` so the repo carries a perf trajectory. Every
 //! pack-supported configuration is additionally timed through the
@@ -266,7 +266,6 @@ fn main() {
         }
         let auto = ParallelStrategy::auto(&case.mesh);
         let auto_name = format!("auto({})", auto.name());
-        strategies.push(("two-phase".into(), Some(ParallelStrategy::TwoPhase)));
         strategies.push((
             "colored".into(),
             Some(ParallelStrategy::colored(&case.mesh)),

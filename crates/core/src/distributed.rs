@@ -5,9 +5,10 @@
 //! one address space and merges boundary lists in-process, the
 //! [`DistributedDriver`] runs **one rank per shard as its own OS thread
 //! with no shared mutable state**: each rank assembles its elements into a
-//! compact local buffer (the *same* hot loop and `CompactSink` as the
-//! sharded driver — per the paper, the per-rank kernel must not change
-//! when the code goes distributed), then ships the contributions of
+//! compact local buffer (the *same* element loop,
+//! [`crate::drivers::assemble_list`], and `CompactSink` as the sharded
+//! driver — per the paper, the per-rank kernel must not change when the
+//! code goes distributed), then ships the contributions of
 //! interface nodes it does not own to the owning rank as a sparse sorted
 //! `(local_slot, value)` message ([`alya_comm::HaloMsg`]).
 //!
@@ -60,19 +61,14 @@ use alya_comm::{
     CommReport, Communicator, ExchangeProgress, HaloMsg, NeighborExchange, RankHandle, RecordMode,
 };
 use alya_fem::VectorField;
-use alya_machine::NoRecord;
-use alya_mesh::{ExchangePlan, Partition, Shard, ShardSet, TetMesh};
+use alya_mesh::{ExchangePlan, Partition, ShardSet, TetMesh};
 use alya_probe as probe;
 use alya_sched::{Pipeline, SchedTrace, StageStatus, Stall, Watchdog};
 use alya_telemetry as telemetry;
 
-use crate::drivers::{assemble_element, with_nut, CompactSink, CPU_VECTOR_DIM};
-use crate::gather::ScatterSink;
+use crate::drivers::{assemble_list, with_nut, workspace, CompactSink, ExecMode};
 use crate::input::AssemblyInput;
-use crate::kernels::packed;
-use crate::layout::Layout;
 use crate::metrics;
-use crate::packs::{self, ElemPack};
 use crate::variant::Variant;
 
 /// One rank's owned output: `(global node, summed contribution)` pairs.
@@ -119,7 +115,7 @@ pub struct DistributedDriver {
     splits: Vec<ElemSplit>,
     record: RecordMode,
     overlap: bool,
-    packed: bool,
+    mode: ExecMode,
     stall_timeout: Duration,
 }
 
@@ -129,9 +125,6 @@ pub struct DistributedDriver {
 struct RankCtx<'h> {
     local: Vec<f64>,
     ws_buf: Vec<f64>,
-    /// Pack-sized workspace for the lane-packed path (empty when the
-    /// driver runs scalar).
-    pack_ws: Vec<f64>,
     pre_done: usize,
     rest_done: usize,
     progress: Option<ExchangeProgress<HaloMsg>>,
@@ -140,88 +133,6 @@ struct RankCtx<'h> {
     /// Reusable pending-peer snapshot for the drain stage — allocated once
     /// per rank, not once per poll.
     drain_scratch: Vec<u32>,
-}
-
-/// One compact per-element assembly step — the inner loop both compute
-/// stages share. Identical discipline to the sharded strategy: CompactSink,
-/// ≤4-compare corner resolution, no global→local map in the hot path.
-// alya:hot
-#[inline]
-fn assemble_one(
-    variant: Variant,
-    input: &AssemblyInput,
-    shard: &Shard,
-    nn: usize,
-    local: &mut [f64],
-    ws_buf: &mut [f64],
-    i: u32,
-) {
-    let i = i as usize;
-    let nl = shard.num_local_nodes();
-    let e = shard.elements()[i] as usize;
-    let mut sink = CompactSink {
-        gnodes: input.mesh.element(e),
-        lnodes: shard.local_conn()[i],
-        stride: nl,
-        buf: local,
-    };
-    let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-    assemble_element(
-        variant,
-        input,
-        e,
-        &lay,
-        ws_buf,
-        1,
-        0,
-        &mut sink,
-        &mut NoRecord,
-    );
-}
-
-/// Assembles the full packs of a span of shard-element positions through
-/// the lane-packed kernels, scattering each lane through the same compact
-/// sink discipline as [`assemble_one`] — element order and per-element
-/// scatter order are the scalar path's, so the accumulation is bitwise
-/// identical. Returns how many positions were consumed; the caller runs
-/// the remainder through [`assemble_one`].
-// alya:hot
-fn assemble_pack_span(
-    variant: Variant,
-    input: &AssemblyInput,
-    shard: &Shard,
-    nn: usize,
-    local: &mut [f64],
-    pack_ws: &mut [f64],
-    positions: &[u32],
-) -> usize {
-    const L: usize = packs::DEFAULT_LANES;
-    let nl = shard.num_local_nodes();
-    let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-    let num_packs = positions.len() / L;
-    let mut elrhs = [[[0.0; L]; 3]; 4];
-    for q in 0..num_packs {
-        let mut elems = [0usize; L];
-        for (l, el) in elems.iter_mut().enumerate() {
-            *el = shard.elements()[positions[q * L + l] as usize] as usize;
-        }
-        let pack = ElemPack::load(input, elems);
-        packed::element_pack(variant, input, &pack, pack_ws, &mut elrhs);
-        for l in 0..L {
-            let mut sink = CompactSink {
-                gnodes: pack.conns[l],
-                lnodes: shard.local_conn()[positions[q * L + l] as usize],
-                stride: nl,
-                buf: &mut *local,
-            };
-            for a in 0..4 {
-                for d in 0..3 {
-                    sink.add(pack.conns[l][a], d, elrhs[a][d][l], &lay, &mut NoRecord);
-                }
-            }
-        }
-    }
-    num_packs * L
 }
 
 /// One cooperative drain step: snapshot the pending peers into the reused
@@ -287,7 +198,7 @@ impl DistributedDriver {
             splits,
             record: RecordMode::Counters,
             overlap: true,
-            packed: false,
+            mode: ExecMode::Scalar,
             stall_timeout: Watchdog::default().stall_timeout,
         }
     }
@@ -326,7 +237,11 @@ impl DistributedDriver {
     /// element order, scatter order and therefore every assembled bit are
     /// unchanged.
     pub fn packed(mut self, on: bool) -> Self {
-        self.packed = on;
+        self.mode = if on {
+            ExecMode::Packed
+        } else {
+            ExecMode::Scalar
+        };
         self
     }
 
@@ -337,7 +252,7 @@ impl DistributedDriver {
 
     /// Whether the lane-packed execution path is enabled.
     pub fn packed_enabled(&self) -> bool {
-        self.packed
+        self.mode == ExecMode::Packed
     }
 
     /// Number of ranks.
@@ -390,12 +305,11 @@ impl DistributedDriver {
     ) -> Result<(VectorField, CommReport, Vec<SchedTrace>), Stall> {
         with_nut(variant, input, |input| {
             let nn = input.mesh.num_nodes();
-            let nval = variant.nvalues().max(1);
             let run = Communicator::run(
                 self.num_ranks(),
                 self.record,
                 |r, handle: &mut RankHandle<HaloMsg>| {
-                    self.rank_assemble(variant, input, nval, r, handle, fault)
+                    self.rank_assemble(variant, input, r, handle, fault)
                 },
             );
             // Scatter the owned outputs: node ownership is a partition of
@@ -439,7 +353,6 @@ impl DistributedDriver {
         &self,
         variant: Variant,
         input: &AssemblyInput,
-        nval: usize,
         r: u32,
         handle: &mut RankHandle<HaloMsg>,
         fault: Option<HaloFault>,
@@ -447,7 +360,6 @@ impl DistributedDriver {
         let shard = self.shards.shard(r as usize);
         let sched = self.plan.rank(r as usize);
         let split = &self.splits[r as usize];
-        let nn = input.mesh.num_nodes();
         let nl = shard.num_local_nodes();
         // Overlap on: pre = boundary elements only, rest = interior.
         // Overlap off: pre = everything (same order), rest = empty.
@@ -457,7 +369,6 @@ impl DistributedDriver {
             split.order.len()
         };
         let (pre, rest) = split.order.split_at(cut);
-        let use_packed = self.packed && packed::pack_supported(variant);
 
         let pipe_name = if self.overlap {
             "rank-overlap"
@@ -466,31 +377,27 @@ impl DistributedDriver {
         };
         let mut pipe: Pipeline<'_, RankCtx<'_>> = Pipeline::new(pipe_name);
 
-        let s_pre = pipe.stage("assemble-pre", &[], |c, _ctx| {
-            let end = (c.pre_done + ASSEMBLY_CHUNK).min(pre.len());
-            let span = &pre[c.pre_done..end];
-            let done = if use_packed {
-                assemble_pack_span(
-                    variant,
-                    input,
-                    shard,
-                    nn,
-                    &mut c.local,
-                    &mut c.pack_ws,
-                    span,
-                )
-            } else {
-                0
-            };
-            for &i in &span[done..] {
-                assemble_one(variant, input, shard, nn, &mut c.local, &mut c.ws_buf, i);
-            }
-            c.pre_done = end;
-            if end == pre.len() {
+        // One cooperative chunk of either compute stage: the next
+        // `ASSEMBLY_CHUNK` shard positions of `order` through the shared
+        // element loop into the compact buffer — the sharded strategy's
+        // span, over this rank's boundary-first order.
+        let (kernel, mode) = (variant.into(), self.mode);
+        let assemble_chunk = |order: &[u32], done: &mut usize, buf: &mut [f64], ws: &mut [f64]| {
+            let end = (*done + ASSEMBLY_CHUNK).min(order.len());
+            let span = &order[*done..end];
+            let mut sink = CompactSink::new(shard, input.mesh, buf);
+            let pos_at = |i| span[i] as usize;
+            assemble_list(kernel, mode, input, span.len(), pos_at, ws, &mut sink);
+            *done = end;
+            if end == order.len() {
                 StageStatus::Done
             } else {
                 StageStatus::Progress
             }
+        };
+
+        let s_pre = pipe.stage("assemble-pre", &[], |c, _ctx| {
+            assemble_chunk(pre, &mut c.pre_done, &mut c.local, &mut c.ws_buf)
         });
         let b_pre = pipe.buffer("pre-acc", s_pre);
 
@@ -521,30 +428,7 @@ impl DistributedDriver {
         });
 
         let s_rest = pipe.stage("assemble-overlap", &[s_post], |c, _ctx| {
-            let end = (c.rest_done + ASSEMBLY_CHUNK).min(rest.len());
-            let span = &rest[c.rest_done..end];
-            let done = if use_packed {
-                assemble_pack_span(
-                    variant,
-                    input,
-                    shard,
-                    nn,
-                    &mut c.local,
-                    &mut c.pack_ws,
-                    span,
-                )
-            } else {
-                0
-            };
-            for &i in &span[done..] {
-                assemble_one(variant, input, shard, nn, &mut c.local, &mut c.ws_buf, i);
-            }
-            c.rest_done = end;
-            if end == rest.len() {
-                StageStatus::Done
-            } else {
-                StageStatus::Progress
-            }
+            assemble_chunk(rest, &mut c.rest_done, &mut c.local, &mut c.ws_buf)
         });
         let b_rest = pipe.buffer("overlap-acc", s_rest);
 
@@ -611,15 +495,9 @@ impl DistributedDriver {
             StageStatus::Done
         });
 
-        let pack_ws_len = if use_packed {
-            packed::pack_ws_values(variant, packs::DEFAULT_LANES).max(1)
-        } else {
-            0
-        };
         let mut ctx = RankCtx {
             local: vec![0.0; 3 * nl],
-            ws_buf: vec![0.0; nval],
-            pack_ws: vec![0.0; pack_ws_len],
+            ws_buf: workspace(variant),
             pre_done: 0,
             rest_done: 0,
             progress: None,

@@ -2,22 +2,27 @@
 //!
 //! The kernels compute one element; the drivers own iteration order,
 //! workspace allocation, the ν_t precompute for the baseline variants, and
-//! the scatter discipline:
+//! the scatter discipline. There is **one element loop**,
+//! [`assemble_list`] — the paper's CPU shape, "a single vectorization loop
+//! and a scalar scatter loop": full packs of [`packs::DEFAULT_LANES`]
+//! elements through the lane-packed kernel twins when the mode is
+//! [`ExecMode::Packed`], then the scalar remainder ([`ExecMode::Scalar`]
+//! is simply "zero packs"). Every driver is a list of element ids plus a
+//! sink handed to that loop:
 //!
-//! * [`assemble_serial`] — one thread, direct read-modify-write scatter;
+//! * [`assemble_serial`] — ids `0..ne`, direct read-modify-write scatter;
 //! * [`assemble_parallel`] with
-//!   * [`ParallelStrategy::TwoPhase`] — parallel elemental compute into a
-//!     buffer, then a separate scatter loop (the structure of the paper's
-//!     CPU path: "a single vectorization loop and a scalar scatter loop");
 //!   * [`ParallelStrategy::Colored`] — races prevented by element
-//!     coloring, every color fully parallel with plain stores;
+//!     coloring, every color class fully parallel with plain stores;
 //!   * [`ParallelStrategy::Partitioned`] — owner-computes over mesh
-//!     partitions with per-worker buffers and a reduction;
+//!     partitions, each part into a pooled full-width buffer, then a dense
+//!     reduction;
 //!   * [`ParallelStrategy::Sharded`] — owner-computes over shards with
 //!     **compact local-numbered** accumulation buffers (O(nodes-in-shard),
 //!     not O(nn)), unsynchronized direct writeback of interior nodes, and
 //!     a parallel **tree reduction** of only the shard-boundary
 //!     contributions;
+//! * [`crate::DistributedDriver`] — the sharded span, one rank per shard;
 //! * [`assemble_traced`] / [`trace_element`] — the instrumented runs the
 //!   performance models replay.
 
@@ -132,40 +137,6 @@ impl From<Variant> for KernelImpl<'static> {
     }
 }
 
-/// Dispatches one element to either kernel implementation, scattering
-/// through `sink`. The generated path funnels `emit` calls into the sink
-/// untraced — tracing generated kernels is the form crate's interpreter's
-/// job, not the drivers'.
-#[allow(clippy::too_many_arguments)]
-fn run_kernel_element<S: ScatterSink>(
-    kernel: KernelImpl<'_>,
-    input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-    ws_buf: &mut [f64],
-    stride: usize,
-    lane: usize,
-    sink: &mut S,
-) {
-    match kernel {
-        KernelImpl::Handwritten(variant) => assemble_element(
-            variant,
-            input,
-            e,
-            lay,
-            ws_buf,
-            stride,
-            lane,
-            sink,
-            &mut NoRecord,
-        ),
-        KernelImpl::Generated(k) => {
-            let mut emit = |n: u32, d: usize, v: f64| sink.add(n, d, v, lay, &mut NoRecord);
-            k.run_element(input, e, lay, ws_buf, stride, lane, &mut emit);
-        }
-    }
-}
-
 /// Attaches the ν_t pass output when the variant needs it, then calls `f`.
 pub(crate) fn with_nut<T>(
     variant: Variant,
@@ -180,42 +151,6 @@ pub(crate) fn with_nut<T>(
     } else {
         f(input)
     }
-}
-
-/// Serial assembly over the whole mesh (the reference implementation).
-pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
-    assemble_serial_kernel(KernelImpl::Handwritten(variant), input)
-}
-
-/// [`assemble_serial`] generalized over the element body — the handwritten
-/// kernels and the IR-derived ones share this driver verbatim.
-fn assemble_serial_kernel(kernel: KernelImpl<'_>, input: &AssemblyInput) -> VectorField {
-    let variant = kernel.variant();
-    let _sp = telemetry::span(format!("assemble:serial:{}", variant.name()));
-    with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
-        let ne = input.mesh.num_elements();
-        metrics::tally_elements(variant, ne as u64);
-        let mut rhs = VectorField::zeros(nn);
-        let nval = variant.nvalues().max(1);
-        let mut ws_buf = vec![0.0; nval * CPU_VECTOR_DIM];
-        let mut sink = DirectSink { rhs: &mut rhs };
-        for e in 0..ne {
-            let lane = e % CPU_VECTOR_DIM;
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            run_kernel_element(
-                kernel,
-                input,
-                e,
-                &lay,
-                &mut ws_buf,
-                CPU_VECTOR_DIM,
-                lane,
-                &mut sink,
-            );
-        }
-        rhs
-    })
 }
 
 /// How a driver executes the element loop.
@@ -246,67 +181,134 @@ impl ExecMode {
     }
 }
 
+/// The variant whose packed twin runs the full packs of an id list, or
+/// `None` when the whole list is scalar remainder: scalar mode, variant
+/// **P** (no packed twin), or a generated kernel.
+fn packed_twin(kernel: KernelImpl<'_>, mode: ExecMode) -> Option<Variant> {
+    match (kernel, mode) {
+        (KernelImpl::Handwritten(v), ExecMode::Packed) if packed::pack_supported(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// Span name of one driver call: `assemble:<driver>[-packed]:<variant>`,
+/// the suffix present exactly when packs run.
+fn span_name(driver: &str, kernel: KernelImpl<'_>, mode: ExecMode) -> String {
+    let suffix = if packed_twin(kernel, mode).is_some() {
+        "-packed"
+    } else {
+        ""
+    };
+    format!("assemble:{driver}{suffix}:{}", kernel.variant().name())
+}
+
+/// A [`ScatterSink`] the element loop can point at one entry of its id
+/// list. The list holds *keys*; for every sink but the compact one a key
+/// is the element id itself and the sink needs no aiming.
+pub(crate) trait ListSink: ScatterSink {
+    /// The element behind list key `key`.
+    #[inline]
+    fn element(&self, key: usize) -> usize {
+        key
+    }
+    /// Called before the element behind `key` scatters.
+    #[inline]
+    fn aim(&mut self, _key: usize) {}
+}
+
+impl ListSink for DirectSink<'_> {}
+
+/// One worker's kernel workspace: room for one pack of `variant`, which
+/// the scalar remainder reuses at stride 1 (a single slot for the
+/// register-resident RSP/RSPR). Allocated per worker, never per element.
+pub(crate) fn workspace(variant: Variant) -> Vec<f64> {
+    vec![0.0; packed::pack_ws_values(variant, packs::DEFAULT_LANES).max(1)]
+}
+
+/// **The** element loop, shared by every driver: the list `key_at(0..len)`
+/// is consumed in full packs of [`packs::DEFAULT_LANES`] through the
+/// lane-packed twin when [`packed_twin`] names one, then one element at a
+/// time through the scalar kernel — so a scalar-mode run is "zero packs"
+/// and a remainder exists once per list, here. Elements scatter in list
+/// order in both phases ([`gather::scatter_lane`] replays the scalar
+/// kernels' node-major order per lane), which is what keeps the two modes
+/// bitwise equal under every sink.
+///
+/// This is also the only place the handwritten/generated dispatch lives.
+/// The generated path funnels `emit` calls into the sink untraced —
+/// tracing generated kernels is the form crate's interpreter's job.
+// alya:hot
+pub(crate) fn assemble_list<S: ListSink>(
+    kernel: KernelImpl<'_>,
+    mode: ExecMode,
+    input: &AssemblyInput,
+    len: usize,
+    key_at: impl Fn(usize) -> usize,
+    ws_buf: &mut [f64],
+    sink: &mut S,
+) {
+    const L: usize = packs::DEFAULT_LANES;
+    let nn = input.mesh.num_nodes();
+    let mut done = 0;
+    if let Some(variant) = packed_twin(kernel, mode) {
+        let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
+        let mut elrhs = [[[0.0; L]; 3]; 4];
+        while done + L <= len {
+            let mut elems = [0usize; L];
+            for (l, el) in elems.iter_mut().enumerate() {
+                *el = sink.element(key_at(done + l));
+            }
+            let pack = ElemPack::load(input, elems);
+            packed::element_pack(variant, input, &pack, ws_buf, &mut elrhs);
+            for l in 0..L {
+                sink.aim(key_at(done + l));
+                gather::scatter_lane(sink, &pack.conns[l], &elrhs, l, &lay, &mut NoRecord);
+            }
+            done += L;
+        }
+    }
+    for i in done..len {
+        let key = key_at(i);
+        let e = sink.element(key);
+        sink.aim(key);
+        let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
+        match kernel {
+            KernelImpl::Handwritten(variant) => {
+                assemble_element(variant, input, e, &lay, ws_buf, 1, 0, sink, &mut NoRecord);
+            }
+            KernelImpl::Generated(k) => {
+                let mut emit = |n: u32, d: usize, v: f64| sink.add(n, d, v, &lay, &mut NoRecord);
+                k.run_element(input, e, &lay, ws_buf, 1, 0, &mut emit);
+            }
+        }
+    }
+}
+
+/// Serial assembly over the whole mesh (the reference implementation).
+pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
+    assemble_serial_with(variant, input, ExecMode::Scalar)
+}
+
 /// [`assemble_serial`] with the execution mode (and, via
 /// [`KernelImpl`], the element body) made explicit. Packed execution only
 /// exists for handwritten kernels with a packed twin; generated kernels
-/// always take the scalar path.
+/// always take the scalar path. Elements are tallied once per call —
+/// never per pack or lane — so telemetry is invariant across modes.
 pub fn assemble_serial_with<'k>(
     kernel: impl Into<KernelImpl<'k>>,
     input: &AssemblyInput,
     mode: ExecMode,
 ) -> VectorField {
     let kernel = kernel.into();
-    match (kernel, mode) {
-        (KernelImpl::Handwritten(v), ExecMode::Packed) if packed::pack_supported(v) => {
-            assemble_serial_packed(v, input)
-        }
-        _ => assemble_serial_kernel(kernel, input),
-    }
-}
-
-/// Serial assembly through the lane-packed kernels: full packs of
-/// [`packs::DEFAULT_LANES`] consecutive elements, then a scalar loop over
-/// the remainder. Elements are tallied once per call — pack granularity,
-/// never per lane — so telemetry is invariant across modes.
-fn assemble_serial_packed(variant: Variant, input: &AssemblyInput) -> VectorField {
-    const L: usize = packs::DEFAULT_LANES;
-    let _sp = telemetry::span(format!("assemble:serial-packed:{}", variant.name()));
+    let variant = kernel.variant();
+    let _sp = telemetry::span(span_name("serial", kernel, mode));
     with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
         let ne = input.mesh.num_elements();
         metrics::tally_elements(variant, ne as u64);
-        let mut rhs = VectorField::zeros(nn);
-        let mut ws_buf = vec![0.0; packed::pack_ws_values(variant, L).max(1)];
+        let mut rhs = VectorField::zeros(input.mesh.num_nodes());
         let mut sink = DirectSink { rhs: &mut rhs };
-        let num_packs = ne / L;
-        let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-        let mut elrhs = [[[0.0; L]; 3]; 4];
-        for p in 0..num_packs {
-            let mut elems = [0usize; L];
-            for (l, el) in elems.iter_mut().enumerate() {
-                *el = p * L + l;
-            }
-            let pack = ElemPack::load(input, elems);
-            packed::element_pack(variant, input, &pack, &mut ws_buf, &mut elrhs);
-            gather::scatter_pack(&mut sink, &pack.conns, &elrhs, &lay, &mut NoRecord);
-        }
-        // Remainder: the scalar reference path, same scatter discipline.
-        let nval = variant.nvalues().max(1);
-        let mut sbuf = vec![0.0; nval];
-        for e in num_packs * L..ne {
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                &mut sbuf,
-                1,
-                0,
-                &mut sink,
-                &mut NoRecord,
-            );
-        }
+        let mut ws_buf = workspace(variant);
+        assemble_list(kernel, mode, input, ne, |i| i, &mut ws_buf, &mut sink);
         rhs
     })
 }
@@ -383,8 +385,6 @@ pub fn assemble_traced(variant: Variant, input: &AssemblyInput) -> (VectorField,
 
 /// Scatter discipline for [`assemble_parallel`].
 pub enum ParallelStrategy {
-    /// Parallel elemental compute into a buffer + separate scatter loop.
-    TwoPhase,
     /// Element coloring; every color class runs fully parallel.
     Colored(Coloring),
     /// Owner-computes over partitions with per-worker RHS buffers.
@@ -608,7 +608,6 @@ impl ParallelStrategy {
     /// Stable short name (benchmark tables, reports).
     pub fn name(&self) -> &'static str {
         match self {
-            ParallelStrategy::TwoPhase => "two-phase",
             ParallelStrategy::Colored(_) => "colored",
             ParallelStrategy::Partitioned(_) => "partitioned",
             ParallelStrategy::Sharded(_) => "sharded",
@@ -616,14 +615,14 @@ impl ParallelStrategy {
     }
 }
 
-/// [`ParallelStrategy::Partitioned`]'s partition plus a pool of per-worker
+/// [`ParallelStrategy::Partitioned`]'s partition plus a pool of per-part
 /// full-width RHS buffers, allocated on first use and reused across
-/// assembly calls — re-allocating O(workers × nn) every call made the old
+/// assembly calls — re-allocating O(parts × nn) every call made the old
 /// strategy an unfair baseline.
 pub struct PartitionedState {
     /// The element partition workers iterate.
     pub partition: Partition,
-    pool: Mutex<Vec<Vec<f64>>>,
+    pool: Mutex<Vec<VectorField>>,
 }
 
 impl PartitionedState {
@@ -635,21 +634,20 @@ impl PartitionedState {
         }
     }
 
-    /// Pops a pooled buffer (or allocates one) sized and zeroed to `len`.
-    fn checkout(&self, len: usize) -> Vec<f64> {
+    /// Pops a pooled buffer (or allocates one), zeroed, over `nn` nodes.
+    fn checkout(&self, nn: usize) -> VectorField {
         let recycled = self.pool.lock().expect("partitioned pool poisoned").pop();
         match recycled {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0.0);
+            Some(mut buf) if buf.num_nodes() == nn => {
+                buf.fill_zero();
                 buf
             }
-            None => vec![0.0; len],
+            _ => VectorField::zeros(nn),
         }
     }
 
     /// Returns buffers to the pool for the next assembly call.
-    fn restore(&self, buffers: Vec<Vec<f64>>) {
+    fn restore(&self, buffers: Vec<VectorField>) {
         let mut pool = self.pool.lock().expect("partitioned pool poisoned");
         pool.extend(buffers);
     }
@@ -657,30 +655,6 @@ impl PartitionedState {
     #[cfg(test)]
     fn pooled(&self) -> usize {
         self.pool.lock().expect("partitioned pool poisoned").len()
-    }
-}
-
-/// A sink that buffers one element's contributions locally (keyed by the
-/// element's own node list).
-struct BufferSink {
-    nodes: [u32; 4],
-    acc: [[f64; 3]; 4],
-}
-
-// alya:hot
-impl ScatterSink for BufferSink {
-    #[inline]
-    fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _lay: &Layout, rec: &mut R) {
-        rec.flop(1);
-        let a = self
-            .nodes
-            .iter()
-            .position(|&x| x == n)
-            // alya:allow(hot-panic): a miss means the kernel scattered to a
-            // node outside its own element — a contract breach pass 1 makes
-            // impossible; the branch is never taken on valid kernels.
-            .expect("scatter to a node outside the element");
-        self.acc[a][d] += v;
     }
 }
 
@@ -737,22 +711,40 @@ impl ScatterSink for ColoredSink<'_> {
     }
 }
 
-/// A sink accumulating into a shard's **compact local-numbered** buffer.
+impl ListSink for ColoredSink<'_> {}
+
+/// A sink accumulating into a shard's **compact local-numbered** buffer —
+/// the one sink whose list keys are not element ids but *positions in the
+/// shard's element list*, so [`ParallelStrategy::Sharded`] hands the loop
+/// `0..n` and [`crate::DistributedDriver`] a span of its boundary-first
+/// order.
 ///
 /// The kernels scatter by *global* node id; the sink resolves it to the
-/// element's corner through the global connectivity (≤ 4 compares, same
-/// discipline as [`BufferSink`]) and redirects the store through the
-/// precomputed local connectivity — the inner loop never touches a
-/// global→local map.
+/// aimed element's corner through the global connectivity (≤ 4 compares)
+/// and redirects the store through the precomputed local connectivity —
+/// the inner loop never touches a global→local map.
 pub(crate) struct CompactSink<'a> {
-    /// The element's corners in global numbering.
-    pub(crate) gnodes: [u32; 4],
+    shard: &'a Shard,
+    mesh: &'a alya_mesh::TetMesh,
+    /// The aimed element's corners in global numbering.
+    gnodes: [u32; 4],
     /// The same corners in the shard's compact numbering.
-    pub(crate) lnodes: [u32; 4],
-    /// Nodes in the shard (component stride of `buf`).
-    pub(crate) stride: usize,
-    /// The shard's `3 × stride` accumulation buffer.
-    pub(crate) buf: &'a mut [f64],
+    lnodes: [u32; 4],
+    /// The shard's `3 × num_local_nodes` accumulation buffer.
+    buf: &'a mut [f64],
+}
+
+impl<'a> CompactSink<'a> {
+    /// A sink over `shard`'s compact buffer `buf`, aimed at nothing yet.
+    pub(crate) fn new(shard: &'a Shard, mesh: &'a alya_mesh::TetMesh, buf: &'a mut [f64]) -> Self {
+        Self {
+            shard,
+            mesh,
+            gnodes: [0; 4],
+            lnodes: [0; 4],
+            buf,
+        }
+    }
 }
 
 // alya:hot
@@ -764,11 +756,24 @@ impl ScatterSink for CompactSink<'_> {
             .gnodes
             .iter()
             .position(|&x| x == n)
-            // alya:allow(hot-panic): same element-corner contract as
-            // `BufferSink` — pass 1 proves kernels only scatter to their own
-            // four corners, so the miss branch is dead on valid kernels.
+            // alya:allow(hot-panic): a miss means the kernel scattered to a
+            // node outside its own element — a contract breach pass 1 makes
+            // impossible; the branch is never taken on valid kernels.
             .expect("scatter to a node outside the element");
-        self.buf[d * self.stride + self.lnodes[a] as usize] += v;
+        self.buf[d * self.shard.num_local_nodes() + self.lnodes[a] as usize] += v;
+    }
+}
+
+// alya:hot
+impl ListSink for CompactSink<'_> {
+    #[inline]
+    fn element(&self, pos: usize) -> usize {
+        self.shard.elements()[pos] as usize
+    }
+    #[inline]
+    fn aim(&mut self, pos: usize) {
+        self.gnodes = self.mesh.element(self.element(pos));
+        self.lnodes = self.shard.local_conn()[pos];
     }
 }
 
@@ -804,7 +809,7 @@ fn merge_boundary(a: BoundaryVec, b: BoundaryVec) -> BoundaryVec {
 
 /// Interior writeback (unsynchronized plain stores to this shard's
 /// exclusive nodes) plus sparse sorted boundary extraction of one assembled
-/// shard — the finish step shared by the scalar and packed sharded paths.
+/// shard.
 /// Interior nodes are exclusive to the shard (validated by the caller) and
 /// the RHS started zeroed, so the store is exact and race-free; boundary
 /// nodes go through the tree reduction as a sorted list (`global_nodes`'
@@ -843,50 +848,31 @@ pub fn assemble_parallel(
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
 ) -> VectorField {
-    assemble_parallel_kernel(KernelImpl::Handwritten(variant), input, strategy)
+    assemble_parallel_with(variant, input, strategy, ExecMode::Scalar)
 }
 
-/// [`assemble_parallel`] generalized over the element body — every scatter
-/// discipline runs handwritten and IR-derived kernels identically.
-fn assemble_parallel_kernel(
-    kernel: KernelImpl<'_>,
+/// [`assemble_parallel`] with the execution mode (and, via
+/// [`KernelImpl`], the element body) made explicit. Packed execution only
+/// exists for handwritten kernels with a packed twin; generated kernels
+/// always take the scalar path. Each strategy is a choice of id lists and
+/// a sink for [`assemble_list`]; its accumulation order does not depend on
+/// the mode, so every strategy stays bitwise equal across modes.
+pub fn assemble_parallel_with<'k>(
+    kernel: impl Into<KernelImpl<'k>>,
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
+    mode: ExecMode,
 ) -> VectorField {
+    let kernel = kernel.into();
     let variant = kernel.variant();
-    let _sp = telemetry::span(format!("assemble:{}:{}", strategy.name(), variant.name()));
+    let _sp = telemetry::span(span_name(strategy.name(), kernel, mode));
     with_nut(variant, input, |input| {
         let nn = input.mesh.num_nodes();
-        let ne = input.mesh.num_elements();
-        metrics::tally_elements(variant, ne as u64);
-        let nval = variant.nvalues().max(1);
-
-        // Workspace buffers are reused per worker thread (the *_init
-        // helpers), never allocated per element.
-        let compute_one = |ws_buf: &mut Vec<f64>, e: usize| -> BufferSink {
-            let mut sink = BufferSink {
-                nodes: input.mesh.element(e),
-                acc: [[0.0; 3]; 4],
-            };
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            run_kernel_element(kernel, input, e, &lay, ws_buf, 1, 0, &mut sink);
-            sink
-        };
-
+        // Elements tallied once per call — never per pack or lane —
+        // keeping the Table-I profile invariant across modes.
+        metrics::tally_elements(variant, input.mesh.num_elements() as u64);
+        let mut rhs = VectorField::zeros(nn);
         match strategy {
-            ParallelStrategy::TwoPhase => {
-                // Phase 1: vectorizable elemental loop, fully parallel.
-                let buffers: Vec<BufferSink> =
-                    par::par_map_init(ne, || vec![0.0; nval], |ws, e| compute_one(ws, e));
-                // Phase 2: the scalar scatter loop.
-                let mut rhs = VectorField::zeros(nn);
-                for b in &buffers {
-                    for a in 0..4 {
-                        rhs.add(b.nodes[a] as usize, b.acc[a]);
-                    }
-                }
-                rhs
-            }
             ParallelStrategy::Colored(coloring) => {
                 // Debug builds statically re-prove the race-freedom
                 // invariant the unsafe colored scatter relies on before any
@@ -899,55 +885,49 @@ fn assemble_parallel_kernel(
                         .map(|c| c.to_string())
                         .unwrap_or_default()
                 );
-                let mut rhs = VectorField::zeros(nn);
                 let shared = SharedRhs {
                     ptr: rhs.as_mut_slice().as_mut_ptr(),
                     num_nodes: nn,
                 };
                 for class in coloring.classes() {
+                    // Workers claim batches of one class; the lanes of a
+                    // pack therefore belong to one color, so their scatters
+                    // are node-disjoint by the same invariant the threads
+                    // rely on.
                     par::par_for_each_init(
                         class,
-                        || vec![0.0; nval],
-                        |ws_buf, &e| {
+                        || workspace(variant),
+                        |ws, ids| {
                             let mut sink = ColoredSink { shared: &shared };
-                            let lay = Layout::cpu(e as usize, CPU_VECTOR_DIM, nn);
-                            run_kernel_element(
-                                kernel, input, e as usize, &lay, ws_buf, 1, 0, &mut sink,
-                            );
+                            let key_at = |i| ids[i] as usize;
+                            assemble_list(kernel, mode, input, ids.len(), key_at, ws, &mut sink);
                         },
                     );
                 }
-                rhs
             }
             ParallelStrategy::Partitioned(state) => {
                 let partition = &state.partition;
-                let partials: Vec<Vec<f64>> = par::par_map_init(
+                let partials: Vec<VectorField> = par::par_map_init(
                     partition.num_parts(),
-                    || vec![0.0; nval],
+                    || workspace(variant),
                     |ws_buf, p| {
-                        // Full-width per-worker buffer from the reuse pool
+                        // Full-width per-part buffer from the reuse pool
                         // (allocated on the first call only).
-                        let mut local = state.checkout(3 * nn);
-                        for &e in partition.part(p) {
-                            let b = compute_one(ws_buf, e as usize);
-                            for a in 0..4 {
-                                for d in 0..3 {
-                                    local[d * nn + b.nodes[a] as usize] += b.acc[a][d];
-                                }
-                            }
-                        }
+                        let mut local = state.checkout(nn);
+                        let mut sink = DirectSink { rhs: &mut local };
+                        let ids = partition.part(p);
+                        let key_at = |i| ids[i] as usize;
+                        assemble_list(kernel, mode, input, ids.len(), key_at, ws_buf, &mut sink);
                         local
                     },
                 );
-                let mut rhs = VectorField::zeros(nn);
                 let out = rhs.as_mut_slice();
                 for part in &partials {
-                    for (o, v) in out.iter_mut().zip(part) {
+                    for (o, v) in out.iter_mut().zip(part.as_slice()) {
                         *o += v;
                     }
                 }
                 state.restore(partials);
-                rhs
             }
             ParallelStrategy::Sharded(shards) => {
                 // Debug builds re-prove the compact-numbering invariants the
@@ -958,7 +938,6 @@ fn assemble_parallel_kernel(
                     "sharded scatter invariant violated: {}",
                     shards.validate(input.mesh).err().unwrap_or_default()
                 );
-                let mut rhs = VectorField::zeros(nn);
                 let shared = SharedRhs {
                     ptr: rhs.as_mut_slice().as_mut_ptr(),
                     num_nodes: nn,
@@ -966,24 +945,15 @@ fn assemble_parallel_kernel(
                 let shared = &shared;
                 let boundaries: Vec<BoundaryVec> = par::par_map_init(
                     shards.num_shards(),
-                    || vec![0.0; nval],
+                    || workspace(variant),
                     |ws_buf, s| {
                         let _shard_sp = telemetry::span(format!("shard:{s}"));
                         let shard = shards.shard(s);
-                        let nl = shard.num_local_nodes();
                         // Compact accumulation: O(nodes-in-shard), not O(nn).
-                        let mut local = vec![0.0; 3 * nl];
-                        for (i, &e) in shard.elements().iter().enumerate() {
-                            let e = e as usize;
-                            let mut sink = CompactSink {
-                                gnodes: input.mesh.element(e),
-                                lnodes: shard.local_conn()[i],
-                                stride: nl,
-                                buf: &mut local,
-                            };
-                            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-                            run_kernel_element(kernel, input, e, &lay, ws_buf, 1, 0, &mut sink);
-                        }
+                        let mut local = vec![0.0; 3 * shard.num_local_nodes()];
+                        let mut sink = CompactSink::new(shard, input.mesh, &mut local);
+                        let len = shard.elements().len();
+                        assemble_list(kernel, mode, input, len, |i| i, ws_buf, &mut sink);
                         shard_finish(shard, &local, shared, nn)
                     },
                 );
@@ -992,307 +962,9 @@ fn assemble_parallel_kernel(
                         rhs.add(g as usize, v);
                     }
                 }
-                rhs
             }
         }
-    })
-}
-
-/// [`assemble_parallel`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Packed execution only
-/// exists for handwritten kernels with a packed twin; generated kernels
-/// always take the scalar path.
-pub fn assemble_parallel_with<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
-    input: &AssemblyInput,
-    strategy: &ParallelStrategy,
-    mode: ExecMode,
-) -> VectorField {
-    let kernel = kernel.into();
-    match (kernel, mode) {
-        (KernelImpl::Handwritten(v), ExecMode::Packed) if packed::pack_supported(v) => {
-            assemble_parallel_packed(v, input, strategy)
-        }
-        _ => assemble_parallel_kernel(kernel, input, strategy),
-    }
-}
-
-/// Parallel assembly through the lane-packed kernels: each worker's element
-/// list is consumed in full packs of [`packs::DEFAULT_LANES`], with the
-/// per-strategy remainders (and variant P) taking the scalar path. The
-/// scatter disciplines and their accumulation orders are identical to the
-/// scalar driver's, so every strategy stays bitwise equal across modes.
-fn assemble_parallel_packed(
-    variant: Variant,
-    input: &AssemblyInput,
-    strategy: &ParallelStrategy,
-) -> VectorField {
-    const L: usize = packs::DEFAULT_LANES;
-    let _sp = telemetry::span(format!(
-        "assemble:{}-packed:{}",
-        strategy.name(),
-        variant.name()
-    ));
-    with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
-        let ne = input.mesh.num_elements();
-        // Elements tallied once per call — pack granularity, never per
-        // lane — keeping the Table-I profile invariant across modes.
-        metrics::tally_elements(variant, ne as u64);
-        let nval = variant.nvalues().max(1);
-        let ws_len = packed::pack_ws_values(variant, L).max(1);
-
-        // Packs one slice of element ids starting at `at` (caller
-        // guarantees `at + L` in bounds) and returns its completed RHS.
-        let run_pack = |ws_buf: &mut [f64], ids: &dyn Fn(usize) -> usize, at: usize| {
-            let mut elems = [0usize; L];
-            for (l, el) in elems.iter_mut().enumerate() {
-                *el = ids(at + l);
-            }
-            let pack = ElemPack::load(input, elems);
-            let mut elrhs = [[[0.0; L]; 3]; 4];
-            packed::element_pack(variant, input, &pack, ws_buf, &mut elrhs);
-            (pack, elrhs)
-        };
-
-        let compute_one = |ws_buf: &mut Vec<f64>, e: usize| -> BufferSink {
-            let mut sink = BufferSink {
-                nodes: input.mesh.element(e),
-                acc: [[0.0; 3]; 4],
-            };
-            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-            assemble_element(
-                variant,
-                input,
-                e,
-                &lay,
-                ws_buf,
-                1,
-                0,
-                &mut sink,
-                &mut NoRecord,
-            );
-            sink
-        };
-
-        match strategy {
-            ParallelStrategy::TwoPhase => {
-                let num_packs = ne / L;
-                // Phase 1: packed elemental loop, parallel at pack
-                // granularity; remainder elements scalar, still parallel.
-                let full: Vec<([[u32; 4]; L], packed::PackRhs<L>)> = par::par_map_init(
-                    num_packs,
-                    || vec![0.0; ws_len],
-                    |ws_buf, p| {
-                        let (pack, elrhs) = run_pack(ws_buf, &|i| i, p * L);
-                        (pack.conns, elrhs)
-                    },
-                );
-                let rest: Vec<BufferSink> = par::par_map_init(
-                    ne - num_packs * L,
-                    || vec![0.0; nval],
-                    |ws_buf, i| compute_one(ws_buf, num_packs * L + i),
-                );
-                // Phase 2: the scalar scatter loop, element-ascending like
-                // the scalar driver.
-                let mut rhs = VectorField::zeros(nn);
-                for (conns, elrhs) in &full {
-                    for l in 0..L {
-                        for a in 0..4 {
-                            rhs.add(
-                                conns[l][a] as usize,
-                                [elrhs[a][0][l], elrhs[a][1][l], elrhs[a][2][l]],
-                            );
-                        }
-                    }
-                }
-                for b in &rest {
-                    for a in 0..4 {
-                        rhs.add(b.nodes[a] as usize, b.acc[a]);
-                    }
-                }
-                rhs
-            }
-            ParallelStrategy::Colored(coloring) => {
-                debug_assert!(
-                    coloring.is_race_free(input.mesh),
-                    "colored scatter invariant violated: {}",
-                    coloring
-                        .find_conflict(input.mesh)
-                        .map(|c| c.to_string())
-                        .unwrap_or_default()
-                );
-                let mut rhs = VectorField::zeros(nn);
-                let shared = SharedRhs {
-                    ptr: rhs.as_mut_slice().as_mut_ptr(),
-                    num_nodes: nn,
-                };
-                let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-                for class in coloring.classes() {
-                    // Lanes of one pack belong to one color class, so their
-                    // scatters are node-disjoint by the coloring invariant —
-                    // the same guarantee the scalar path's threads rely on.
-                    let num_packs = class.len() / L;
-                    let _: Vec<()> = par::par_map_init(
-                        num_packs,
-                        || vec![0.0; ws_len],
-                        |ws_buf, p| {
-                            let (pack, elrhs) = run_pack(ws_buf, &|i| class[i] as usize, p * L);
-                            let mut sink = ColoredSink { shared: &shared };
-                            gather::scatter_pack(
-                                &mut sink,
-                                &pack.conns,
-                                &elrhs,
-                                &lay,
-                                &mut NoRecord,
-                            );
-                        },
-                    );
-                    // Class remainder: scalar path.
-                    par::par_for_each_init(
-                        &class[num_packs * L..],
-                        || vec![0.0; nval],
-                        |ws_buf, &e| {
-                            let mut sink = ColoredSink { shared: &shared };
-                            let lay = Layout::cpu(e as usize, CPU_VECTOR_DIM, nn);
-                            assemble_element(
-                                variant,
-                                input,
-                                e as usize,
-                                &lay,
-                                ws_buf,
-                                1,
-                                0,
-                                &mut sink,
-                                &mut NoRecord,
-                            );
-                        },
-                    );
-                }
-                rhs
-            }
-            ParallelStrategy::Partitioned(state) => {
-                let partition = &state.partition;
-                let partials: Vec<Vec<f64>> = par::par_map_init(
-                    partition.num_parts(),
-                    || (vec![0.0; ws_len], vec![0.0; nval]),
-                    |bufs, p| {
-                        let (pack_ws, scalar_ws) = bufs;
-                        let mut local = state.checkout(3 * nn);
-                        let part = partition.part(p);
-                        let num_packs = part.len() / L;
-                        for q in 0..num_packs {
-                            let (pack, elrhs) = run_pack(pack_ws, &|i| part[i] as usize, q * L);
-                            for l in 0..L {
-                                for a in 0..4 {
-                                    for d in 0..3 {
-                                        local[d * nn + pack.conns[l][a] as usize] += elrhs[a][d][l];
-                                    }
-                                }
-                            }
-                        }
-                        for &e in &part[num_packs * L..] {
-                            let b = compute_one(scalar_ws, e as usize);
-                            for a in 0..4 {
-                                for d in 0..3 {
-                                    local[d * nn + b.nodes[a] as usize] += b.acc[a][d];
-                                }
-                            }
-                        }
-                        local
-                    },
-                );
-                let mut rhs = VectorField::zeros(nn);
-                let out = rhs.as_mut_slice();
-                for part in &partials {
-                    for (o, v) in out.iter_mut().zip(part) {
-                        *o += v;
-                    }
-                }
-                state.restore(partials);
-                rhs
-            }
-            ParallelStrategy::Sharded(shards) => {
-                debug_assert!(
-                    shards.validate(input.mesh).is_ok(),
-                    "sharded scatter invariant violated: {}",
-                    shards.validate(input.mesh).err().unwrap_or_default()
-                );
-                let mut rhs = VectorField::zeros(nn);
-                let shared = SharedRhs {
-                    ptr: rhs.as_mut_slice().as_mut_ptr(),
-                    num_nodes: nn,
-                };
-                let shared = &shared;
-                let boundaries: Vec<BoundaryVec> = par::par_map_init(
-                    shards.num_shards(),
-                    || (vec![0.0; ws_len], vec![0.0; nval]),
-                    |bufs, s| {
-                        let _shard_sp = telemetry::span(format!("shard:{s}"));
-                        let (pack_ws, scalar_ws) = bufs;
-                        let shard = shards.shard(s);
-                        let nl = shard.num_local_nodes();
-                        let mut local = vec![0.0; 3 * nl];
-                        let selems = shard.elements();
-                        let num_packs = selems.len() / L;
-                        let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-                        for q in 0..num_packs {
-                            let (pack, elrhs) = run_pack(pack_ws, &|i| selems[i] as usize, q * L);
-                            // Per-lane compact scatter: the local
-                            // connectivity rows are parallel to `selems`.
-                            for l in 0..L {
-                                let mut sink = CompactSink {
-                                    gnodes: pack.conns[l],
-                                    lnodes: shard.local_conn()[q * L + l],
-                                    stride: nl,
-                                    buf: &mut local,
-                                };
-                                for a in 0..4 {
-                                    for d in 0..3 {
-                                        sink.add(
-                                            pack.conns[l][a],
-                                            d,
-                                            elrhs[a][d][l],
-                                            &lay,
-                                            &mut NoRecord,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        // Shard remainder: scalar path, same compact sink.
-                        for (i, &e) in selems.iter().enumerate().skip(num_packs * L) {
-                            let e = e as usize;
-                            let mut sink = CompactSink {
-                                gnodes: input.mesh.element(e),
-                                lnodes: shard.local_conn()[i],
-                                stride: nl,
-                                buf: &mut local,
-                            };
-                            let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
-                            assemble_element(
-                                variant,
-                                input,
-                                e,
-                                &lay,
-                                scalar_ws,
-                                1,
-                                0,
-                                &mut sink,
-                                &mut NoRecord,
-                            );
-                        }
-                        shard_finish(shard, &local, shared, nn)
-                    },
-                );
-                if let Some(merged) = par::tree_reduce(boundaries, merge_boundary) {
-                    for (g, v) in merged {
-                        rhs.add(g as usize, v);
-                    }
-                }
-                rhs
-            }
-        }
+        rhs
     })
 }
 
@@ -1360,7 +1032,6 @@ mod tests {
                 "{variant}: packed serial is not bitwise scalar"
             );
             for strategy in [
-                ParallelStrategy::TwoPhase,
                 ParallelStrategy::colored(&mesh),
                 ParallelStrategy::partitioned(&mesh, 5),
                 ParallelStrategy::sharded(&mesh, 5),
@@ -1377,6 +1048,84 @@ mod tests {
         }
     }
 
+    /// A generated kernel that replays the handwritten body through
+    /// `emit` and counts the elements it was handed.
+    struct Replay(Variant, std::sync::atomic::AtomicUsize);
+
+    impl GeneratedKernel for Replay {
+        fn variant(&self) -> Variant {
+            self.0
+        }
+        fn run_element(
+            &self,
+            input: &AssemblyInput,
+            e: usize,
+            lay: &Layout,
+            ws_buf: &mut [f64],
+            stride: usize,
+            lane: usize,
+            emit: &mut dyn FnMut(u32, usize, f64),
+        ) {
+            struct Emit<'a>(&'a mut dyn FnMut(u32, usize, f64));
+            impl ScatterSink for Emit<'_> {
+                fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _: &Layout, _: &mut R) {
+                    (self.0)(n, d, v);
+                }
+            }
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mut sink = Emit(emit);
+            let rec = &mut NoRecord;
+            assemble_element(self.0, input, e, lay, ws_buf, stride, lane, &mut sink, rec);
+        }
+    }
+
+    #[test]
+    fn element_loop_is_bitwise_equal_across_modes_on_ragged_id_lists() {
+        let mesh = BoxMeshBuilder::new(3, 3, 3).jitter(0.1).seed(11).build();
+        let (v, p, t) = setup(&mesh);
+        let nut = compute_nu_t(&AssemblyInput::new(&mesh, &v, &p, &t));
+        let mut input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
+        input.nu_t = Some(&nut);
+        let run = |kernel: KernelImpl<'_>, mode, ids: &[usize]| {
+            let mut rhs = VectorField::zeros(mesh.num_nodes());
+            let mut sink = DirectSink { rhs: &mut rhs };
+            let mut ws_buf = workspace(kernel.variant());
+            assemble_list(
+                kernel,
+                mode,
+                &input,
+                ids.len(),
+                |i| ids[i],
+                &mut ws_buf,
+                &mut sink,
+            );
+            rhs
+        };
+        // Shorter than one pack (all remainder), and two packs plus three.
+        let ne = mesh.num_elements();
+        let short: Vec<usize> = vec![5, 2, 9, 0, 7];
+        let ragged: Vec<usize> = (0..2 * packs::DEFAULT_LANES + 3)
+            .map(|i| (i * 37 + 4) % ne)
+            .collect();
+        for ids in [&short, &ragged] {
+            assert_ne!(ids.len() % packs::DEFAULT_LANES, 0);
+            // Variant::ALL on purpose: P has no packed twin.
+            for variant in Variant::ALL {
+                let scalar = run(variant.into(), ExecMode::Scalar, ids);
+                assert!(scalar.max_abs() > 0.0, "{variant}: degenerate list");
+                let packed = run(variant.into(), ExecMode::Packed, ids);
+                assert_eq!(scalar.max_abs_diff(&packed), 0.0, "{variant}");
+            }
+            // A generated kernel asked for packed execution takes the
+            // scalar path for every element of the list.
+            let replay = Replay(Variant::Rsp, std::sync::atomic::AtomicUsize::new(0));
+            let generated = run(KernelImpl::Generated(&replay), ExecMode::Packed, ids);
+            let hand = run(Variant::Rsp.into(), ExecMode::Scalar, ids);
+            assert_eq!(generated.max_abs_diff(&hand), 0.0);
+            assert_eq!(replay.1.into_inner(), ids.len());
+        }
+    }
+
     #[test]
     fn parallel_strategies_match_serial() {
         let mesh = BoxMeshBuilder::new(3, 3, 2).build();
@@ -1384,7 +1133,6 @@ mod tests {
         let input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
         let serial = assemble_serial(Variant::Rsp, &input);
         for strategy in [
-            ParallelStrategy::TwoPhase,
             ParallelStrategy::colored(&mesh),
             ParallelStrategy::partitioned(&mesh, 5),
             ParallelStrategy::sharded(&mesh, 5),
@@ -1465,7 +1213,6 @@ mod tests {
         let serial = assemble_serial(Variant::Rspr, &input);
         let par = assemble_parallel(Variant::Rspr, &input, &strategy);
         assert!(max_rel_diff(&serial, &par) < 1e-12);
-        assert_eq!(ParallelStrategy::TwoPhase.name(), "two-phase");
         assert_eq!(ParallelStrategy::sharded(&mesh, 2).name(), "sharded");
         assert_eq!(
             ParallelStrategy::partitioned(&mesh, 2).name(),

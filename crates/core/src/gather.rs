@@ -222,24 +222,23 @@ pub fn gather_scalar_pack<const L: usize>(
     out
 }
 
-/// Scatters a completed pack RHS, lane by lane in ascending order, each
-/// lane node-major / component-minor — exactly the order the scalar loop
-/// scatters those elements in, so a packed assembly accumulates the global
-/// RHS bitwise identically to its scalar twin.
+/// Scatters lane `l` of a completed pack RHS, node-major /
+/// component-minor — exactly the order the scalar kernels scatter that
+/// element in, so a driver that walks the lanes in ascending order
+/// accumulates the global RHS bitwise identically to its scalar twin.
 // alya:hot
 #[inline]
-pub fn scatter_pack<const L: usize, R: Recorder, S: ScatterSink>(
+pub fn scatter_lane<const L: usize, R: Recorder, S: ScatterSink>(
     sink: &mut S,
-    conns: &[[u32; 4]; L],
+    nodes: &[u32; 4],
     elrhs: &[[[f64; L]; 3]; 4],
+    l: usize,
     layout: &Layout,
     rec: &mut R,
 ) {
-    for l in 0..L {
-        for a in 0..4 {
-            for d in 0..3 {
-                sink.add(conns[l][a], d, elrhs[a][d][l], layout, rec);
-            }
+    for (a, &n) in nodes.iter().enumerate() {
+        for d in 0..3 {
+            sink.add(n, d, elrhs[a][d][l], layout, rec);
         }
     }
 }

@@ -425,6 +425,10 @@ impl CompiledKernel {
     }
 }
 
+// alya:cold: the IR interpreter builds its slot tables per element and
+// panics on malformed programs by design — it is the oracle pass 10 pins
+// the handwritten kernels to, not a production element body, so the one
+// element loop's `run_element` call must not pull it into the hot set.
 impl GeneratedKernel for CompiledKernel {
     fn variant(&self) -> Variant {
         self.prog.variant

@@ -98,23 +98,21 @@ where
     out
 }
 
-/// Runs `f` over the items of `items` in parallel with per-worker state.
-/// Items are claimed in small batches from a shared atomic cursor, so
-/// imbalanced per-item cost (e.g. color classes of uneven element cost)
-/// still spreads across workers.
+/// Runs `f` over `items` in parallel with per-worker state, one
+/// contiguous **batch** of items per call. Batches are claimed from a
+/// shared atomic cursor, so imbalanced per-item cost (e.g. color classes
+/// of uneven element cost) still spreads across workers; below the serial
+/// cutoff the whole slice is one batch on the calling thread.
 pub fn par_for_each_init<A, W, I, F>(items: &[A], init: I, f: F)
 where
     A: Sync,
     I: Fn() -> W + Sync,
-    F: Fn(&mut W, &A) + Sync,
+    F: Fn(&mut W, &[A]) + Sync,
 {
     let n = items.len();
     let workers = worker_count(n);
     if workers <= 1 {
-        let mut w = init();
-        for a in items {
-            f(&mut w, a);
-        }
+        f(&mut init(), items);
         return;
     }
     const BATCH: usize = 64;
@@ -133,9 +131,7 @@ where
                     if lo >= n {
                         break;
                     }
-                    for a in &items[lo..(lo + BATCH).min(n)] {
-                        f(&mut state, a);
-                    }
+                    f(&mut state, &items[lo..(lo + BATCH).min(n)]);
                 }
             });
         }
@@ -335,8 +331,9 @@ mod tests {
         par_for_each_init(
             &items,
             || (),
-            |(), &i| {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
+            |(), batch| {
+                let part: usize = batch.iter().sum();
+                sum.fetch_add(part as u64, Ordering::Relaxed);
             },
         );
         assert_eq!(sum.load(Ordering::Relaxed), 5000 * 4999 / 2);

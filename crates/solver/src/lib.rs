@@ -33,7 +33,6 @@
 
 pub mod cg;
 pub mod csr;
-pub mod halo;
 pub mod multigrid;
 pub mod poisson;
 pub mod step;

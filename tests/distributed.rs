@@ -106,6 +106,22 @@ fn overlap_on_and_off_agree_bitwise_for_every_variant_and_rank_count() {
     }
 }
 
+/// Communication follows the interface, not the volume: doubling the mesh
+/// along one axis doubles the work while the 2-rank bisection interface
+/// keeps its size, so the closed-form halo bytes *per element* must fall.
+#[test]
+fn communication_volume_scales_with_interface_not_volume() {
+    let small = BoxMeshBuilder::new(4, 4, 4).build();
+    let large = BoxMeshBuilder::new(8, 4, 4).extent(2.0, 1.0, 1.0).build();
+    let per_elem = |mesh: &TetMesh| {
+        let bytes = DistributedDriver::new(mesh, 2).expected_halo_bytes();
+        assert!(bytes > 0, "a 2-rank decomposition must exchange something");
+        bytes as f64 / mesh.num_elements() as f64
+    };
+    let (s, l) = (per_elem(&small), per_elem(&large));
+    assert!(l < 0.75 * s, "surface-to-volume not visible: {s} vs {l}");
+}
+
 /// The PR-acceptance run: a 4-rank pipelined assembly on a mesh big
 /// enough that every rank's interior spans many assembly chunks, run
 /// inside a telemetry session. The live Table-I profile must show zero

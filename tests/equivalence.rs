@@ -85,7 +85,6 @@ fn parallel_strategies_agree_on_random_inputs() {
         let reference = assemble_serial(Variant::Rspr, &input);
         let scale = reference.max_abs().max(1e-12);
         for strategy in [
-            ParallelStrategy::TwoPhase,
             ParallelStrategy::colored(&mesh),
             ParallelStrategy::partitioned(&mesh, parts),
             ParallelStrategy::sharded(&mesh, parts),
@@ -125,7 +124,6 @@ fn all_strategies_match_serial_across_variants_and_worker_counts() {
         // Worker-count-independent strategies once, owner-computes
         // decompositions at every worker count.
         let mut strategies = vec![
-            ParallelStrategy::TwoPhase,
             ParallelStrategy::colored(mesh),
             ParallelStrategy::auto(mesh),
         ];
@@ -166,7 +164,6 @@ fn thread_cap_never_changes_the_result() {
     let serial = assemble_serial(Variant::Rsp, &input);
     let scale = serial.max_abs().max(1e-12);
     let strategies = [
-        ParallelStrategy::TwoPhase,
         ParallelStrategy::colored(&mesh),
         ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
@@ -204,7 +201,6 @@ fn telemetry_on_or_off_never_changes_a_bit() {
         .props(ConstantProperties::AIR);
 
     let strategies = [
-        ParallelStrategy::TwoPhase,
         ParallelStrategy::colored(&mesh),
         ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
@@ -264,7 +260,6 @@ fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts(
         .body_force([0.05, -0.02, -0.4]);
 
     let strategies = [
-        ParallelStrategy::TwoPhase,
         ParallelStrategy::colored(&mesh),
         ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
@@ -453,6 +448,126 @@ fn rhs_is_linear_in_body_force() {
                 let a = alpha * r1.get(n)[d];
                 let b = r2.get(n)[d];
                 assert!((a - b).abs() < 1e-10 * (1.0 + a.abs()));
+            }
+        }
+    }
+}
+
+/// FNV-1a digests (`alya_serve::digest_bits` from the FNV offset basis) of
+/// the RHS on the 1536-element terrain case, one row per assembly path,
+/// one column per variant (B, RSP, RSPR), recorded at the commit before
+/// the drivers were collapsed onto one element loop. Scalar and packed
+/// execution were bitwise equal there, so one digest pins both modes.
+const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
+    (
+        "serial",
+        [
+            0x174d_34b1_05f4_4205,
+            0xc64c_4c7b_c061_1160,
+            0xc64c_4c7b_c061_1160,
+        ],
+    ),
+    (
+        "colored",
+        [
+            0x2d3a_6249_2380_2d0d,
+            0xdcae_6816_88b1_f464,
+            0xdcae_6816_88b1_f464,
+        ],
+    ),
+    (
+        "partitioned/2",
+        [
+            0x16db_a2f3_6ea5_f131,
+            0xf16f_b1ba_a714_a279,
+            0xf16f_b1ba_a714_a279,
+        ],
+    ),
+    (
+        "partitioned/3",
+        [
+            0x4735_3671_3716_d6d5,
+            0xf4e3_33ef_b6d0_2295,
+            0xf4e3_33ef_b6d0_2295,
+        ],
+    ),
+    (
+        "sharded/2",
+        [
+            0x16db_a2f3_6ea5_f131,
+            0xf16f_b1ba_a714_a279,
+            0xf16f_b1ba_a714_a279,
+        ],
+    ),
+    (
+        "sharded/3",
+        [
+            0x4735_3671_3716_d6d5,
+            0xf4e3_33ef_b6d0_2295,
+            0xf4e3_33ef_b6d0_2295,
+        ],
+    ),
+    (
+        "distributed/2",
+        [
+            0xaa25_807f_3728_0f4b,
+            0xa6f4_af7a_9293_b2db,
+            0xa6f4_af7a_9293_b2db,
+        ],
+    ),
+    (
+        "distributed/4",
+        [
+            0x00f8_f97b_8f63_0b7e,
+            0xf73c_e367_a6b6_400c,
+            0xf73c_e367_a6b6_400c,
+        ],
+    ),
+];
+
+/// The 1e-12-of-serial and packed == scalar suites cannot see a refactor
+/// that reorders a strategy's nodal sums; these digests can. Every
+/// (path, variant, mode) cell must reproduce the recorded bits exactly.
+#[test]
+fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
+    use alya_core::DistributedDriver;
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let case = alya_bench::case::Case::bolund(1536);
+    let mesh = &case.mesh;
+    assert_eq!(mesh.num_elements(), 1536);
+    let input = case.input();
+
+    let strategies = [
+        ParallelStrategy::colored(mesh),
+        ParallelStrategy::partitioned(mesh, 2),
+        ParallelStrategy::partitioned(mesh, 3),
+        ParallelStrategy::sharded(mesh, 2),
+        ParallelStrategy::sharded(mesh, 3),
+    ];
+    for (col, variant) in [Variant::B, Variant::Rsp, Variant::Rspr]
+        .into_iter()
+        .enumerate()
+    {
+        for mode in [ExecMode::Scalar, ExecMode::Packed] {
+            // Same order as the rows of `GOLDEN_RHS_BITS`.
+            let mut paths = vec![assemble_serial_with(variant, &input, mode)];
+            for strategy in &strategies {
+                paths.push(assemble_parallel_with(variant, &input, strategy, mode));
+            }
+            for ranks in [2, 4] {
+                let driver = DistributedDriver::new(mesh, ranks).packed(mode == ExecMode::Packed);
+                assert!(driver.overlap_enabled());
+                paths.push(driver.assemble(variant, &input).0);
+            }
+            assert_eq!(paths.len(), GOLDEN_RHS_BITS.len());
+            for (rhs, (path, golden)) in paths.iter().zip(GOLDEN_RHS_BITS) {
+                let bits = alya_serve::digest_bits(FNV_OFFSET, rhs.as_slice());
+                assert_eq!(
+                    bits,
+                    golden[col],
+                    "{path} × {variant} × {}: RHS digest {bits:#018x} left the recorded bits",
+                    mode.name()
+                );
             }
         }
     }

@@ -84,7 +84,6 @@ fn generated_parallel_output_is_bitwise_identical_across_strategies_and_caps() {
     let fx = Fixture::new();
     let input = fx.input();
     let strategies = [
-        ParallelStrategy::TwoPhase,
         ParallelStrategy::colored(&fx.mesh),
         ParallelStrategy::partitioned(&fx.mesh, 8),
         ParallelStrategy::sharded(&fx.mesh, 8),

@@ -57,7 +57,6 @@ fn recorder_on_or_off_never_changes_a_bit_across_strategies() {
         .props(ConstantProperties::AIR)
         .body_force([0.0, 0.1, -0.3]);
     let strategies = [
-        ParallelStrategy::TwoPhase,
         ParallelStrategy::colored(&mesh),
         ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
