@@ -8,8 +8,11 @@
 //! and threads are joined before returning. Work stealing is not needed —
 //! every call site here distributes near-uniform work.
 //!
-//! Small inputs take a serial fast path so tests and tiny meshes do not
-//! pay thread-spawn latency.
+//! The fine-grained helpers ([`par_for_each_init`], [`par_chunks_mut`])
+//! take a serial fast path on small inputs so tests and tiny meshes do not
+//! pay thread-spawn latency; the coarse ones ([`par_map_init`],
+//! [`par_for_each_coarse`]) treat every item as a whole unit of work and
+//! go parallel from two items up.
 //!
 //! Every helper propagates the spawner's [`alya_telemetry::Context`] into
 //! the threads it creates, so counters tallied inside worker closures land
@@ -56,16 +59,20 @@ fn worker_count(n: usize) -> usize {
     num_threads().min(n.div_ceil(SERIAL_CUTOFF)).max(1)
 }
 
-/// Maps `f` over `0..n` in parallel, preserving order. Each worker thread
-/// builds one private state with `init` and threads it through its calls —
-/// the rayon `map_init` pattern.
+/// Maps `f` over `0..n` in parallel, preserving order, with **one index =
+/// one unit of coarse work** (a partition's part, a shard): like
+/// [`par_for_each_coarse`] it runs `min(num_threads(), n)` workers for any
+/// `n ≥ 2` — the per-item serial cutoff of the fine-grained helpers would
+/// read a part *count* of 2–8 as "tiny" and never leave the calling
+/// thread. Each worker thread builds one private state with `init` and
+/// threads it through its calls — the rayon `map_init` pattern.
 pub fn par_map_init<T, W, I, F>(n: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> W + Sync,
     F: Fn(&mut W, usize) -> T + Sync,
 {
-    let workers = worker_count(n);
+    let workers = num_threads().min(n);
     if workers <= 1 {
         let mut w = init();
         return (0..n).map(|i| f(&mut w, i)).collect();
@@ -309,7 +316,6 @@ mod tests {
 
     #[test]
     fn map_preserves_order_and_covers_range() {
-        // Above the serial cutoff so threads actually spawn.
         let out = par_map_init(10_000, || 0u64, |_, i| i * 2);
         assert_eq!(out.len(), 10_000);
         for (i, v) in out.iter().enumerate() {
