@@ -254,14 +254,11 @@ pub(crate) fn assemble_list<S: ListSink>(
         let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
         let mut elrhs = [[[0.0; L]; 3]; 4];
         while done + L <= len {
-            let mut elems = [0usize; L];
-            for (l, el) in elems.iter_mut().enumerate() {
-                *el = sink.element(key_at(done + l));
-            }
-            let pack = ElemPack::load(input, elems);
+            let keys: [usize; L] = std::array::from_fn(|l| key_at(done + l));
+            let pack = ElemPack::load(input, keys.map(|key| sink.element(key)));
             packed::element_pack(variant, input, &pack, ws_buf, &mut elrhs);
-            for l in 0..L {
-                sink.aim(key_at(done + l));
+            for (l, &key) in keys.iter().enumerate() {
+                sink.aim(key);
                 gather::scatter_lane(sink, &pack.conns[l], &elrhs, l, &lay, &mut NoRecord);
             }
             done += L;
