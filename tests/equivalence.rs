@@ -455,14 +455,19 @@ fn rhs_is_linear_in_body_force() {
 
 /// FNV-1a digests (`alya_serve::digest_bits` from the FNV offset basis) of
 /// the RHS on the 1536-element terrain case, one row per assembly path,
-/// one column per variant (B, RSP, RSPR), recorded at the commit before
-/// the drivers were collapsed onto one element loop. Scalar and packed
-/// execution were bitwise equal there, so one digest pins both modes.
-const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
+/// one column per variant in `Variant::ALL` order (B, P, RS, RSP, RSPR).
+/// B, RSP and RSPR were recorded at the commit before the drivers were
+/// collapsed onto one element loop, P and RS at the commit before the
+/// kernels became lane-generic (where P × Packed still ran the scalar
+/// kernel). Scalar and packed execution were bitwise equal at both, so one
+/// digest pins both modes.
+const GOLDEN_RHS_BITS: [(&str, [u64; 5]); 8] = [
     (
         "serial",
         [
             0x174d_34b1_05f4_4205,
+            0x174d_34b1_05f4_4205,
+            0xc64c_4c7b_c061_1160,
             0xc64c_4c7b_c061_1160,
             0xc64c_4c7b_c061_1160,
         ],
@@ -471,6 +476,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "colored",
         [
             0x2d3a_6249_2380_2d0d,
+            0x2d3a_6249_2380_2d0d,
+            0xdcae_6816_88b1_f464,
             0xdcae_6816_88b1_f464,
             0xdcae_6816_88b1_f464,
         ],
@@ -479,6 +486,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "partitioned/2",
         [
             0x16db_a2f3_6ea5_f131,
+            0x16db_a2f3_6ea5_f131,
+            0xf16f_b1ba_a714_a279,
             0xf16f_b1ba_a714_a279,
             0xf16f_b1ba_a714_a279,
         ],
@@ -487,6 +496,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "partitioned/3",
         [
             0x4735_3671_3716_d6d5,
+            0x4735_3671_3716_d6d5,
+            0xf4e3_33ef_b6d0_2295,
             0xf4e3_33ef_b6d0_2295,
             0xf4e3_33ef_b6d0_2295,
         ],
@@ -495,6 +506,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "sharded/2",
         [
             0x16db_a2f3_6ea5_f131,
+            0x16db_a2f3_6ea5_f131,
+            0xf16f_b1ba_a714_a279,
             0xf16f_b1ba_a714_a279,
             0xf16f_b1ba_a714_a279,
         ],
@@ -503,6 +516,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "sharded/3",
         [
             0x4735_3671_3716_d6d5,
+            0x4735_3671_3716_d6d5,
+            0xf4e3_33ef_b6d0_2295,
             0xf4e3_33ef_b6d0_2295,
             0xf4e3_33ef_b6d0_2295,
         ],
@@ -511,6 +526,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "distributed/2",
         [
             0xaa25_807f_3728_0f4b,
+            0xaa25_807f_3728_0f4b,
+            0xa6f4_af7a_9293_b2db,
             0xa6f4_af7a_9293_b2db,
             0xa6f4_af7a_9293_b2db,
         ],
@@ -519,6 +536,8 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 3]); 8] = [
         "distributed/4",
         [
             0x00f8_f97b_8f63_0b7e,
+            0x00f8_f97b_8f63_0b7e,
+            0xf73c_e367_a6b6_400c,
             0xf73c_e367_a6b6_400c,
             0xf73c_e367_a6b6_400c,
         ],
@@ -544,10 +563,7 @@ fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
         ParallelStrategy::sharded(mesh, 2),
         ParallelStrategy::sharded(mesh, 3),
     ];
-    for (col, variant) in [Variant::B, Variant::Rsp, Variant::Rspr]
-        .into_iter()
-        .enumerate()
-    {
+    for (col, variant) in Variant::ALL.into_iter().enumerate() {
         for mode in [ExecMode::Scalar, ExecMode::Packed] {
             // Same order as the rows of `GOLDEN_RHS_BITS`.
             let mut paths = vec![assemble_serial_with(variant, &input, mode)];
