@@ -1,7 +1,8 @@
 //! Pass 8 — the SIMD-contract (packed-vs-scalar) checker.
 //!
-//! The lane-packed execution path ([`alya_core::kernels::packed`]) exists
-//! for one reason: cross-element SIMD must actually be faster than the
+//! The lane-packed execution mode ([`alya_core::ExecMode::Packed`]: the
+//! kernels at [`alya_core::DEFAULT_LANES`] lanes instead of one) exists for
+//! one reason: cross-element SIMD must actually be faster than the
 //! scalar path, and by roughly the amount the CPU machine model predicts
 //! from the instruction mix. This pass holds the committed
 //! `BENCH_drivers.json` measurements against both claims:
@@ -28,7 +29,6 @@
 use std::path::Path;
 
 use alya_core::drivers::{trace_element, ThroughputDb, CPU_VECTOR_DIM};
-use alya_core::kernels::packed::pack_supported;
 use alya_core::layout::Layout;
 use alya_core::{AssemblyInput, Variant, DEFAULT_LANES};
 use alya_machine::cpu::CpuModel;
@@ -136,14 +136,13 @@ fn pack_trace(variant: Variant, input: &AssemblyInput, pack: usize) -> Vec<alya_
     out
 }
 
-/// The CPU model's predicted packed speedup for every pack-supported
-/// variant, traced on `input` and evaluated at [`DEFAULT_LANES`] lanes.
+/// The CPU model's predicted packed speedup for every variant, traced on
+/// `input` and evaluated at [`DEFAULT_LANES`] lanes.
 pub fn predicted_speedups(input: &AssemblyInput) -> Vec<(Variant, f64)> {
     let mut model = CpuModel::new(CpuSpec::icelake_8360y());
     model.sample_packs = 8;
     Variant::ALL
         .into_iter()
-        .filter(|&v| pack_supported(v))
         .map(|v| {
             let report = model.execute(v.name(), input.mesh.num_elements(), CPU_VECTOR_DIM, |p| {
                 pack_trace(v, input, p)
@@ -250,11 +249,10 @@ mod tests {
     #[test]
     fn predictions_are_superlinear_in_nothing_and_bounded_by_the_lanes() {
         let preds = fixture_predictions();
-        // Exactly the pack-supported variants, each predicting a real
-        // speedup in (1, DEFAULT_LANES].
-        assert_eq!(preds.len(), 4);
+        // Every variant, each predicting a real speedup in
+        // (1, DEFAULT_LANES].
+        assert_eq!(preds.len(), Variant::ALL.len());
         for (v, s) in preds {
-            assert!(pack_supported(v));
             assert!(s > 1.0, "{v}: predicted {s}");
             assert!(s <= DEFAULT_LANES as f64 + 1e-9, "{v}: predicted {s}");
         }

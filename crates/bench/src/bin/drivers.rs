@@ -2,8 +2,8 @@
 //! (serial / colored / partitioned / sharded) across variants
 //! and thread counts on the Bolund-like terrain case, emitted as
 //! `BENCH_drivers.json` so the repo carries a perf trajectory. Every
-//! pack-supported configuration is additionally timed through the
-//! lane-packed execution path ([`alya_core::ExecMode::Packed`]) as a
+//! concrete configuration is additionally timed in the lane-packed
+//! execution mode ([`alya_core::ExecMode::Packed`]) as a
 //! `-packed`-suffixed strategy row.
 //!
 //! Usage:
@@ -37,7 +37,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use alya_bench::case::Case;
-use alya_core::kernels::packed::pack_supported;
 use alya_core::nut::compute_nu_t;
 use alya_core::{
     assemble_parallel_with, assemble_serial_with, ExecMode, ParallelStrategy, Variant,
@@ -282,11 +281,11 @@ fn main() {
 
         for (name, strategy) in &strategies {
             for &variant in &variants {
-                // Scalar always; the lane-packed twin for every concrete
-                // pack-supported configuration (auto re-times a concrete
-                // strategy, so its packed twin would be a duplicate row).
+                // Scalar always; packed for every concrete strategy (auto
+                // re-times one of them, so its packed row would be a
+                // duplicate).
                 let mut modes = vec![ExecMode::Scalar];
-                if pack_supported(variant) && !name.starts_with("auto") {
+                if !name.starts_with("auto") {
                     modes.push(ExecMode::Packed);
                 }
                 for mode in modes {

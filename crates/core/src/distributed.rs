@@ -6,7 +6,7 @@
 //! [`DistributedDriver`] runs **one rank per shard as its own OS thread
 //! with no shared mutable state**: each rank assembles its elements into a
 //! compact local buffer (the *same* element loop,
-//! [`crate::drivers::assemble_list`], and `CompactSink` as the sharded
+//! `drivers::assemble_list`, and `CompactSink` as the sharded
 //! driver — per the paper, the per-rank kernel must not change when the
 //! code goes distributed), then ships the contributions of
 //! interface nodes it does not own to the owning rank as a sparse sorted
@@ -231,11 +231,10 @@ impl DistributedDriver {
         self
     }
 
-    /// Routes each rank's element loop through the lane-packed kernels
-    /// ([`crate::drivers::ExecMode::Packed`]). Chunk remainders — and
-    /// variant P, which has no packed twin — fall back to the scalar path;
-    /// element order, scatter order and therefore every assembled bit are
-    /// unchanged.
+    /// Runs each rank's element loop in full packs
+    /// ([`crate::drivers::ExecMode::Packed`]); chunk remainders run one
+    /// element at a time. Element order, scatter order and therefore every
+    /// assembled bit are unchanged.
     pub fn packed(mut self, on: bool) -> Self {
         self.mode = if on {
             ExecMode::Packed

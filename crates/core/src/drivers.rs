@@ -2,13 +2,13 @@
 //!
 //! The kernels compute one element; the drivers own iteration order,
 //! workspace allocation, the ν_t precompute for the baseline variants, and
-//! the scatter discipline. There is **one element loop**,
-//! [`assemble_list`] — the paper's CPU shape, "a single vectorization loop
-//! and a scalar scatter loop": full packs of [`packs::DEFAULT_LANES`]
-//! elements through the lane-packed kernel twins when the mode is
-//! [`ExecMode::Packed`], then the scalar remainder ([`ExecMode::Scalar`]
-//! is simply "zero packs"). Every driver is a list of element ids plus a
-//! sink handed to that loop:
+//! the scatter discipline. There is **one element loop**, `assemble_list`
+//! — the paper's CPU shape, "a single vectorization loop and a scalar
+//! scatter loop" — over **one kernel per variant**, [`kernels::element`]:
+//! full packs at `L =` [`DEFAULT_LANES`] when the mode is
+//! [`ExecMode::Packed`], then the remainder at `L = 1`
+//! ([`ExecMode::Scalar`] is simply "zero packs"). Every driver is a list of
+//! element ids plus a sink handed to that loop:
 //!
 //! * [`assemble_serial`] — ids `0..ne`, direct read-modify-write scatter;
 //! * [`assemble_parallel`] with
@@ -37,22 +37,17 @@ use alya_telemetry as telemetry;
 use crate::gather::{self, DirectSink, ScatterSink};
 use crate::input::AssemblyInput;
 use crate::kernels;
-use crate::kernels::packed;
 use crate::layout::Layout;
 use crate::metrics;
 use crate::nut::compute_nu_t;
-use crate::packs::{self, ElemPack};
 use crate::variant::Variant;
-use crate::workspace::Ws;
+use crate::DEFAULT_LANES;
 
 /// Elements per pack on the CPU path (the paper's optimal `VECTOR_DIM`).
 pub const CPU_VECTOR_DIM: usize = 16;
 
-/// Dispatches one element to the variant's kernel.
-///
-/// `ws_buf` must hold `variant.nvalues() × stride` floats for the
-/// workspace variants (it is ignored by RSP/RSPR); `stride`/`lane` place
-/// the element within its pack.
+/// Dispatches one element to the variant's kernel: [`kernels::element`] at
+/// one lane.
 #[allow(clippy::too_many_arguments)]
 // alya:hot
 pub fn assemble_element<R: Recorder, S: ScatterSink>(
@@ -66,22 +61,7 @@ pub fn assemble_element<R: Recorder, S: ScatterSink>(
     sink: &mut S,
     rec: &mut R,
 ) {
-    match variant {
-        Variant::B => {
-            let mut ws = Ws::global(ws_buf, stride, lane);
-            kernels::baseline::element(input, e, lay, &mut ws, sink, rec);
-        }
-        Variant::P => {
-            let mut ws = Ws::local(ws_buf);
-            kernels::baseline::element(input, e, lay, &mut ws, sink, rec);
-        }
-        Variant::Rs => {
-            let mut ws = Ws::global(ws_buf, stride, lane);
-            kernels::rs::element(input, e, lay, &mut ws, sink, rec);
-        }
-        Variant::Rsp => kernels::rsp::element(input, e, lay, sink, rec),
-        Variant::Rspr => kernels::rspr::element(input, e, lay, sink, rec),
-    }
+    kernels::element(variant, input, &[e], lay, ws_buf, stride, lane, sink, rec);
 }
 
 /// A kernel whose element body was *derived* (e.g. interpreted from the
@@ -153,21 +133,18 @@ pub(crate) fn with_nut<T>(
     }
 }
 
-/// How a driver executes the element loop.
+/// How many lanes the first phase of the element loop runs at.
 ///
-/// Both modes produce bitwise-identical RHS vectors under the same
-/// strategy: the packed kernels perform each lane's floating-point
-/// operations in exactly the scalar kernel's statement order and the pack
-/// scatter replays the scalar element order (pinned by the equivalence
-/// suite). `Packed` is purely a throughput lever.
+/// Both modes execute the same kernel statements and produce
+/// bitwise-identical RHS vectors under the same strategy: a lane computes
+/// what a one-lane call computes, and lanes scatter in list order (pinned
+/// by the equivalence suite). `Packed` is purely a throughput lever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One element at a time — the reference path, and the only one the
-    /// tracing recorders instrument.
+    /// One element at a time: the whole list is "remainder".
     Scalar,
-    /// [`packs::DEFAULT_LANES`] elements in lockstep through the
-    /// lane-packed kernel twins. Remainder elements — and variant **P**,
-    /// which has no packed twin — fall back to the scalar path.
+    /// Full packs of [`DEFAULT_LANES`] elements in lockstep, then the
+    /// remainder one element at a time.
     Packed,
 }
 
@@ -181,23 +158,13 @@ impl ExecMode {
     }
 }
 
-/// The variant whose packed twin runs the full packs of an id list, or
-/// `None` when the whole list is scalar remainder: scalar mode, variant
-/// **P** (no packed twin), or a generated kernel.
-fn packed_twin(kernel: KernelImpl<'_>, mode: ExecMode) -> Option<Variant> {
-    match (kernel, mode) {
-        (KernelImpl::Handwritten(v), ExecMode::Packed) if packed::pack_supported(v) => Some(v),
-        _ => None,
-    }
-}
-
 /// Span name of one driver call: `assemble:<driver>[-packed]:<variant>`,
-/// the suffix present exactly when packs run.
+/// the suffix present exactly when packs run (a generated kernel has one
+/// lane).
 fn span_name(driver: &str, kernel: KernelImpl<'_>, mode: ExecMode) -> String {
-    let suffix = if packed_twin(kernel, mode).is_some() {
-        "-packed"
-    } else {
-        ""
+    let suffix = match (kernel, mode) {
+        (KernelImpl::Handwritten(_), ExecMode::Packed) => "-packed",
+        _ => "",
     };
     format!("assemble:{driver}{suffix}:{}", kernel.variant().name())
 }
@@ -219,20 +186,46 @@ pub(crate) trait ListSink: ScatterSink {
 impl ListSink for DirectSink<'_> {}
 
 /// One worker's kernel workspace: room for one pack of `variant`, which
-/// the scalar remainder reuses at stride 1 (a single slot for the
+/// the remainder reuses at stride 1 (a single slot for the
 /// register-resident RSP/RSPR). Allocated per worker, never per element.
 pub(crate) fn workspace(variant: Variant) -> Vec<f64> {
-    vec![0.0; packed::pack_ws_values(variant, packs::DEFAULT_LANES).max(1)]
+    vec![0.0; (variant.nvalues() * DEFAULT_LANES).max(1)]
+}
+
+/// Runs the `L` elements behind `keys` through `variant`'s kernel and
+/// scatters them in key order: lane 0 inside the kernel, the rest from the
+/// RHS it returns. Nothing is recorded here, so any `lay` will do.
+// alya:hot
+#[inline]
+fn assemble_keys<const L: usize, S: ListSink>(
+    variant: Variant,
+    input: &AssemblyInput,
+    keys: [usize; L],
+    lay: &Layout,
+    ws_buf: &mut [f64],
+    sink: &mut S,
+) {
+    let mut elems = keys;
+    for e in &mut elems {
+        *e = sink.element(*e);
+    }
+    sink.aim(keys[0]);
+    let rec = &mut NoRecord;
+    let elrhs = kernels::element(variant, input, &elems, lay, ws_buf, L, 0, sink, rec);
+    for l in 1..L {
+        sink.aim(keys[l]);
+        let nodes = input.mesh.element(elems[l]);
+        gather::scatter_nth(sink, &nodes, &elrhs, l, lay, rec);
+    }
 }
 
 /// **The** element loop, shared by every driver: the list `key_at(0..len)`
-/// is consumed in full packs of [`packs::DEFAULT_LANES`] through the
-/// lane-packed twin when [`packed_twin`] names one, then one element at a
-/// time through the scalar kernel — so a scalar-mode run is "zero packs"
-/// and a remainder exists once per list, here. Elements scatter in list
-/// order in both phases ([`gather::scatter_lane`] replays the scalar
-/// kernels' node-major order per lane), which is what keeps the two modes
-/// bitwise equal under every sink.
+/// is consumed in full packs of [`DEFAULT_LANES`] when the mode is
+/// [`ExecMode::Packed`], then one element at a time — the same kernel at
+/// two lane counts — so a scalar-mode run is "zero packs" and a remainder
+/// exists once per list, here. Elements scatter in list order in both
+/// phases, which is what keeps the two modes bitwise equal under every
+/// sink.
 ///
 /// This is also the only place the handwritten/generated dispatch lives.
 /// The generated path funnels `emit` calls into the sink untraced —
@@ -247,33 +240,26 @@ pub(crate) fn assemble_list<S: ListSink>(
     ws_buf: &mut [f64],
     sink: &mut S,
 ) {
-    const L: usize = packs::DEFAULT_LANES;
-    let nn = input.mesh.num_nodes();
+    const L: usize = DEFAULT_LANES;
+    let lay = Layout::cpu(0, CPU_VECTOR_DIM, input.mesh.num_nodes());
     let mut done = 0;
-    if let Some(variant) = packed_twin(kernel, mode) {
-        let lay = Layout::cpu(0, CPU_VECTOR_DIM, nn);
-        let mut elrhs = [[[0.0; L]; 3]; 4];
+    if let (KernelImpl::Handwritten(variant), ExecMode::Packed) = (kernel, mode) {
         while done + L <= len {
             let keys: [usize; L] = std::array::from_fn(|l| key_at(done + l));
-            let pack = ElemPack::load(input, keys.map(|key| sink.element(key)));
-            packed::element_pack(variant, input, &pack, ws_buf, &mut elrhs);
-            for (l, &key) in keys.iter().enumerate() {
-                sink.aim(key);
-                gather::scatter_lane(sink, &pack.conns[l], &elrhs, l, &lay, &mut NoRecord);
-            }
+            assemble_keys(variant, input, keys, &lay, ws_buf, sink);
             done += L;
         }
     }
     for i in done..len {
         let key = key_at(i);
-        let e = sink.element(key);
-        sink.aim(key);
-        let lay = Layout::cpu(e, CPU_VECTOR_DIM, nn);
         match kernel {
             KernelImpl::Handwritten(variant) => {
-                assemble_element(variant, input, e, &lay, ws_buf, 1, 0, sink, &mut NoRecord);
+                assemble_keys(variant, input, [key], &lay, ws_buf, sink);
             }
             KernelImpl::Generated(k) => {
+                let e = sink.element(key);
+                sink.aim(key);
+                let lay = Layout::cpu(e, CPU_VECTOR_DIM, input.mesh.num_nodes());
                 let mut emit = |n: u32, d: usize, v: f64| sink.add(n, d, v, &lay, &mut NoRecord);
                 k.run_element(input, e, &lay, ws_buf, 1, 0, &mut emit);
             }
@@ -287,10 +273,10 @@ pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
 }
 
 /// [`assemble_serial`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Packed execution only
-/// exists for handwritten kernels with a packed twin; generated kernels
-/// always take the scalar path. Elements are tallied once per call —
-/// never per pack or lane — so telemetry is invariant across modes.
+/// [`KernelImpl`], the element body) made explicit. Only handwritten
+/// kernels have lanes; generated kernels run one element at a time in
+/// either mode. Elements are tallied once per call — never per pack or
+/// lane — so telemetry is invariant across modes.
 pub fn assemble_serial_with<'k>(
     kernel: impl Into<KernelImpl<'k>>,
     input: &AssemblyInput,
@@ -849,11 +835,11 @@ pub fn assemble_parallel(
 }
 
 /// [`assemble_parallel`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Packed execution only
-/// exists for handwritten kernels with a packed twin; generated kernels
-/// always take the scalar path. Each strategy is a choice of id lists and
-/// a sink for [`assemble_list`]; its accumulation order does not depend on
-/// the mode, so every strategy stays bitwise equal across modes.
+/// [`KernelImpl`], the element body) made explicit. Only handwritten
+/// kernels have lanes; generated kernels run one element at a time in
+/// either mode. Each strategy is a choice of id lists and a sink for the
+/// one element loop; its accumulation order does not depend on the mode,
+/// so every strategy stays bitwise equal across modes.
 pub fn assemble_parallel_with<'k>(
     kernel: impl Into<KernelImpl<'k>>,
     input: &AssemblyInput,
@@ -1019,7 +1005,7 @@ mod tests {
             })
             .body_force([0.1, 0.0, -0.5]);
         // Non-multiple-of-LANES element count exercises the remainder path.
-        assert_ne!(mesh.num_elements() % packs::DEFAULT_LANES, 0);
+        assert_ne!(mesh.num_elements() % DEFAULT_LANES, 0);
         for variant in Variant::ALL {
             let scalar = assemble_serial(variant, &input);
             let lane = assemble_serial_with(variant, &input, ExecMode::Packed);
@@ -1101,12 +1087,11 @@ mod tests {
         // Shorter than one pack (all remainder), and two packs plus three.
         let ne = mesh.num_elements();
         let short: Vec<usize> = vec![5, 2, 9, 0, 7];
-        let ragged: Vec<usize> = (0..2 * packs::DEFAULT_LANES + 3)
+        let ragged: Vec<usize> = (0..2 * DEFAULT_LANES + 3)
             .map(|i| (i * 37 + 4) % ne)
             .collect();
         for ids in [&short, &ragged] {
-            assert_ne!(ids.len() % packs::DEFAULT_LANES, 0);
-            // Variant::ALL on purpose: P has no packed twin.
+            assert_ne!(ids.len() % DEFAULT_LANES, 0);
             for variant in Variant::ALL {
                 let scalar = run(variant.into(), ExecMode::Scalar, ids);
                 assert!(scalar.max_abs() > 0.0, "{variant}: degenerate list");

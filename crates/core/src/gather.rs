@@ -9,6 +9,33 @@ use alya_machine::Recorder;
 
 use crate::input::AssemblyInput;
 use crate::layout::{self, Layout};
+use crate::packs::{Lanes, Pack};
+
+/// The node ids of one batch of elements: `[u32; 4]` for one element,
+/// `[[u32; 4]; L]` for `L` elements in lockstep. The field gathers are
+/// written once over this; what they return has one lane per element.
+pub trait NodeIds {
+    /// One gathered value: a lane per element of the batch.
+    type Val: Lanes;
+    /// Corner `a` of the element in lane `l`.
+    fn node(&self, l: usize, a: usize) -> usize;
+}
+
+impl NodeIds for [u32; 4] {
+    type Val = f64;
+    #[inline(always)]
+    fn node(&self, _l: usize, a: usize) -> usize {
+        self[a] as usize
+    }
+}
+
+impl<const L: usize> NodeIds for [[u32; 4]; L] {
+    type Val = Pack<L>;
+    #[inline(always)]
+    fn node(&self, l: usize, a: usize) -> usize {
+        self[l][a] as usize
+    }
+}
 
 /// Loads the four node ids of element `e`.
 // alya:hot
@@ -27,65 +54,87 @@ pub fn gather_conn<R: Recorder>(
     input.mesh.element(e)
 }
 
-/// Gathers the four node coordinates (12 loads).
+/// Loads the node ids of `L` elements. Like every access of a batch, the
+/// load is recorded once, at lane 0's addresses.
 // alya:hot
 #[inline]
-pub fn gather_coords<R: Recorder>(
+pub fn gather_conn_lanes<const L: usize, R: Recorder>(
     input: &AssemblyInput,
-    nodes: &[u32; 4],
+    elems: &[usize; L],
     layout: &Layout,
     rec: &mut R,
-) -> [[f64; 3]; 4] {
+) -> [[u32; 4]; L] {
+    let mut nodes = [gather_conn(input, elems[0], layout, rec); L];
+    for l in 1..L {
+        nodes[l] = input.mesh.element(elems[l]);
+    }
+    nodes
+}
+
+/// Gathers the four node coordinates (12 loads): `out[a][d]`.
+// alya:hot
+#[inline]
+pub fn gather_coords<N: NodeIds, R: Recorder>(
+    input: &AssemblyInput,
+    nodes: &N,
+    layout: &Layout,
+    rec: &mut R,
+) -> [[N::Val; 3]; 4] {
     let coords = input.mesh.coords();
-    let mut out = [[0.0; 3]; 4];
-    for (a, &n) in nodes.iter().enumerate() {
+    let mut out = [[N::Val::splat(0.0); 3]; 4];
+    for a in 0..4 {
         if R::ENABLED {
             for d in 0..3 {
-                rec.gload(layout.nodal_vec(layout::COORD_BASE, n as usize, d));
+                rec.gload(layout.nodal_vec(layout::COORD_BASE, nodes.node(0, a), d));
             }
         }
-        out[a] = coords[n as usize];
+        for d in 0..3 {
+            out[a][d] = N::Val::from_fn(|l| coords[nodes.node(l, a)][d]);
+        }
     }
     out
 }
 
-/// Gathers the four nodal velocities (12 loads).
+/// Gathers the four nodal velocities (12 loads): `out[a][d]`.
 // alya:hot
 #[inline]
-pub fn gather_velocity<R: Recorder>(
+pub fn gather_velocity<N: NodeIds, R: Recorder>(
     input: &AssemblyInput,
-    nodes: &[u32; 4],
+    nodes: &N,
     layout: &Layout,
     rec: &mut R,
-) -> [[f64; 3]; 4] {
-    let mut out = [[0.0; 3]; 4];
-    for (a, &n) in nodes.iter().enumerate() {
+) -> [[N::Val; 3]; 4] {
+    let mut out = [[N::Val::splat(0.0); 3]; 4];
+    for a in 0..4 {
         if R::ENABLED {
             for d in 0..3 {
-                rec.gload(layout.nodal_vec(layout::VEL_BASE, n as usize, d));
+                rec.gload(layout.nodal_vec(layout::VEL_BASE, nodes.node(0, a), d));
             }
         }
-        out[a] = input.velocity.get(n as usize);
+        for d in 0..3 {
+            let vel = input.velocity.component(d);
+            out[a][d] = N::Val::from_fn(|l| vel[nodes.node(l, a)]);
+        }
     }
     out
 }
 
-/// Gathers a nodal scalar field (4 loads).
+/// Gathers a nodal scalar field (4 loads): `out[a]`.
 // alya:hot
 #[inline]
-pub fn gather_scalar<R: Recorder>(
+pub fn gather_scalar<N: NodeIds, R: Recorder>(
     field: &ScalarField,
     base: u64,
-    nodes: &[u32; 4],
+    nodes: &N,
     layout: &Layout,
     rec: &mut R,
-) -> [f64; 4] {
-    let mut out = [0.0; 4];
-    for (a, &n) in nodes.iter().enumerate() {
+) -> [N::Val; 4] {
+    let mut out = [N::Val::splat(0.0); 4];
+    for a in 0..4 {
         if R::ENABLED {
-            rec.gload(layout.nodal_scalar(base, n as usize));
+            rec.gload(layout.nodal_scalar(base, nodes.node(0, a)));
         }
-        out[a] = field.get(n as usize);
+        out[a] = N::Val::from_fn(|l| field.get(nodes.node(l, a)));
     }
     out
 }
@@ -139,106 +188,26 @@ pub fn scatter_elemental<R: Recorder, S: ScatterSink>(
     layout: &Layout,
     rec: &mut R,
 ) {
-    for (a, &n) in nodes.iter().enumerate() {
-        for d in 0..3 {
-            sink.add(n, d, elrhs[a][d], layout, rec);
-        }
-    }
+    scatter_nth(sink, nodes, elrhs, 0, layout, rec);
 }
 
-// ---- Pack-granularity gathers (the AoSoA execution path) -------------------
-//
-// The packed kernels gather whole lanes at once: `out[a][d][lane]` — the
-// node-major, component-middle, lane-minor layout every packed intermediate
-// uses. Untracked: the packed path is pure execution (the models replay the
-// scalar kernels), so there is no recorder parameter to thread.
-
-/// Loads the node ids of `L` elements (pack connectivity gather).
+/// Scatters lane `l` of a batch's elemental RHS to that lane's `nodes`,
+/// node-major / component-minor. Scattering the lanes in ascending order
+/// accumulates the global RHS exactly as one-lane runs over the same
+/// elements in that order would.
 // alya:hot
 #[inline]
-pub fn gather_conn_pack<const L: usize>(
-    input: &AssemblyInput,
-    elems: &[usize; L],
-) -> [[u32; 4]; L] {
-    let mut out = [[0u32; 4]; L];
-    for l in 0..L {
-        out[l] = input.mesh.element(elems[l]);
-    }
-    out
-}
-
-/// Gathers node coordinates for a pack: `out[a][d][lane]`.
-// alya:hot
-#[inline]
-pub fn gather_coords_pack<const L: usize>(
-    input: &AssemblyInput,
-    conns: &[[u32; 4]; L],
-) -> [[[f64; L]; 3]; 4] {
-    let coords = input.mesh.coords();
-    let mut out = [[[0.0; L]; 3]; 4];
-    for a in 0..4 {
-        for l in 0..L {
-            let c = coords[conns[l][a] as usize];
-            for d in 0..3 {
-                out[a][d][l] = c[d];
-            }
-        }
-    }
-    out
-}
-
-/// Gathers nodal velocities for a pack: `out[a][d][lane]`.
-// alya:hot
-#[inline]
-pub fn gather_velocity_pack<const L: usize>(
-    input: &AssemblyInput,
-    conns: &[[u32; 4]; L],
-) -> [[[f64; L]; 3]; 4] {
-    let mut out = [[[0.0; L]; 3]; 4];
-    for a in 0..4 {
-        for l in 0..L {
-            let v = input.velocity.get(conns[l][a] as usize);
-            for d in 0..3 {
-                out[a][d][l] = v[d];
-            }
-        }
-    }
-    out
-}
-
-/// Gathers a nodal scalar field for a pack: `out[a][lane]`.
-// alya:hot
-#[inline]
-pub fn gather_scalar_pack<const L: usize>(
-    field: &ScalarField,
-    conns: &[[u32; 4]; L],
-) -> [[f64; L]; 4] {
-    let mut out = [[0.0; L]; 4];
-    for a in 0..4 {
-        for l in 0..L {
-            out[a][l] = field.get(conns[l][a] as usize);
-        }
-    }
-    out
-}
-
-/// Scatters lane `l` of a completed pack RHS, node-major /
-/// component-minor — exactly the order the scalar kernels scatter that
-/// element in, so a driver that walks the lanes in ascending order
-/// accumulates the global RHS bitwise identically to its scalar twin.
-// alya:hot
-#[inline]
-pub fn scatter_lane<const L: usize, R: Recorder, S: ScatterSink>(
+pub fn scatter_nth<V: Lanes, R: Recorder, S: ScatterSink>(
     sink: &mut S,
     nodes: &[u32; 4],
-    elrhs: &[[[f64; L]; 3]; 4],
+    elrhs: &[[V; 3]; 4],
     l: usize,
     layout: &Layout,
     rec: &mut R,
 ) {
     for (a, &n) in nodes.iter().enumerate() {
         for d in 0..3 {
-            sink.add(n, d, elrhs[a][d][l], layout, rec);
+            sink.add(n, d, elrhs[a][d].lane(l), layout, rec);
         }
     }
 }

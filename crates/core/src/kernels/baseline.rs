@@ -28,38 +28,38 @@ use alya_machine::Recorder;
 
 use crate::gather::{self, ScatterSink};
 use crate::input::AssemblyInput;
-use crate::kernels::shared;
+use crate::kernels::{shared, ElemRhs};
 use crate::layout::{self, Layout};
 use crate::ops;
+use crate::packs::{Lanes, Pack};
 use crate::workspace::Ws;
 
-// ---- Workspace value catalog (slot = base + offset; shared with the packed
-// twin in `kernels::packed`) -------------------------------------------------
-pub(crate) const ELCOD: usize = 0; // 12: gathered node coordinates
-pub(crate) const ELVEL: usize = 12; // 12: gathered velocities
-pub(crate) const ELPRE: usize = 24; // 4:  gathered pressures
-pub(crate) const ELTEM: usize = 28; // 4:  gathered temperatures
-pub(crate) const ELNUT: usize = 32; // 1:  gathered per-element nu_t
-pub(crate) const GPJAC: usize = 33; // 36: Jacobian per Gauss point
-pub(crate) const GPDET: usize = 69; // 4:  Jacobian determinant per Gauss point
-pub(crate) const GPJIN: usize = 73; // 36: inverse Jacobian per Gauss point
-pub(crate) const GPCAR: usize = 109; // 48: shape gradients per Gauss point
-pub(crate) const GPVOL: usize = 157; // 4:  integration weight per Gauss point
-pub(crate) const GPSHA: usize = 161; // 16: shape values per Gauss point
-pub(crate) const GPADV: usize = 177; // 12: advection velocity per Gauss point
-pub(crate) const GPGVE: usize = 189; // 36: velocity gradient per Gauss point
-pub(crate) const GPDEN: usize = 225; // 4:  density per Gauss point
-pub(crate) const GPVIS: usize = 229; // 4:  viscosity per Gauss point
-pub(crate) const GPTEM: usize = 233; // 4:  temperature per Gauss point
-pub(crate) const GPNUT: usize = 237; // 4:  turbulent viscosity per Gauss point
-pub(crate) const GPPRE: usize = 241; // 4:  pressure per Gauss point
-pub(crate) const GPFOR: usize = 245; // 12: body force per Gauss point
-pub(crate) const GPHES: usize = 257; // 24: Hessian diagonal terms (zero for P1!)
-pub(crate) const CMAT: usize = 281; // 48: convection matrix, one 4x4 per component
-pub(crate) const KMAT: usize = 329; // 48: diffusion matrix, one 4x4 per component
-pub(crate) const EMAT: usize = 377; // 48: assembled elemental matrix per component
-pub(crate) const ELMASS: usize = 425; // 4:  lumped mass (byproduct for the projection)
-pub(crate) const ELRHS: usize = 429; // 12: elemental RHS
+// ---- Workspace value catalog (slot = base + offset) ------------------------
+const ELCOD: usize = 0; // 12: gathered node coordinates
+const ELVEL: usize = 12; // 12: gathered velocities
+const ELPRE: usize = 24; // 4:  gathered pressures
+const ELTEM: usize = 28; // 4:  gathered temperatures
+const ELNUT: usize = 32; // 1:  gathered per-element nu_t
+const GPJAC: usize = 33; // 36: Jacobian per Gauss point
+const GPDET: usize = 69; // 4:  Jacobian determinant per Gauss point
+const GPJIN: usize = 73; // 36: inverse Jacobian per Gauss point
+const GPCAR: usize = 109; // 48: shape gradients per Gauss point
+const GPVOL: usize = 157; // 4:  integration weight per Gauss point
+const GPSHA: usize = 161; // 16: shape values per Gauss point
+const GPADV: usize = 177; // 12: advection velocity per Gauss point
+const GPGVE: usize = 189; // 36: velocity gradient per Gauss point
+const GPDEN: usize = 225; // 4:  density per Gauss point
+const GPVIS: usize = 229; // 4:  viscosity per Gauss point
+const GPTEM: usize = 233; // 4:  temperature per Gauss point
+const GPNUT: usize = 237; // 4:  turbulent viscosity per Gauss point
+const GPPRE: usize = 241; // 4:  pressure per Gauss point
+const GPFOR: usize = 245; // 12: body force per Gauss point
+const GPHES: usize = 257; // 24: Hessian diagonal terms (zero for P1!)
+const CMAT: usize = 281; // 48: convection matrix, one 4x4 per component
+const KMAT: usize = 329; // 48: diffusion matrix, one 4x4 per component
+const EMAT: usize = 377; // 48: assembled elemental matrix per component
+const ELMASS: usize = 425; // 4:  lumped mass (byproduct for the projection)
+const ELRHS: usize = 429; // 12: elemental RHS
 
 /// Workspace slots per element.
 pub const NVALUES: usize = 441;
@@ -124,23 +124,29 @@ pub const fn input_loads_per_element() -> u64 {
     (1 + 3 + 3 + 1 + 1) * n + 1
 }
 
-/// Assembles one element the baseline way.
+/// Assembles `L` elements in lockstep the baseline way.
+///
+/// Inlined into its caller so the workspace placement the element loop
+/// passes (`stride = L`, `lane = 0`) folds into every slot index.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+#[inline(always)]
+pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,
-    e: usize,
+    elems: &[usize; L],
     lay: &Layout,
-    ws: &mut Ws,
+    ws: Ws<Pack<L>>,
     sink: &mut S,
     rec: &mut R,
-) {
+) -> ElemRhs<L> {
     let kind = ElementKind::Tet4; // runtime value, "unknown" to the compiler
     let ngauss = kind.num_gauss();
     let nnode = kind.num_nodes();
     debug_assert_eq!((ngauss, nnode), (NGAUSS, NNODE));
+    let mut ws = ws.first_slots(NVALUES);
 
     // --- Gather phase: copy nodal data into element arrays. ---
-    let nodes = shared::gather_nodal_into_ws(input, e, lay, ws, (ELCOD, ELVEL, ELPRE), rec);
+    let nodes =
+        shared::gather_nodal_into_ws(input, elems, lay, &mut ws, (ELCOD, ELVEL, ELPRE), rec);
     let tem = gather::gather_scalar(input.temperature, layout::TEMP_BASE, &nodes, lay, rec);
     for a in 0..nnode {
         ws.st(ELTEM + a, tem[a], lay, rec);
@@ -149,11 +155,11 @@ pub fn element<R: Recorder, S: ScatterSink>(
     let nut_e = match input.nu_t {
         Some(nut) => {
             if R::ENABLED {
-                rec.gload(lay.elemental(layout::NUT_BASE, e));
+                rec.gload(lay.elemental(layout::NUT_BASE, elems[0]));
             }
-            nut[e]
+            Pack::from_fn(|l| nut[elems[l]])
         }
-        None => 0.0,
+        None => Pack::ZERO,
     };
     ws.st(ELNUT, nut_e, lay, rec);
 
@@ -163,7 +169,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
         // J[r][d] = sum_a dN_a/dxi_r * x_a[d]
         for r in 0..3 {
             for d in 0..3 {
-                let mut j = 0.0;
+                let mut j = Pack::ZERO;
                 for a in 0..nnode {
                     let x = ws.ld(ELCOD + 3 * a + d, lay, rec);
                     j += TET4_LOCAL_GRADS[a][r] * x;
@@ -172,7 +178,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
                 ws.st(GPJAC + 9 * g + 3 * r + d, j, lay, rec);
             }
         }
-        let mut jm = [[0.0; 3]; 3];
+        let mut jm = [[Pack::ZERO; 3]; 3];
         for r in 0..3 {
             for d in 0..3 {
                 jm[r][d] = ws.ld(GPJAC + 9 * g + 3 * r + d, lay, rec);
@@ -189,7 +195,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
         // Physical gradients: gpcar[a][d] = sum_r inv[r]... (J^-1 applied).
         for a in 0..nnode {
             for d in 0..3 {
-                let mut c = 0.0;
+                let mut c = Pack::ZERO;
                 for r in 0..3 {
                     let ji = ws.ld(GPJIN + 9 * g + 3 * d + r, lay, rec);
                     c += ji * TET4_LOCAL_GRADS[a][r];
@@ -206,20 +212,20 @@ pub fn element<R: Recorder, S: ScatterSink>(
         let sha = tet4_shape(TET4_GAUSS[g]);
         rec.flop(3);
         for a in 0..nnode {
-            ws.st(GPSHA + 4 * g + a, sha[a], lay, rec);
+            ws.st(GPSHA + 4 * g + a, Pack::splat(sha[a]), lay, rec);
         }
         // Hessians of the shape functions — identically zero for linear
         // tets, but the generic path computes and stores them anyway.
         for h in 0..6 {
             rec.flop(4);
-            ws.st(GPHES + 6 * g + h, 0.0, lay, rec);
+            ws.st(GPHES + 6 * g + h, Pack::ZERO, lay, rec);
         }
     }
 
     // --- Interpolation to Gauss points. ---
     for g in 0..ngauss {
         for d in 0..3 {
-            let mut adv = 0.0;
+            let mut adv = Pack::ZERO;
             for a in 0..nnode {
                 let n = ws.ld(GPSHA + 4 * g + a, lay, rec);
                 let u = ws.ld(ELVEL + 3 * a + d, lay, rec);
@@ -228,8 +234,8 @@ pub fn element<R: Recorder, S: ScatterSink>(
             rec.fma(nnode as u32);
             ws.st(GPADV + 3 * g + d, adv, lay, rec);
         }
-        let mut tem = 0.0;
-        let mut pre = 0.0;
+        let mut tem = Pack::ZERO;
+        let mut pre = Pack::ZERO;
         for a in 0..nnode {
             let n = ws.ld(GPSHA + 4 * g + a, lay, rec);
             tem += n * ws.ld(ELTEM + a, lay, rec);
@@ -241,9 +247,9 @@ pub fn element<R: Recorder, S: ScatterSink>(
         // Constitutive model, dispatched at run time per Gauss point.
         let t = ws.ld(GPTEM + g, lay, rec);
         rec.flop(4);
-        ws.st(GPDEN + g, input.density_at(t), lay, rec);
+        ws.st(GPDEN + g, t.map(|t| input.density_at(t)), lay, rec);
         rec.flop(4);
-        ws.st(GPVIS + g, input.viscosity_at(t), lay, rec);
+        ws.st(GPVIS + g, t.map(|t| input.viscosity_at(t)), lay, rec);
         // nu_t interpolation (constant per element, copied per point).
         let nut = ws.ld(ELNUT, lay, rec);
         ws.st(GPNUT + g, nut, lay, rec);
@@ -256,7 +262,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
         // Velocity gradient tensor at the point.
         for i in 0..3 {
             for j in 0..3 {
-                let mut gv = 0.0;
+                let mut gv = Pack::ZERO;
                 for a in 0..nnode {
                     let c = ws.ld(GPCAR + 12 * g + 3 * a + i, lay, rec);
                     let u = ws.ld(ELVEL + 3 * a + j, lay, rec);
@@ -272,8 +278,8 @@ pub fn element<R: Recorder, S: ScatterSink>(
     // code keeps separate storage even though the blocks are identical). ---
     for d in 0..3 {
         for ab in 0..nnode * nnode {
-            ws.st(CMAT + 16 * d + ab, 0.0, lay, rec);
-            ws.st(KMAT + 16 * d + ab, 0.0, lay, rec);
+            ws.st(CMAT + 16 * d + ab, Pack::ZERO, lay, rec);
+            ws.st(KMAT + 16 * d + ab, Pack::ZERO, lay, rec);
         }
     }
     for g in 0..ngauss {
@@ -281,7 +287,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
             for a in 0..nnode {
                 for b in 0..nnode {
                     // Convection: rho * N_a * (u_gp . grad N_b).
-                    let mut adv_dot = 0.0;
+                    let mut adv_dot = Pack::ZERO;
                     for i in 0..3 {
                         let u = ws.ld(GPADV + 3 * g + i, lay, rec);
                         let c = ws.ld(GPCAR + 12 * g + 3 * b + i, lay, rec);
@@ -297,7 +303,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
 
                     // Diffusion: (mu + rho nu_t) grad N_a . grad N_b, plus
                     // the Hessian term (zero for P1, still computed).
-                    let mut grad_dot = 0.0;
+                    let mut grad_dot = Pack::ZERO;
                     for i in 0..3 {
                         let ca = ws.ld(GPCAR + 12 * g + 3 * a + i, lay, rec);
                         let cb = ws.ld(GPCAR + 12 * g + 3 * b + i, lay, rec);
@@ -325,7 +331,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
 
     // Lumped mass, a byproduct kept for the pressure projection.
     for a in 0..nnode {
-        let mut m = 0.0;
+        let mut m = Pack::ZERO;
         for g in 0..ngauss {
             let vol = ws.ld(GPVOL + g, lay, rec);
             let sha = ws.ld(GPSHA + 4 * g + a, lay, rec);
@@ -338,7 +344,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     // --- Elemental RHS = -(A u) + pressure + force terms. ---
     for a in 0..nnode {
         for d in 0..3 {
-            let mut r = 0.0;
+            let mut r = Pack::ZERO;
             for b in 0..nnode {
                 let m = ws.ld(EMAT + 16 * d + 4 * a + b, lay, rec);
                 let u = ws.ld(ELVEL + 3 * b + d, lay, rec);
@@ -360,7 +366,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Scatter. ---
-    shared::scatter_rhs_from_ws(sink, &nodes, ELRHS, ws, lay, rec);
+    shared::scatter_rhs_from_ws(sink, &nodes, ELRHS, &mut ws, lay, rec)
 }
 
 #[cfg(test)]

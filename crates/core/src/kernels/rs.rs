@@ -17,25 +17,26 @@ use alya_machine::Recorder;
 
 use crate::gather::ScatterSink;
 use crate::input::AssemblyInput;
-use crate::kernels::shared;
+use crate::kernels::{shared, ElemRhs};
 use crate::layout::Layout;
 use crate::ops;
+use crate::packs::{Lanes, Pack};
 use crate::workspace::Ws;
 
-// ---- Workspace value catalog (shared with the packed twin) ----------------
-pub(crate) const ELCOD: usize = 0; // 12: gathered node coordinates
-pub(crate) const ELVEL: usize = 12; // 12: gathered velocities
-pub(crate) const ELPRE: usize = 24; // 4:  gathered pressures
-pub(crate) const CARTE: usize = 28; // 12: constant shape gradients
-pub(crate) const VOL: usize = 40; // 1:  element volume
-pub(crate) const GVE: usize = 41; // 9:  (constant) velocity gradient
-pub(crate) const NUT: usize = 50; // 1:  Vreman nu_t, one per element
-pub(crate) const GPADV: usize = 51; // 12: advection velocity per Gauss point
-pub(crate) const GPCON: usize = 63; // 12: convection vector per Gauss point
-pub(crate) const PBAR: usize = 75; // 1:  mean elemental pressure
-pub(crate) const FORCE: usize = 76; // 3:  rho * body force
-pub(crate) const DIFF: usize = 79; // 12: per-node diffusion fluxes
-pub(crate) const ELRHS: usize = 91; // 12: elemental RHS
+// ---- Workspace value catalog ----------------------------------------------
+const ELCOD: usize = 0; // 12: gathered node coordinates
+const ELVEL: usize = 12; // 12: gathered velocities
+const ELPRE: usize = 24; // 4:  gathered pressures
+const CARTE: usize = 28; // 12: constant shape gradients
+const VOL: usize = 40; // 1:  element volume
+const GVE: usize = 41; // 9:  (constant) velocity gradient
+const NUT: usize = 50; // 1:  Vreman nu_t, one per element
+const GPADV: usize = 51; // 12: advection velocity per Gauss point
+const GPCON: usize = 63; // 12: convection vector per Gauss point
+const PBAR: usize = 75; // 1:  mean elemental pressure
+const FORCE: usize = 76; // 3:  rho * body force
+const DIFF: usize = 79; // 12: per-node diffusion fluxes
+const ELRHS: usize = 91; // 12: elemental RHS
 
 /// Workspace slots per element.
 pub const NVALUES: usize = 103;
@@ -115,37 +116,47 @@ pub const fn input_loads_per_element() -> u64 {
     (1 + 3 + 3 + 1) * NNODE
 }
 
-/// Assembles one element the RS way.
+/// Assembles `L` elements in lockstep the RS way.
+///
+/// Inlined into its caller so the workspace placement the element loop
+/// passes (`stride = L`, `lane = 0`) folds into every slot index.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+#[inline(always)]
+pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,
-    e: usize,
+    elems: &[usize; L],
     lay: &Layout,
-    ws: &mut Ws,
+    ws: Ws<Pack<L>>,
     sink: &mut S,
     rec: &mut R,
-) {
+) -> ElemRhs<L> {
     let rho = input.props.density;
     let mu = input.props.viscosity;
+    let mut ws = ws.first_slots(NVALUES);
 
     // --- Gather into element arrays. ---
-    let nodes = shared::gather_nodal_into_ws(input, e, lay, ws, (ELCOD, ELVEL, ELPRE), rec);
+    let nodes =
+        shared::gather_nodal_into_ws(input, elems, lay, &mut ws, (ELCOD, ELVEL, ELPRE), rec);
 
     // --- Geometry once per element (constant gradients). ---
-    let mut elcod = [[0.0; 3]; 4];
+    let mut elcod = [[Pack::ZERO; 3]; 4];
     for a in 0..4 {
-        elcod[a] = ws.ld3(ELCOD + 3 * a, lay, rec);
+        for d in 0..3 {
+            elcod[a][d] = ws.ld(ELCOD + 3 * a + d, lay, rec);
+        }
     }
     let (grads, vol) = ops::tet4_grads(&elcod, rec);
     for a in 0..4 {
-        ws.st3(CARTE + 3 * a, grads[a], lay, rec);
+        for d in 0..3 {
+            ws.st(CARTE + 3 * a + d, grads[a][d], lay, rec);
+        }
     }
     ws.st(VOL, vol, lay, rec);
 
     // --- Velocity gradient, once (it is constant too). ---
     for i in 0..3 {
         for j in 0..3 {
-            let mut gv = 0.0;
+            let mut gv = Pack::ZERO;
             for a in 0..4 {
                 let c = ws.ld(CARTE + 3 * a + i, lay, rec);
                 let u = ws.ld(ELVEL + 3 * a + j, lay, rec);
@@ -157,7 +168,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Vreman on the fly: one value per element. ---
-    let mut gve = [[0.0; 3]; 3];
+    let mut gve = [[Pack::ZERO; 3]; 3];
     for i in 0..3 {
         for j in 0..3 {
             gve[i][j] = ws.ld(GVE + 3 * i + j, lay, rec);
@@ -165,14 +176,14 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
     let v = ws.ld(VOL, lay, rec);
     rec.flop(2);
-    let delta = v.cbrt();
+    let delta = v.map(f64::cbrt);
     let nut = ops::vreman(&gve, delta, input.vreman_c, rec);
     ws.st(NUT, nut, lay, rec);
 
     // --- Per-Gauss-point advection and convection vectors. ---
     for g in 0..Tet4::NUM_GAUSS {
         for d in 0..3 {
-            let mut adv = 0.0;
+            let mut adv = Pack::ZERO;
             for a in 0..4 {
                 let u = ws.ld(ELVEL + 3 * a + d, lay, rec);
                 adv += Tet4::SHAPE[g][a] * u;
@@ -181,7 +192,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
             ws.st(GPADV + 3 * g + d, adv, lay, rec);
         }
         for d in 0..3 {
-            let mut con = 0.0;
+            let mut con = Pack::ZERO;
             for i in 0..3 {
                 let adv = ws.ld(GPADV + 3 * g + i, lay, rec);
                 let gv = ws.ld(GVE + 3 * i + d, lay, rec);
@@ -194,7 +205,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Mean pressure and force. ---
-    let mut pbar = 0.0;
+    let mut pbar = Pack::ZERO;
     for a in 0..4 {
         pbar += ws.ld(ELPRE + a, lay, rec);
     }
@@ -202,7 +213,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     ws.st(PBAR, 0.25 * pbar, lay, rec);
     for d in 0..3 {
         rec.flop(1);
-        ws.st(FORCE + d, rho * input.body_force[d], lay, rec);
+        ws.st(FORCE + d, Pack::splat(rho * input.body_force[d]), lay, rec);
     }
 
     // --- Direct RHS accumulation (no elemental matrix). ---
@@ -211,7 +222,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     let gpvol = 0.25 * vol;
     for a in 0..4 {
         for d in 0..3 {
-            ws.st(ELRHS + 3 * a + d, 0.0, lay, rec);
+            ws.st(ELRHS + 3 * a + d, Pack::ZERO, lay, rec);
         }
     }
     for g in 0..Tet4::NUM_GAUSS {
@@ -245,9 +256,9 @@ pub fn element<R: Recorder, S: ScatterSink>(
     let mu_eff = mu + rho * nut;
     for a in 0..4 {
         for d in 0..3 {
-            let mut flux = 0.0;
+            let mut flux = Pack::ZERO;
             for b in 0..4 {
-                let mut gdot = 0.0;
+                let mut gdot = Pack::ZERO;
                 for i in 0..3 {
                     let ca = ws.ld(CARTE + 3 * a + i, lay, rec);
                     let cb = ws.ld(CARTE + 3 * b + i, lay, rec);
@@ -266,7 +277,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
     }
 
     // --- Scatter. ---
-    shared::scatter_rhs_from_ws(sink, &nodes, ELRHS, ws, lay, rec);
+    shared::scatter_rhs_from_ws(sink, &nodes, ELRHS, &mut ws, lay, rec)
 }
 
 #[cfg(test)]

@@ -13,18 +13,19 @@ use alya_machine::Recorder;
 
 use crate::gather::{self, ScatterSink};
 use crate::input::AssemblyInput;
-use crate::kernels::{get3, shared, PrivAlloc, Pv};
+use crate::kernels::{shared, ElemRhs, PrivAlloc};
 use crate::layout::Layout;
+use crate::packs::Pack;
 
-/// Assembles one element the RSP way.
+/// Assembles `L` elements in lockstep the RSP way.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,
-    e: usize,
+    elems: &[usize; L],
     lay: &Layout,
     sink: &mut S,
     rec: &mut R,
-) {
+) -> ElemRhs<L> {
     let rho = input.props.density;
     let mu = input.props.viscosity;
     let mut pa = PrivAlloc::new();
@@ -38,15 +39,10 @@ pub fn element<R: Recorder, S: ScatterSink>(
         vol,
         gve,
         nut,
-    } = shared::specialized_prologue(input, e, lay, &mut pa, rec);
+    } = shared::specialized_prologue(input, elems, lay, &mut pa, rec);
 
     // --- RHS accumulators, live across the Gauss loop. ---
-    let mut rhs: [[Pv; 3]; 4] = [
-        pa.def3([0.0; 3], rec),
-        pa.def3([0.0; 3], rec),
-        pa.def3([0.0; 3], rec),
-        pa.def3([0.0; 3], rec),
-    ];
+    let mut rhs = pa.def_all([[Pack::ZERO; 3]; 4], rec);
 
     rec.flop(1);
     let gpvol = 0.25 * vol.get(rec);
@@ -57,10 +53,10 @@ pub fn element<R: Recorder, S: ScatterSink>(
         for a in 0..4 {
             for d in 0..3 {
                 rec.flop(2);
-                let inc = -gpvol * Tet4::SHAPE[g][a] * con[d].get(rec);
+                let inc = -gpvol * Tet4::SHAPE[g][a] * con.get(d, rec);
                 rec.flop(1);
-                let new = rhs[a][d].get(rec) + inc;
-                rhs[a][d].set(new, rec);
+                let new = rhs.get((a, d), rec) + inc;
+                rhs.set((a, d), new, rec);
             }
         }
     }
@@ -73,25 +69,23 @@ pub fn element<R: Recorder, S: ScatterSink>(
             rec.fma(2);
             rec.flop(2);
             let inc =
-                volv * pbar.get(rec) * grads[a][d].get(rec) + gpvol * rho * input.body_force[d];
+                volv * pbar.get(rec) * grads.get((a, d), rec) + gpvol * rho * input.body_force[d];
             rec.flop(1);
-            let new = rhs[a][d].get(rec) + inc;
-            rhs[a][d].set(new, rec);
+            let new = rhs.get((a, d), rec) + inc;
+            rhs.set((a, d), new, rec);
         }
     }
     for a in 0..4 {
         for d in 0..3 {
             let flux = shared::diffusion_flux(a, d, &grads, &vel, rec);
             rec.flop(3);
-            let new = rhs[a][d].get(rec) - volv * mu_eff.get(rec) * flux;
-            rhs[a][d].set(new, rec);
+            let new = rhs.get((a, d), rec) - volv * mu_eff.get(rec) * flux;
+            rhs.set((a, d), new, rec);
         }
     }
 
     // --- Scatter the completed elemental RHS. ---
-    let mut elrhs = [[0.0; 3]; 4];
-    for a in 0..4 {
-        elrhs[a] = get3(&rhs[a], rec);
-    }
-    gather::scatter_elemental(sink, &nodes, &elrhs, lay, rec);
+    let elrhs = *rhs.all(rec);
+    gather::scatter_nth(sink, &nodes[0], &elrhs, 0, lay, rec);
+    elrhs
 }

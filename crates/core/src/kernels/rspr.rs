@@ -19,18 +19,19 @@ use alya_machine::Recorder;
 
 use crate::gather::ScatterSink;
 use crate::input::AssemblyInput;
-use crate::kernels::{shared, PrivAlloc, Pv};
+use crate::kernels::{shared, ElemRhs, PrivAlloc};
 use crate::layout::Layout;
+use crate::packs::{Lanes, Pack};
 
-/// Assembles one element the RSPR way.
+/// Assembles `L` elements in lockstep the RSPR way.
 // alya:hot
-pub fn element<R: Recorder, S: ScatterSink>(
+pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,
-    e: usize,
+    elems: &[usize; L],
     lay: &Layout,
     sink: &mut S,
     rec: &mut R,
-) {
+) -> ElemRhs<L> {
     let rho = input.props.density;
     let mu = input.props.viscosity;
     let mut pa = PrivAlloc::new();
@@ -47,12 +48,14 @@ pub fn element<R: Recorder, S: ScatterSink>(
         vol,
         gve,
         nut,
-    } = shared::specialized_prologue(input, e, lay, &mut pa, rec);
+    } = shared::specialized_prologue(input, elems, lay, &mut pa, rec);
 
-    let mut con: [[Pv; 3]; Tet4::NUM_GAUSS] = [[Pv { val: 0.0, id: 0 }; 3]; Tet4::NUM_GAUSS];
-    for (g, con_g) in con.iter_mut().enumerate() {
-        *con_g = shared::gauss_convection(g, &vel, &gve, rho, &mut pa, rec);
-    }
+    let con: [_; Tet4::NUM_GAUSS] = [
+        shared::gauss_convection(0, &vel, &gve, rho, &mut pa, rec),
+        shared::gauss_convection(1, &vel, &gve, rho, &mut pa, rec),
+        shared::gauss_convection(2, &vel, &gve, rho, &mut pa, rec),
+        shared::gauss_convection(3, &vel, &gve, rho, &mut pa, rec),
+    ];
 
     let (pbar, mu_eff) = shared::mean_pressure_and_mu_eff(&pre, nut, rho, mu, &mut pa, rec);
     rec.flop(1);
@@ -60,13 +63,14 @@ pub fn element<R: Recorder, S: ScatterSink>(
     let gpvol = 0.25 * volv;
 
     // --- Node loop: finish three components, scatter, discard. ---
+    let mut elrhs = [[Pack::ZERO; 3]; 4];
     for a in 0..4 {
-        let mut acc_raw = [0.0; 3];
+        let mut acc_raw = [Pack::ZERO; 3];
         // Convection.
         for g in 0..Tet4::NUM_GAUSS {
             for (d, acc_d) in acc_raw.iter_mut().enumerate() {
                 rec.flop(3);
-                *acc_d -= gpvol * Tet4::SHAPE[g][a] * con[g][d].get(rec);
+                *acc_d -= gpvol * Tet4::SHAPE[g][a] * con[g].get(d, rec);
             }
         }
         // Pressure and force.
@@ -74,7 +78,7 @@ pub fn element<R: Recorder, S: ScatterSink>(
             rec.fma(2);
             rec.flop(3);
             *acc_d +=
-                volv * pbar.get(rec) * grads[a][d].get(rec) + gpvol * rho * input.body_force[d];
+                volv * pbar.get(rec) * grads.get((a, d), rec) + gpvol * rho * input.body_force[d];
         }
         // Diffusion.
         for (d, acc_d) in acc_raw.iter_mut().enumerate() {
@@ -82,10 +86,12 @@ pub fn element<R: Recorder, S: ScatterSink>(
             rec.flop(3);
             *acc_d -= volv * mu_eff.get(rec) * flux;
         }
-        let acc = pa.def3(acc_raw, rec);
+        let acc = pa.def_all(acc_raw, rec);
         // Immediate scatter: the accumulator dies right here.
         for d in 0..3 {
-            sink.add(nodes[a], d, acc[d].get(rec), lay, rec);
+            elrhs[a][d] = acc.get(d, rec);
+            sink.add(nodes[0][a], d, elrhs[a][d].lane(0), lay, rec);
         }
     }
+    elrhs
 }

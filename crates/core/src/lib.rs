@@ -12,16 +12,15 @@
 //! | **RSP** | RS + privatization to scalars (register-resident, spills only under pressure) |
 //! | **RSPR**| RSP + immediate per-node scatter for minimal live ranges |
 //!
-//! B, RS, RSP and RSPR additionally have **lane-packed** twins
-//! ([`kernels::packed`], [`packs`]): [`ExecMode::Packed`] assembles
-//! `DEFAULT_LANES` elements in lockstep as `[f64; LANES]` lane arrays —
-//! the paper's cross-element `VECTOR_DIM` vectorization executed for real
-//! on the CPU — with every lane bitwise identical to the scalar path.
-//!
-//! Every kernel is written **once**, generic over
-//! [`alya_machine::Recorder`]: with [`alya_machine::NoRecord`] it
-//! monomorphizes to the pure numeric code the solver and wall-clock
-//! benchmarks run; with a tracing recorder the identical code emits the
+//! Every kernel is written **once**, generic over the lane count and over
+//! [`alya_machine::Recorder`]. The lane count is the paper's `VECTOR_DIM`
+//! made real on the CPU: every intermediate is a [`packs::Pack`] of `L`
+//! `f64` lanes, one per element, and [`ExecMode::Packed`] runs the kernels
+//! at `L =` [`DEFAULT_LANES`] where [`ExecMode::Scalar`] runs them at
+//! `L = 1` — the same statements, every lane bitwise identical to a
+//! one-lane run. With [`alya_machine::NoRecord`] a kernel monomorphizes to
+//! the pure numeric code the solver and wall-clock benchmarks run; with a
+//! tracing recorder the identical code emits, once per statement, the
 //! event stream the performance models replay. All five variants produce
 //! the same RHS to floating-point roundoff — the crate's central invariant,
 //! enforced by tests.

@@ -5,8 +5,14 @@
 //! instruction counts in the reproduction tables are derived from the same
 //! code that produces the physics. All helpers are `#[inline]`; with
 //! `NoRecord` the counting vanishes entirely.
+//!
+//! The geometry and turbulence helpers are generic over [`Lanes`]: a plain
+//! `f64` for one element, a [`crate::packs::Pack`] for a batch in lockstep.
+//! What they count is per call, not per lane.
 
 use alya_machine::Recorder;
+
+use crate::packs::Lanes;
 
 /// 3-vector dot product (3 FMAs).
 #[inline]
@@ -32,7 +38,7 @@ pub fn scale3<R: Recorder>(s: f64, a: [f64; 3], rec: &mut R) -> [f64; 3] {
 /// Determinant of a 3×3 matrix (9 muls + 5 add/sub = 14 flop; 3 of the
 /// products fuse, counted as 3 FMA + 8 flop).
 #[inline]
-pub fn det3<R: Recorder>(m: &[[f64; 3]; 3], rec: &mut R) -> f64 {
+pub fn det3<V: Lanes, R: Recorder>(m: &[[V; 3]; 3], rec: &mut R) -> V {
     rec.fma(3);
     rec.flop(8);
     m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -43,9 +49,9 @@ pub fn det3<R: Recorder>(m: &[[f64; 3]; 3], rec: &mut R) -> f64 {
 /// Inverse of a 3×3 matrix given its (nonzero) determinant
 /// (9 cofactors × 3 flop + 1 div + 9 muls).
 #[inline]
-pub fn inv3<R: Recorder>(m: &[[f64; 3]; 3], det: f64, rec: &mut R) -> [[f64; 3]; 3] {
+pub fn inv3<V: Lanes, R: Recorder>(m: &[[V; 3]; 3], det: V, rec: &mut R) -> [[V; 3]; 3] {
     rec.flop(9 * 3 + 1 + 9);
-    let inv_d = 1.0 / det;
+    let inv_d = V::splat(1.0) / det;
     [
         [
             (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_d,
@@ -68,8 +74,8 @@ pub fn inv3<R: Recorder>(m: &[[f64; 3]; 3], det: f64, rec: &mut R) -> [[f64; 3];
 /// Constant P1-tet physical gradients and signed volume from the four node
 /// coordinates — the specialized geometry path (one 3×3 solve per element).
 #[inline]
-pub fn tet4_grads<R: Recorder>(coords: &[[f64; 3]; 4], rec: &mut R) -> ([[f64; 3]; 4], f64) {
-    let mut j = [[0.0; 3]; 3];
+pub fn tet4_grads<V: Lanes, R: Recorder>(coords: &[[V; 3]; 4], rec: &mut R) -> ([[V; 3]; 4], V) {
+    let mut j = [[V::splat(0.0); 3]; 3];
     for r in 0..3 {
         for d in 0..3 {
             j[r][d] = coords[r + 1][d] - coords[0][d];
@@ -78,7 +84,7 @@ pub fn tet4_grads<R: Recorder>(coords: &[[f64; 3]; 4], rec: &mut R) -> ([[f64; 3
     rec.flop(9); // the 9 edge subtractions
     let det = det3(&j, rec);
     let inv = inv3(&j, det, rec);
-    let mut grads = [[0.0; 3]; 4];
+    let mut grads = [[V::splat(0.0); 3]; 4];
     for d in 0..3 {
         grads[1][d] = inv[d][0];
         grads[2][d] = inv[d][1];
@@ -92,28 +98,36 @@ pub fn tet4_grads<R: Recorder>(coords: &[[f64; 3]; 4], rec: &mut R) -> ([[f64; 3
 
 /// Vreman eddy viscosity with flop accounting (the specialized inline
 /// evaluation; `grad[i][j] = ∂u_j/∂x_i`, `delta` = filter width).
+///
+/// A degenerate gradient (`α² ≈ 0` or `B_β ≤ 0`) yields exactly `0.0`.
+/// Every lane computes β and B_β unconditionally and selects its own
+/// result, so no lane's branch reaches another; the *recorded* flops are
+/// lane 0's — what a one-lane run stops counting at its early exit.
 #[inline]
-pub fn vreman<R: Recorder>(grad: &[[f64; 3]; 3], delta: f64, c: f64, rec: &mut R) -> f64 {
+pub fn vreman<V: Lanes, R: Recorder>(grad: &[[V; 3]; 3], delta: V, c: f64, rec: &mut R) -> V {
     // α_ij α_ij : 9 FMAs.
     rec.fma(9);
-    let mut alpha2 = 0.0;
+    let mut alpha2 = V::splat(0.0);
     for row in grad {
         for &g in row {
             alpha2 += g * g;
         }
     }
-    if alpha2 <= f64::MIN_POSITIVE {
-        return 0.0;
-    }
+    let exit_at_alpha = alpha2.lane(0) <= f64::MIN_POSITIVE;
+    let counted = !exit_at_alpha;
     // β (6 unique entries × 3 FMAs + scale) and B_β (3 FMAs + 3 mul/sub).
-    rec.flop(1); // delta^2
+    if counted {
+        rec.flop(1); // delta^2
+    }
     let d2 = delta * delta;
-    let mut beta = [[0.0; 3]; 3];
+    let mut beta = [[V::splat(0.0); 3]; 3];
     for i in 0..3 {
         for j in i..3 {
-            rec.fma(3);
-            rec.flop(1);
-            let mut s = 0.0;
+            if counted {
+                rec.fma(3);
+                rec.flop(1);
+            }
+            let mut s = V::splat(0.0);
             for m in grad {
                 s += m[i] * m[j];
             }
@@ -121,17 +135,26 @@ pub fn vreman<R: Recorder>(grad: &[[f64; 3]; 3], delta: f64, c: f64, rec: &mut R
             beta[j][i] = beta[i][j];
         }
     }
-    rec.fma(3);
-    rec.flop(3);
+    if counted {
+        rec.fma(3);
+        rec.flop(3);
+    }
     let b_beta = beta[0][0] * beta[1][1] - beta[0][1] * beta[0][1] + beta[0][0] * beta[2][2]
         - beta[0][2] * beta[0][2]
         + beta[1][1] * beta[2][2]
         - beta[1][2] * beta[1][2];
-    if b_beta <= 0.0 {
-        return 0.0;
+    let exit_at_beta = b_beta.lane(0) <= 0.0;
+    if counted && !exit_at_beta {
+        rec.flop(3); // div, sqrt, mul
     }
-    rec.flop(3); // div, sqrt, mul
-    c * (b_beta / alpha2).sqrt()
+    V::from_fn(|l| {
+        let (a2, bb) = (alpha2.lane(l), b_beta.lane(l));
+        if a2 <= f64::MIN_POSITIVE || bb <= 0.0 {
+            0.0
+        } else {
+            c * (bb / a2).sqrt()
+        }
+    })
 }
 
 #[cfg(test)]

@@ -1,204 +1,175 @@
-//! AoSoA element packs — the cross-element SIMD layout.
+//! Lane packs — the cross-element SIMD value type.
 //!
-//! The paper's central optimization packs `VECTOR_DIM` elements into the
-//! lanes of every intermediate so the Gauss-point loops become straight-line
-//! vector arithmetic. This module is that layout on the CPU: a *pack* is
-//! `LANES` elements executing in lockstep, every field slot an
-//! `[f64; LANES]` lane array (array-of-struct-of-arrays), and every scalar
-//! statement of the kernels a unit-stride lane loop the autovectorizer
-//! cannot miss.
+//! The paper's central optimization gives every intermediate of the one
+//! vectorized source an extra `VECTOR_DIM` dimension, so the Gauss-point
+//! loops become straight-line vector arithmetic over a batch of elements.
+//! This module is that dimension on the CPU: a [`Pack`] is one `f64` per
+//! lane, and its operators apply lanewise. The kernels are written once
+//! over `Pack<L>`; `L = 1` is the scalar kernel and `L =` [`DEFAULT_LANES`]
+//! the packed one, so the two execute the same statements.
 //!
-//! The packed math helpers below mirror [`crate::ops`] *statement by
-//! statement*: each lane performs exactly the floating-point operation
-//! sequence the scalar helper performs for one element, and no operation
-//! mixes lanes — so lane `l` of a packed result is bitwise identical to
-//! the scalar result for element `l`. The drivers rely on this to keep the
-//! packed execution path bit-for-bit reproducible against the scalar one.
+//! No operator mixes lanes and each lane evaluates an expression in exactly
+//! the order a plain `f64` would, so lane `l` of a result is bitwise the
+//! value a one-lane run computes for element `l` — at every `L`. The
+//! drivers rely on this to keep packed execution bit-for-bit reproducible
+//! against scalar execution.
 //!
-//! Packs carry no [`alya_machine::Recorder`] instrumentation: tracing and
-//! the machine models replay the scalar kernels (whose pack streams the
-//! analyzer already audits); the packed path exists purely to execute.
+//! [`Lanes`] abstracts over "one `f64` per lane" so the math helpers in
+//! [`crate::ops`], the workspace and the gathers serve a plain `f64`
+//! caller (the ν_t pass, the generic kernel, the `alya-form` interpreter)
+//! and the lane kernels from one body.
 
-use crate::gather;
-use crate::input::AssemblyInput;
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// Default pack width: 8 f64 lanes — one AVX-512 register, two AVX2
-/// registers. [`crate::drivers`] instantiates every packed kernel at this
-/// width; the CPU machine model prices the speedup from the host's
-/// `simd_lanes` against it.
+/// registers. [`crate::drivers`] runs full packs at this width; the CPU
+/// machine model prices the speedup from the host's `simd_lanes` against
+/// it.
 pub const DEFAULT_LANES: usize = 8;
 
-/// One batch of `L` elements executing in lockstep.
-///
-/// Holds the per-lane element ids and the pack-granularity connectivity
-/// gather; the field gathers ([`gather::gather_coords_pack`] etc.) and the
-/// packed kernels consume it. `L` defaults to [`DEFAULT_LANES`].
-#[derive(Debug, Clone, Copy)]
-pub struct ElemPack<const L: usize = DEFAULT_LANES> {
-    /// The element ids in lane order.
-    pub elems: [usize; L],
-    /// Node ids per lane: `conns[lane][a]`.
-    pub conns: [[u32; 4]; L],
-}
-
-impl<const L: usize> ElemPack<L> {
-    /// Gathers the connectivity of `elems` into a pack.
-    // alya:hot
-    #[inline]
-    pub fn load(input: &AssemblyInput, elems: [usize; L]) -> Self {
-        let conns = gather::gather_conn_pack(input, &elems);
-        Self { elems, conns }
+/// A value with one `f64` per lane: `f64` itself (one lane) or a [`Pack`].
+pub trait Lanes:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + Div<f64, Output = Self>
+{
+    /// Number of lanes.
+    const N: usize;
+    /// Builds a value lane by lane.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
+    /// Reads lane `l`.
+    fn lane(&self, l: usize) -> f64;
+    /// Broadcasts a scalar across all lanes.
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        Self::from_fn(|_| x)
+    }
+    /// Applies `f` to every lane.
+    #[inline(always)]
+    fn map(self, f: impl Fn(f64) -> f64) -> Self {
+        Self::from_fn(|l| f(self.lane(l)))
     }
 }
 
-/// Broadcasts a scalar across all lanes.
-#[inline]
-pub fn splat<const L: usize>(x: f64) -> [f64; L] {
-    [x; L]
+impl Lanes for f64 {
+    const N: usize = 1;
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        f(0)
+    }
+    #[inline(always)]
+    fn lane(&self, _l: usize) -> f64 {
+        *self
+    }
 }
 
-/// Lanewise cube root (the Vreman filter width `vol.cbrt()`).
-// alya:hot
-#[inline]
-pub fn cbrt_pack<const L: usize>(x: &[f64; L]) -> [f64; L] {
-    let mut out = [0.0; L];
-    for l in 0..L {
-        out[l] = x[l].cbrt();
-    }
-    out
+/// `L` elements' worth of one intermediate: lane `l` belongs to the `l`-th
+/// element of the batch. `L` defaults to [`DEFAULT_LANES`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pack<const L: usize = DEFAULT_LANES>(pub [f64; L]);
+
+impl<const L: usize> Pack<L> {
+    /// All lanes zero.
+    pub const ZERO: Self = Pack([0.0; L]);
 }
 
-/// Lanewise 3×3 determinant — mirrors [`crate::ops::det3`] per lane.
-// alya:hot
-#[inline]
-pub fn det3_pack<const L: usize>(m: &[[[f64; L]; 3]; 3]) -> [f64; L] {
-    let mut out = [0.0; L];
-    for l in 0..L {
-        out[l] = m[0][0][l] * (m[1][1][l] * m[2][2][l] - m[1][2][l] * m[2][1][l])
-            - m[0][1][l] * (m[1][0][l] * m[2][2][l] - m[1][2][l] * m[2][0][l])
-            + m[0][2][l] * (m[1][0][l] * m[2][1][l] - m[1][1][l] * m[2][0][l]);
-    }
-    out
-}
-
-/// Lanewise 3×3 inverse given the determinants — mirrors
-/// [`crate::ops::inv3`] per lane.
-// alya:hot
-#[inline]
-pub fn inv3_pack<const L: usize>(m: &[[[f64; L]; 3]; 3], det: &[f64; L]) -> [[[f64; L]; 3]; 3] {
-    let mut inv = [[[0.0; L]; 3]; 3];
-    for l in 0..L {
-        let inv_d = 1.0 / det[l];
-        inv[0][0][l] = (m[1][1][l] * m[2][2][l] - m[1][2][l] * m[2][1][l]) * inv_d;
-        inv[0][1][l] = (m[0][2][l] * m[2][1][l] - m[0][1][l] * m[2][2][l]) * inv_d;
-        inv[0][2][l] = (m[0][1][l] * m[1][2][l] - m[0][2][l] * m[1][1][l]) * inv_d;
-        inv[1][0][l] = (m[1][2][l] * m[2][0][l] - m[1][0][l] * m[2][2][l]) * inv_d;
-        inv[1][1][l] = (m[0][0][l] * m[2][2][l] - m[0][2][l] * m[2][0][l]) * inv_d;
-        inv[1][2][l] = (m[0][2][l] * m[1][0][l] - m[0][0][l] * m[1][2][l]) * inv_d;
-        inv[2][0][l] = (m[1][0][l] * m[2][1][l] - m[1][1][l] * m[2][0][l]) * inv_d;
-        inv[2][1][l] = (m[0][1][l] * m[2][0][l] - m[0][0][l] * m[2][1][l]) * inv_d;
-        inv[2][2][l] = (m[0][0][l] * m[1][1][l] - m[0][1][l] * m[1][0][l]) * inv_d;
-    }
-    inv
-}
-
-/// Lanewise constant P1-tet gradients and signed volumes — mirrors
-/// [`crate::ops::tet4_grads`] per lane. Coordinates arrive AoSoA:
-/// `coords[a][d][lane]`.
-// alya:hot
-#[inline]
-pub fn tet4_grads_pack<const L: usize>(
-    coords: &[[[f64; L]; 3]; 4],
-) -> ([[[f64; L]; 3]; 4], [f64; L]) {
-    let mut j = [[[0.0; L]; 3]; 3];
-    for r in 0..3 {
-        for d in 0..3 {
-            for l in 0..L {
-                j[r][d][l] = coords[r + 1][d][l] - coords[0][d][l];
-            }
-        }
-    }
-    let det = det3_pack(&j);
-    let inv = inv3_pack(&j, &det);
-    let mut grads = [[[0.0; L]; 3]; 4];
-    for d in 0..3 {
+impl<const L: usize> Lanes for Pack<L> {
+    const N: usize = L;
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        let mut out = Self::ZERO;
         for l in 0..L {
-            grads[1][d][l] = inv[d][0][l];
-            grads[2][d][l] = inv[d][1][l];
-            grads[3][d][l] = inv[d][2][l];
-            grads[0][d][l] = -(inv[d][0][l] + inv[d][1][l] + inv[d][2][l]);
+            out.0[l] = f(l);
         }
+        out
     }
-    let mut vol = [0.0; L];
-    for l in 0..L {
-        vol[l] = det[l] / 6.0;
+    #[inline(always)]
+    fn lane(&self, l: usize) -> f64 {
+        self.0[l]
     }
-    (grads, vol)
 }
 
-/// Lanewise Vreman eddy viscosity — mirrors [`crate::ops::vreman`] per
-/// lane. The scalar helper's early returns become per-lane selections:
-/// β and B_β are computed unconditionally for all lanes (no lane mixes
-/// into another), and a lane whose `alpha2` underflows or whose `B_β` is
-/// non-positive selects the exact `0.0` the scalar early return produces.
-// alya:hot
-#[inline]
-pub fn vreman_pack<const L: usize>(
-    grad: &[[[f64; L]; 3]; 3],
-    delta: &[f64; L],
-    c: f64,
-) -> [f64; L] {
-    let mut alpha2 = [0.0; L];
-    for row in grad {
-        for g in row {
-            for l in 0..L {
-                alpha2[l] += g[l] * g[l];
-            }
-        }
-    }
-    let mut d2 = [0.0; L];
-    for l in 0..L {
-        d2[l] = delta[l] * delta[l];
-    }
-    let mut beta = [[[0.0; L]; 3]; 3];
-    for i in 0..3 {
-        for j in i..3 {
-            let mut s = [0.0; L];
-            for m in grad {
+/// Lanewise binary operators: `Pack ∘ Pack`, and against a scalar
+/// broadcast to every lane — `Pack ∘ f64` for all four, `f64 ∘ Pack` for
+/// the commutative two, so a kernel statement keeps the operand order of
+/// the scalar code it is (`mu + rho * nut`).
+macro_rules! lanewise {
+    ($($op:ident :: $f:ident),*) => {$(
+        impl<const L: usize> $op for Pack<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(mut self, o: Self) -> Self {
                 for l in 0..L {
-                    s[l] += m[i][l] * m[j][l];
+                    self.0[l] = self.0[l].$f(o.0[l]);
                 }
-            }
-            for l in 0..L {
-                beta[i][j][l] = d2[l] * s[l];
-                beta[j][i][l] = beta[i][j][l];
+                self
             }
         }
+        impl<const L: usize> $op<f64> for Pack<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $f(mut self, o: f64) -> Self {
+                for l in 0..L {
+                    self.0[l] = self.0[l].$f(o);
+                }
+                self
+            }
+        }
+    )*};
+}
+lanewise!(Add::add, Sub::sub, Mul::mul, Div::div);
+
+macro_rules! scalar_first {
+    ($($op:ident :: $f:ident),*) => {$(
+        impl<const L: usize> $op<Pack<L>> for f64 {
+            type Output = Pack<L>;
+            #[inline(always)]
+            fn $f(self, mut o: Pack<L>) -> Pack<L> {
+                for l in 0..L {
+                    o.0[l] = self.$f(o.0[l]);
+                }
+                o
+            }
+        }
+    )*};
+}
+scalar_first!(Add::add, Mul::mul);
+
+impl<const L: usize> Neg for Pack<L> {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(mut self) -> Self {
+        for l in 0..L {
+            self.0[l] = -self.0[l];
+        }
+        self
     }
-    let mut b_beta = [0.0; L];
-    for l in 0..L {
-        b_beta[l] = beta[0][0][l] * beta[1][1][l] - beta[0][1][l] * beta[0][1][l]
-            + beta[0][0][l] * beta[2][2][l]
-            - beta[0][2][l] * beta[0][2][l]
-            + beta[1][1][l] * beta[2][2][l]
-            - beta[1][2][l] * beta[1][2][l];
+}
+
+impl<const L: usize> AddAssign for Pack<L> {
+    #[inline(always)]
+    fn add_assign(&mut self, o: Self) {
+        *self = *self + o;
     }
-    let mut out = [0.0; L];
-    for l in 0..L {
-        out[l] = if alpha2[l] <= f64::MIN_POSITIVE || b_beta[l] <= 0.0 {
-            0.0
-        } else {
-            c * (b_beta[l] / alpha2[l]).sqrt()
-        };
+}
+
+impl<const L: usize> SubAssign for Pack<L> {
+    #[inline(always)]
+    fn sub_assign(&mut self, o: Self) {
+        *self = *self - o;
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops;
-    use alya_machine::NoRecord;
+    use alya_machine::{NoRecord, TraceRecorder};
 
     const L: usize = 4;
 
@@ -211,38 +182,51 @@ mod tests {
         ]
     }
 
-    fn pack_of(ms: &[[[f64; 3]; 3]; L]) -> [[[f64; L]; 3]; 3] {
-        let mut p = [[[0.0; L]; 3]; 3];
-        for (l, m) in ms.iter().enumerate() {
-            for r in 0..3 {
-                for c in 0..3 {
-                    p[r][c][l] = m[r][c];
-                }
-            }
+    /// Transposes per-lane `R × C` matrices into one matrix of packs.
+    fn pack_of<const R: usize, const C: usize>(ms: &[[[f64; C]; R]; L]) -> [[Pack<L>; C]; R] {
+        std::array::from_fn(|r| std::array::from_fn(|c| Pack::from_fn(|l| ms[l][r][c])))
+    }
+
+    #[test]
+    fn operators_are_lanewise_and_bitwise_the_scalar_expression() {
+        let a = Pack([0.1, -2.5, 3.0e-7, 4.0]);
+        let b = Pack([7.0, 0.3, -1.0e5, 0.25]);
+        let got = -(a * b - 0.5 * a) / b + a * 3.0;
+        for l in 0..L {
+            let (x, y) = (a.0[l], b.0[l]);
+            let want = -(x * y - 0.5 * x) / y + x * 3.0;
+            assert_eq!(got.0[l].to_bits(), want.to_bits(), "lane {l}");
         }
-        p
+        let mut acc = a;
+        acc += b;
+        acc -= a * b;
+        assert_eq!(acc, a + b - a * b);
+        // A plain f64 is the one-lane case.
+        assert_eq!(<f64 as Lanes>::N, 1);
+        assert_eq!(3.0f64.map(|x| x * x).lane(0), 9.0);
+        assert_eq!(Pack::<3>::splat(1.5), Pack([1.5; 3]));
     }
 
     #[test]
     fn det_and_inv_are_bitwise_lane_mirrors_of_the_scalar_ops() {
         let ms = lane_matrices();
         let p = pack_of(&ms);
-        let det = det3_pack(&p);
-        let inv = inv3_pack(&p, &det);
+        let det = ops::det3(&p, &mut NoRecord);
+        let inv = ops::inv3(&p, det, &mut NoRecord);
         for (l, m) in ms.iter().enumerate() {
             let d = ops::det3(m, &mut NoRecord);
-            assert_eq!(det[l].to_bits(), d.to_bits());
+            assert_eq!(det.0[l].to_bits(), d.to_bits());
             let iv = ops::inv3(m, d, &mut NoRecord);
             for r in 0..3 {
                 for c in 0..3 {
-                    assert_eq!(inv[r][c][l].to_bits(), iv[r][c].to_bits());
+                    assert_eq!(inv[r][c].0[l].to_bits(), iv[r][c].to_bits());
                 }
             }
         }
     }
 
     #[test]
-    fn tet4_grads_pack_is_a_bitwise_lane_mirror() {
+    fn tet4_grads_of_a_pack_is_a_bitwise_lane_mirror() {
         let coords_per_lane: [[[f64; 3]; 4]; L] = [
             [
                 [0.1, 0.0, 0.0],
@@ -269,40 +253,45 @@ mod tests {
                 [0.0, 0.2, 0.9],
             ],
         ];
-        let mut packed = [[[0.0; L]; 3]; 4];
-        for (l, coords) in coords_per_lane.iter().enumerate() {
-            for a in 0..4 {
-                for d in 0..3 {
-                    packed[a][d][l] = coords[a][d];
-                }
-            }
-        }
-        let (g, v) = tet4_grads_pack(&packed);
+        let (g, v) = ops::tet4_grads(&pack_of(&coords_per_lane), &mut NoRecord);
         for (l, coords) in coords_per_lane.iter().enumerate() {
             let (gs, vs) = ops::tet4_grads(coords, &mut NoRecord);
-            assert_eq!(v[l].to_bits(), vs.to_bits());
+            assert_eq!(v.0[l].to_bits(), vs.to_bits());
             for a in 0..4 {
                 for d in 0..3 {
-                    assert_eq!(g[a][d][l].to_bits(), gs[a][d].to_bits());
+                    assert_eq!(g[a][d].0[l].to_bits(), gs[a][d].to_bits());
                 }
             }
         }
     }
 
     #[test]
-    fn vreman_pack_mirrors_the_scalar_branches() {
+    fn vreman_of_a_pack_mirrors_the_scalar_branches() {
         // Lane 1 is the identity gradient (positive B_β), lane 2 a real LES
         // gradient, lane 3 arbitrary; a zero-gradient lane exercises the
         // alpha2 underflow select.
         let mut ms = lane_matrices();
         ms[0] = [[0.0; 3]; 3];
-        let p = pack_of(&ms);
-        let delta = splat::<L>(0.1);
-        let out = vreman_pack(&p, &delta, 0.07);
+        let mut rec = TraceRecorder::new();
+        let out = ops::vreman(&pack_of(&ms), Pack::splat(0.1), 0.07, &mut rec);
         for (l, m) in ms.iter().enumerate() {
             let s = ops::vreman(m, 0.1, 0.07, &mut NoRecord);
-            assert_eq!(out[l].to_bits(), s.to_bits(), "lane {l}");
+            assert_eq!(out.0[l].to_bits(), s.to_bits(), "lane {l}");
         }
-        assert_eq!(out[0], 0.0);
+        assert_eq!(out.0[0], 0.0);
+        // The recorded flops are lane 0's: the scalar early exit after α².
+        let mut lane0 = TraceRecorder::new();
+        let _ = ops::vreman(&ms[0], 0.1, 0.07, &mut lane0);
+        assert_eq!(rec.events, lane0.events);
+        assert_eq!(rec.counts().fmas, 9);
+        // With a live gradient in lane 0, a dead lane elsewhere changes
+        // nothing that is counted.
+        ms.swap(0, 2);
+        let mut rec = TraceRecorder::new();
+        let _ = ops::vreman(&pack_of(&ms), Pack::splat(0.1), 0.07, &mut rec);
+        let mut lane0 = TraceRecorder::new();
+        let _ = ops::vreman(&ms[0], 0.1, 0.07, &mut lane0);
+        assert_eq!(rec.events, lane0.events);
+        assert_eq!(rec.counts().fmas, 30);
     }
 }

@@ -5,53 +5,66 @@
 //! those arrays into thread-private (local-memory) arrays. [`Ws`] is that
 //! storage with tracking: each `ld`/`st` goes through the recorder as a
 //! global access at the interleaved modelled address ([`Space::Global`]) or
-//! a local access at the per-thread slot ([`Space::Local`]).
+//! a local access at the per-thread slot ([`Space::Local`]) — one event per
+//! access whatever the lane count, at the address of the first lane.
 //!
-//! The numeric buffer layout is the driver's choice (`stride`/`lane`): the
-//! CPU pack driver hands lanes of a shared interleaved buffer — so the
-//! un-instrumented build really does pay the baseline's memory traffic —
-//! while tracing drivers hand a compact per-element scratch.
+//! The numeric buffer is slot-major, lane-minor: the `V::N` lanes of slot
+//! `v` sit side by side at `data[v*stride + lane ..]`. Placement is the
+//! driver's choice: the element loop hands a batch the whole buffer
+//! (`stride` = its lane count, `lane` 0) — so the un-instrumented build
+//! really does pay the baseline's memory traffic, a pack at a time — while
+//! the pack tracer walks one-lane elements across the lanes of a shared
+//! `CPU_VECTOR_DIM`-wide buffer.
+
+use std::marker::PhantomData;
 
 use alya_machine::{Recorder, Space};
 
 use crate::layout::Layout;
+use crate::packs::Lanes;
 
-/// A tracked intermediate-value workspace for one element.
+/// A tracked intermediate-value workspace for one batch of elements whose
+/// intermediates are `V`s: one element for `f64`, `L` in lockstep for
+/// [`Pack<L>`](crate::packs::Pack).
 #[derive(Debug)]
-pub struct Ws<'a> {
+pub struct Ws<'a, V = f64> {
     data: &'a mut [f64],
     stride: usize,
     lane: usize,
     space: Space,
+    lanes: PhantomData<V>,
 }
 
-impl<'a> Ws<'a> {
-    /// Lane view of a shared interleaved buffer (`data[v*stride + lane]`),
-    /// traced as interleaved **global** arrays — variants B and RS.
+impl<'a, V: Lanes> Ws<'a, V> {
+    /// View of a shared interleaved buffer starting at lane `lane`
+    /// (`data[v*stride + lane ..]`), traced as interleaved **global**
+    /// arrays — variants B and RS.
     pub fn global(data: &'a mut [f64], stride: usize, lane: usize) -> Self {
-        debug_assert!(lane < stride || stride == 1);
+        debug_assert!(lane + V::N <= stride);
         Self {
             data,
             stride,
             lane,
             space: Space::Global,
+            lanes: PhantomData,
         }
     }
 
-    /// Compact per-element scratch traced as **local** (thread-private)
+    /// Compact per-batch scratch traced as **local** (thread-private)
     /// arrays — variant P.
     pub fn local(data: &'a mut [f64]) -> Self {
         Self {
             data,
-            stride: 1,
+            stride: V::N,
             lane: 0,
             space: Space::Local,
+            lanes: PhantomData,
         }
     }
 
     /// Number of value slots available.
     pub fn len(&self) -> usize {
-        self.data.len().checked_div(self.stride).unwrap_or(0)
+        self.data.len() / self.stride
     }
 
     /// True when no slots are available.
@@ -59,118 +72,60 @@ impl<'a> Ws<'a> {
         self.len() == 0
     }
 
+    /// Narrows the view to its first `n` slots. One bounds check here lets
+    /// the compiler drop the per-access ones wherever a kernel's slot
+    /// numbers are compile-time constants.
     #[inline]
-    fn idx(&self, v: usize) -> usize {
-        v * self.stride + self.lane
+    pub fn first_slots(self, n: usize) -> Self {
+        Self {
+            data: &mut self.data[..n * self.stride],
+            ..self
+        }
+    }
+
+    /// Where the lanes of slot `v` live in the buffer.
+    #[inline]
+    fn lanes_of(&self, v: usize) -> std::ops::Range<usize> {
+        let first = v * self.stride + self.lane;
+        first..first + V::N
     }
 
     /// Stores intermediate value `v`.
     #[inline]
-    pub fn st<R: Recorder>(&mut self, v: usize, val: f64, layout: &Layout, rec: &mut R) {
+    pub fn st<R: Recorder>(&mut self, v: usize, val: V, layout: &Layout, rec: &mut R) {
         if R::ENABLED {
             match self.space {
                 Space::Global => rec.gstore(layout.ws(v)),
                 Space::Local => rec.lstore(v as u32),
             }
         }
-        self.data[self.idx(v)] = val;
+        let at = self.lanes_of(v);
+        for (l, slot) in self.data[at].iter_mut().enumerate() {
+            *slot = val.lane(l);
+        }
     }
 
     /// Loads intermediate value `v`.
     #[inline]
-    pub fn ld<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> f64 {
+    pub fn ld<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> V {
         if R::ENABLED {
             match self.space {
                 Space::Global => rec.gload(layout.ws(v)),
                 Space::Local => rec.lload(v as u32),
             }
         }
-        self.data[self.idx(v)]
-    }
-
-    /// Loads three consecutive values as a vector.
-    #[inline]
-    pub fn ld3<R: Recorder>(&self, v: usize, layout: &Layout, rec: &mut R) -> [f64; 3] {
-        [
-            self.ld(v, layout, rec),
-            self.ld(v + 1, layout, rec),
-            self.ld(v + 2, layout, rec),
-        ]
-    }
-
-    /// Stores three consecutive values.
-    #[inline]
-    pub fn st3<R: Recorder>(&mut self, v: usize, val: [f64; 3], layout: &Layout, rec: &mut R) {
-        self.st(v, val[0], layout, rec);
-        self.st(v + 1, val[1], layout, rec);
-        self.st(v + 2, val[2], layout, rec);
+        let slot = &self.data[self.lanes_of(v)];
+        V::from_fn(|l| slot[l])
     }
 
     /// Read-modify-write accumulation into slot `v` (a load, an FMA-able
     /// add, and a store — the pattern the paper shows compilers emitting
     /// for `temp(:) = temp(:) + ...`).
     #[inline]
-    pub fn acc<R: Recorder>(&mut self, v: usize, inc: f64, layout: &Layout, rec: &mut R) {
+    pub fn acc<R: Recorder>(&mut self, v: usize, inc: V, layout: &Layout, rec: &mut R) {
         let old = self.ld(v, layout, rec);
         rec.flop(1);
         self.st(v, old + inc, layout, rec);
-    }
-}
-
-/// AoSoA pack view of a workspace buffer: value slot `v` of lane `l` lives
-/// at `data[v*L + l]`, so every slot is a contiguous `[f64; L]` lane array
-/// and the packed B/RS kernels load and store whole lanes at once. This is
-/// the lane-packed twin of [`Ws::global`]: a store/load roundtrip through
-/// an `f64` buffer is value-preserving, so mirroring the scalar kernels'
-/// workspace traffic through a pack keeps every lane bitwise identical to
-/// the scalar element. Untracked — the packed path is pure execution; the
-/// models replay the scalar kernels.
-#[derive(Debug)]
-pub struct WsPack<'a, const L: usize = { crate::packs::DEFAULT_LANES }> {
-    data: &'a mut [f64],
-}
-
-impl<'a, const L: usize> WsPack<'a, L> {
-    /// Wraps a buffer of at least `nvalues * L` slots.
-    pub fn new(data: &'a mut [f64]) -> Self {
-        Self { data }
-    }
-
-    /// Number of value slots available.
-    pub fn len(&self) -> usize {
-        self.data.len() / L
-    }
-
-    /// True when no slots are available.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stores all lanes of value `v`.
-    // alya:hot
-    #[inline]
-    pub fn st(&mut self, v: usize, val: [f64; L]) {
-        self.data[v * L..v * L + L].copy_from_slice(&val);
-    }
-
-    /// Loads all lanes of value `v`.
-    // alya:hot
-    #[inline]
-    pub fn ld(&self, v: usize) -> [f64; L] {
-        let mut out = [0.0; L];
-        out.copy_from_slice(&self.data[v * L..v * L + L]);
-        out
-    }
-
-    /// Lanewise read-modify-write accumulation into slot `v` — the packed
-    /// twin of [`Ws::acc`].
-    // alya:hot
-    #[inline]
-    pub fn acc(&mut self, v: usize, inc: [f64; L]) {
-        let slot = &mut self.data[v * L..v * L + L];
-        for l in 0..L {
-            slot[l] += inc[l];
-        }
     }
 }
 
@@ -222,15 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_helpers() {
-        let mut buf = vec![0.0; 10];
-        let l = layout();
-        let mut ws = Ws::local(&mut buf);
-        ws.st3(4, [1.0, 2.0, 3.0], &l, &mut NoRecord);
-        assert_eq!(ws.ld3(4, &l, &mut NoRecord), [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn acc_is_rmw() {
         let mut buf = vec![0.0; 2];
         let l = layout();
@@ -258,22 +204,38 @@ mod tests {
             ws.st(1, 20.0, &l, &mut NoRecord);
         }
         {
-            let ws0 = Ws::global(&mut buf, 4, 0);
+            let ws0: Ws = Ws::global(&mut buf, 4, 0);
             assert_eq!(ws0.ld(1, &l, &mut NoRecord), 10.0);
         }
-        let ws2 = Ws::global(&mut buf, 4, 2);
+        let ws2: Ws = Ws::global(&mut buf, 4, 2);
         assert_eq!(ws2.ld(1, &l, &mut NoRecord), 20.0);
     }
 
     #[test]
     fn pack_ws_is_slot_major_lane_minor() {
+        use crate::packs::Pack;
         let mut buf = vec![0.0; 3 * 4];
-        let mut ws = WsPack::<4>::new(&mut buf);
+        let l = layout();
+        let mut ws = Ws::<Pack<4>>::global(&mut buf, 4, 0);
         assert_eq!(ws.len(), 3);
-        ws.st(1, [1.0, 2.0, 3.0, 4.0]);
-        ws.acc(1, [0.5; 4]);
-        assert_eq!(ws.ld(1), [1.5, 2.5, 3.5, 4.5]);
-        // Slot 1's lanes are contiguous at offset L.
+        ws.st(1, Pack([1.0, 2.0, 3.0, 4.0]), &l, &mut NoRecord);
+        // One event per access whatever the lane count.
+        let mut rec = TraceRecorder::new();
+        ws.acc(1, Pack([0.5; 4]), &l, &mut rec);
+        assert_eq!(
+            rec.events,
+            vec![
+                Event::GLoad(l.ws(1)),
+                Event::Flop(1),
+                Event::GStore(l.ws(1))
+            ]
+        );
+        assert_eq!(ws.ld(1, &l, &mut NoRecord).0, [1.5, 2.5, 3.5, 4.5]);
+        // Slot 1's lanes are contiguous at offset L — for a local
+        // workspace too, whose stride is its lane count.
         assert_eq!(buf[4..8], [1.5, 2.5, 3.5, 4.5]);
+        let mut ws = Ws::<Pack<4>>::local(&mut buf);
+        ws.st(2, Pack([9.0; 4]), &l, &mut NoRecord);
+        assert_eq!(buf[8..12], [9.0; 4]);
     }
 }

@@ -239,8 +239,8 @@ fn telemetry_on_or_off_never_changes_a_bit() {
 
 /// The lane-packed execution path is not merely equivalent to the scalar
 /// path — it is **bitwise identical**, for every variant × strategy ×
-/// worker cap. The packed kernels replay the scalar statement sequence
-/// lane by lane (no operation mixes lanes, no FMA contraction), so a
+/// worker cap. Both are the same kernel statements at a different lane
+/// count (no operation mixes lanes, no FMA contraction), so a
 /// 1e-12 tolerance would already be loose; this test pins equality at
 /// zero, on a mesh whose element count is *not* a multiple of the lane
 /// width so the scalar remainder path is exercised too.
@@ -329,6 +329,16 @@ fn packed_execution_is_bitwise_reproducible() {
     }
 }
 
+/// The jittered box and smooth fields the packed-execution profile and
+/// trace tests share.
+fn packed_case() -> (alya_mesh::TetMesh, VectorField, ScalarField, ScalarField) {
+    let mesh = BoxMeshBuilder::new(4, 4, 3).jitter(0.12).seed(41).build();
+    let velocity = field_from_coeffs(&mesh, &[0.4, -0.2, 0.9, 0.3, -0.6, 0.1, 0.7, 0.2, -0.4]);
+    let pressure = ScalarField::from_fn(&mesh, |p| p[0] - 0.3 * p[1] + p[2] * p[2]);
+    let temperature = ScalarField::zeros(mesh.num_nodes());
+    (mesh, velocity, pressure, temperature)
+}
+
 /// The Table-I telemetry profile is invariant under the execution mode:
 /// counters tally at pack granularity through the same per-driver-call
 /// chokepoint the scalar path uses, so packed assembly reports exactly
@@ -338,10 +348,7 @@ fn packed_execution_is_bitwise_reproducible() {
 fn table_one_profile_is_invariant_under_packed_execution() {
     use alya_core::metrics;
     use alya_telemetry::Metric;
-    let mesh = BoxMeshBuilder::new(4, 4, 3).jitter(0.12).seed(41).build();
-    let velocity = field_from_coeffs(&mesh, &[0.4, -0.2, 0.9, 0.3, -0.6, 0.1, 0.7, 0.2, -0.4]);
-    let pressure = ScalarField::from_fn(&mesh, |p| p[0] - 0.3 * p[1] + p[2] * p[2]);
-    let temperature = ScalarField::zeros(mesh.num_nodes());
+    let (mesh, velocity, pressure, temperature) = packed_case();
     let input = AssemblyInput::new(&mesh, &velocity, &pressure, &temperature)
         .props(ConstantProperties::AIR);
 
@@ -373,6 +380,59 @@ fn table_one_profile_is_invariant_under_packed_execution() {
             pp.to_string(),
             "{variant}: packed execution changed the Table-I profile"
         );
+    }
+}
+
+/// A traced pack measures the code that runs: the kernels emit one event
+/// per statement whatever the lane count, at lane 0's addresses, so the
+/// stream of a `DEFAULT_LANES`-wide call is event for event the stream of a
+/// one-lane call on its first element — and therefore meets the variant's
+/// contract exactly as pass 1 checks a one-lane stream.
+#[test]
+fn a_traced_pack_records_the_stream_of_its_lane_zero_element() {
+    use alya_analyze::contracts::check_trace;
+    use alya_core::drivers::{trace_element, CPU_VECTOR_DIM};
+    use alya_core::gather::DirectSink;
+    use alya_core::layout::Layout;
+    use alya_core::DEFAULT_LANES as L;
+    use alya_machine::TraceRecorder;
+    let (mesh, velocity, pressure, temperature) = packed_case();
+    let mut input = AssemblyInput::new(&mesh, &velocity, &pressure, &temperature)
+        .props(ConstantProperties::AIR);
+    let nut = alya_core::nut::compute_nu_t(&input);
+    input.nu_t = Some(&nut);
+    let (ne, nn) = (mesh.num_elements(), mesh.num_nodes());
+
+    for variant in Variant::ALL {
+        for first in [0, ne / 2 + 3] {
+            // Scattered lanes: nothing below may depend on the pack being
+            // consecutive elements.
+            let elems: [usize; L] = std::array::from_fn(|l| (first + 37 * l) % ne);
+            for lay in [
+                Layout::cpu(elems[0], CPU_VECTOR_DIM, nn),
+                Layout::gpu(elems[0], ne, nn),
+            ] {
+                let mut rec = TraceRecorder::new();
+                let mut ws_buf = vec![0.0; (variant.nvalues() * L).max(1)];
+                let mut rhs = VectorField::zeros(nn);
+                let mut sink = DirectSink { rhs: &mut rhs };
+                let ws = &mut ws_buf;
+                alya_core::kernels::element(
+                    variant, &input, &elems, &lay, ws, L, 0, &mut sink, &mut rec,
+                );
+
+                let one = trace_element(variant, &input, elems[0], &lay);
+                assert!(!one.events.is_empty());
+                assert!(
+                    rec.events == one.events,
+                    "{variant} pack at {first}: {} events, its lane-0 element alone {}",
+                    rec.events.len(),
+                    one.events.len()
+                );
+                let violations = check_trace(variant, &variant.contract(), &rec.events);
+                assert!(violations.is_empty(), "{variant}: {violations:?}");
+            }
+        }
     }
 }
 
