@@ -1,4 +1,4 @@
-//! Model calibration check, mirroring the paper's reference [12]
+//! Model calibration check, mirroring the paper's reference \[12\]
 //! (gpu-benches): run Scale- and Triad-style streaming microkernels plus a
 //! dependent-chain latency kernel through the GPU model, and the
 //! likwid-bench-style load/peakflops kernels through the CPU model, and

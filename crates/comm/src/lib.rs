@@ -325,7 +325,7 @@ impl<M: Payload> RankHandle<M> {
 
     /// Blocking receive of the next message from `peer`; messages from
     /// other ranks arriving in the meantime are stashed for their own
-    /// receives. Panics after [`RECV_TIMEOUT`] — a missing message is a
+    /// receives. Panics after `RECV_TIMEOUT` — a missing message is a
     /// protocol bug, and hanging forever would mask it.
     pub fn recv_from(&mut self, peer: u32) -> M {
         match self.recv_from_deadline(peer, RECV_TIMEOUT) {
@@ -511,7 +511,7 @@ impl<M: Payload> ExchangeProgress<M> {
         n + self.poll(handle)
     }
 
-    /// Blocks (panicking on [`RECV_TIMEOUT`]) until every pending peer
+    /// Blocks (panicking on `RECV_TIMEOUT`) until every pending peer
     /// has delivered — the non-overlapped path.
     pub fn block(&mut self, handle: &mut RankHandle<M>) {
         let _sp = telemetry::span("comm-block");

@@ -2,7 +2,7 @@
 //! scopes, contract-rate tallies, and the live Table-I profile builder.
 //!
 //! The drivers run on the *modeled* machine: every element of a variant
-//! performs exactly the loads/stores/flops its [`KernelContract`] closed
+//! performs exactly the loads/stores/flops its [`KernelContract`](crate::KernelContract) closed
 //! forms prescribe (the contract analyzer proves this against the traced
 //! event streams). Tallying therefore happens per assembled element at
 //! contract rates — one counter bump per element batch, nothing in the

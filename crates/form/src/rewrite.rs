@@ -16,9 +16,9 @@
 //! * [`privatize_scalars`] (RS → RSP): every surviving workspace buffer
 //!   becomes a tracked private scalar array ([`Stmt::PrivDef`]). The
 //!   mechanical sub-rewrites are store privatization
-//!   ([`privatize_block`]), definition sinking for the velocity gradient
-//!   ([`sink_defs`]), the load-fold peephole that moves a single-use
-//!   load past a flop annotation ([`fold_tmp`]), and per-Gauss-point array
+//!   (`privatize_block`), definition sinking for the velocity gradient
+//!   (`sink_defs`), the load-fold peephole that moves a single-use
+//!   load past a flop annotation (`fold_tmp`), and per-Gauss-point array
 //!   contraction of the advection/convection vectors (12 slots → 3
 //!   short-lived ones, which forces the convection accumulation to fuse
 //!   into the Gauss loop).

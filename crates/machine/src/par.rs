@@ -148,7 +148,7 @@ where
 /// Runs `f` over `items` in parallel with **one item = one unit of coarse
 /// work** (a whole solver step, a whole session dispatch). Unlike
 /// [`par_for_each_init`], which assumes cheap per-item cost and runs
-/// serially below [`SERIAL_CUTOFF`] items, this helper spawns
+/// serially below `SERIAL_CUTOFF` items, this helper spawns
 /// `min(num_threads(), items.len())` workers for any batch of two or more
 /// items and claims items one at a time from a shared cursor. Respects
 /// [`set_thread_cap`] and propagates the spawner's telemetry context like

@@ -16,7 +16,7 @@
 //!   for post-mortems and recycled for new threads, so the registry is
 //!   bounded by the peak live thread count.
 //! * **Black-box dumps** ([`dump`]) — on a scheduler watchdog stall, an
-//!   injected [`HaloFault`](`alya_core`), an analyzer violation, or an
+//!   injected `alya_core::HaloFault`, an analyzer violation, or an
 //!   explicit [`capture`], the last events of every thread are stitched
 //!   into a causally-ordered human-readable report plus a chrome-trace
 //!   file reusing `telemetry::export`.

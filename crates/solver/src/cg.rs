@@ -4,7 +4,7 @@
 //! with diagonal preconditioning is the classic workhorse (the paper's
 //! production setting points at AMG-preconditioned solvers as future work —
 //! Jacobi-PCG is the honest laptop-scale stand-in). There is one CG loop,
-//! [`pcg`], generic over the [`Preconditioner`]; [`solve_cg`],
+//! `pcg`, generic over the [`Preconditioner`]; [`solve_cg`],
 //! [`solve_cg_with`] and [`crate::multigrid::solve_pcg`] are wrappers.
 
 use alya_telemetry as telemetry;
@@ -61,7 +61,7 @@ impl LinOp for CsrMatrix {
     }
 }
 
-/// An SPD approximation of `A⁻¹` for [`pcg`].
+/// An SPD approximation of `A⁻¹` for the CG loop.
 pub trait Preconditioner {
     /// `z ≈ A⁻¹ r`.
     fn apply(&self, r: &[f64], z: &mut [f64]);
