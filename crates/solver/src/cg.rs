@@ -34,11 +34,12 @@ pub trait LinOp {
 
 impl LinOp for CsrMatrix {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // `par_spmv` runs over `par::par_chunks_mut`, which respects the
-        // active worker cap and adopts the caller's telemetry context in
-        // every worker — a solve inside a serve session stays attributed
-        // to that session's tenant.
-        self.par_spmv(x, y);
+        // Serial on purpose: `par_spmv`'s cutoff counts rows, not work, so
+        // a 405-row product (8 µs) would fork two threads (55–90 µs) every
+        // CG iteration, and at the 4851 rows of the largest served case
+        // (127 µs serial) a second thread can save no more than the fork
+        // costs. Callers that know their matrix is big call `par_spmv`.
+        self.spmv(x, y);
     }
 
     fn dim(&self) -> usize {
@@ -74,7 +75,7 @@ pub trait Preconditioner {
 
 /// Jacobi as [`solve_cg_with`] applies it: `z = r / d` (a zero diagonal
 /// entry passes the residual through).
-struct DiagonalDivide<'a>(&'a [f64]);
+pub(crate) struct DiagonalDivide<'a>(pub(crate) &'a [f64]);
 
 impl Preconditioner for DiagonalDivide<'_> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {

@@ -54,6 +54,25 @@ impl CsrMatrix {
         }
     }
 
+    /// Wraps finished CSR arrays: `row_offsets` has `num_rows + 1` entries
+    /// ending at the nonzero count, columns ascend within each row.
+    pub(crate) fn from_sorted_rows(
+        num_cols: usize,
+        row_offsets: Vec<u32>,
+        col_indices: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert_eq!(row_offsets.last().map(|&o| o as usize), Some(values.len()));
+        assert_eq!(col_indices.len(), values.len());
+        Self {
+            num_rows: row_offsets.len() - 1,
+            num_cols,
+            row_offsets,
+            col_indices,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.num_rows
@@ -85,17 +104,30 @@ impl CsrMatrix {
         }
     }
 
-    /// Serial matrix-vector product `y = A x`.
+    /// Serial matrix-vector product `y = A x`. A row is summed in four
+    /// independent partial sums (entries `4k + l` into sum `l`), so the
+    /// adds of one row do not wait on each other — the loop under the
+    /// pressure CG, where a row is 40–55 entries of a cache-resident `x`.
+    // alya:hot
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
+        // alya:allow(hot-panic): one dimension check per product, outside the row loop
         assert_eq!(x.len(), self.num_cols);
+        // alya:allow(hot-panic): as above
         assert_eq!(y.len(), self.num_rows);
-        for r in 0..self.num_rows {
+        for (r, y) in y.iter_mut().enumerate() {
             let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (c, v) in cols.iter().zip(vals) {
-                acc += v * x[*c as usize];
+            let (cols4, vals4) = (cols.chunks_exact(4), vals.chunks_exact(4));
+            let mut tail = 0.0;
+            for (c, v) in cols4.remainder().iter().zip(vals4.remainder()) {
+                tail += v * x[*c as usize];
             }
-            y[r] = acc;
+            let mut acc = [0.0; 4];
+            for (c, v) in cols4.zip(vals4) {
+                for l in 0..4 {
+                    acc[l] += v[l] * x[c[l] as usize];
+                }
+            }
+            *y = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
         }
     }
 

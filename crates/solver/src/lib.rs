@@ -6,16 +6,20 @@
 //! and names as future work). This crate supplies the rest of that loop so
 //! the examples can run an actual simulation end to end:
 //!
-//! * [`csr`] — compressed sparse row matrices with thread-parallel SpMV;
+//! * [`csr`] — compressed sparse row matrices: the serial SpMV the
+//!   pressure CG runs on, and a thread-parallel one for callers that know
+//!   their matrix is big;
 //! * [`cg`] — preconditioned conjugate gradients (one loop; Jacobi by
 //!   default);
 //! * [`poisson`] — the pressure-Poisson operator (P1 Laplacian), lumped
-//!   mass matrix, weak divergence/gradient operators and the projection
-//!   operator `D M⁻¹ Dᵀ`, each uncached and driven from a per-case
-//!   geometry table (bitwise equal);
+//!   mass matrix, weak divergence/gradient sweeps — each uncached and
+//!   driven from a per-case geometry table (bitwise equal) — and the
+//!   projection operator `D M⁻¹ Dᵀ`, as the uncached matrix-free oracle
+//!   and assembled exactly into a CSR matrix;
 //! * [`step`] — the fractional-step integrator: explicit momentum
 //!   prediction with the assembly variant of your choice, pressure
-//!   projection, velocity correction.
+//!   projection (table-driven sweeps around a CG over the assembled
+//!   matrix), velocity correction.
 //!
 //! ```
 //! use alya_solver::step::{FractionalStep, StepConfig};

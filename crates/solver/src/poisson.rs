@@ -6,20 +6,21 @@
 //! * [`nodal_gradient`] — lumped-mass-weighted nodal pressure gradient;
 //! * [`weak_gradient_adjoint`] / [`ProjectionOp`] — `Dᵀ` and the compatible
 //!   projection operator `D M⁻¹ Dᵀ` the fractional step solves with;
-//! * [`GeomTable`] / [`TableProjectionOp`] — the same operators driven
-//!   from a per-case table of the element constants instead of
-//!   recomputing them, writing into caller-owned scratch.
+//! * [`GeomTable`] — the sweeps `D` and `Dᵀ` driven from a per-case table
+//!   of the element constants instead of recomputing them, writing into
+//!   caller-owned scratch, and [`GeomTable::projection_matrix`], the same
+//!   `D M⁻¹ Dᵀ` assembled once into a [`CsrMatrix`] for the pressure CG.
 //!
-//! Every operator that exists in both forms has **one** loop body, generic
+//! Every sweep that exists in both forms has **one** loop body, generic
 //! over where an element's [`TetGeom`] comes from, so the table-driven
 //! form is bitwise identical to the public uncached one — which stays as
 //! the independent oracle (the role `Variant::B` plays for the kernels).
-
-use std::cell::RefCell;
+//! The assembled matrix sums the same products in another order and
+//! agrees with [`ProjectionOp`] to rounding (≤ 1e-13 relative, tested).
 
 use alya_fem::geometry::tet4_gradients;
 use alya_fem::{ScalarField, VectorField};
-use alya_mesh::TetMesh;
+use alya_mesh::{NodeToElements, TetMesh};
 
 use crate::csr::CsrMatrix;
 
@@ -126,6 +127,100 @@ impl GeomTable {
     pub fn stiffness_diagonal(&self, mesh: &TetMesh) -> Vec<f64> {
         debug_assert_eq!(self.elems.len(), mesh.num_elements());
         stiffness_diagonal_sweep(mesh, |e| self.elems[e])
+    }
+
+    /// The compatible operator `A = D M⁻¹ Dᵀ` assembled exactly — its
+    /// product is [`ProjectionOp`]'s apply up to rounding; it is *not*
+    /// [`laplacian`]. With `w[c,b] = Σ_{e∋c,b} (V_e/4) ∇N_c` (`adjacency_rows`),
+    /// `A[a][b] = Σ_c w[c,a]·w[c,b] / m_c`: the distance-2 stencil of `a`,
+    /// accumulated row by row in a dense marker/accumulator pair
+    /// (Gustavson), columns ascending. Lean on purpose (DESIGN §18): one
+    /// copy of `w` (`w[c,a]` is looked up in row `c`) and a counting pass,
+    /// so the result is allocated once at its exact size.
+    pub fn projection_matrix(&self, mesh: &TetMesh, mass: &[f64]) -> CsrMatrix {
+        let n = mesh.num_nodes();
+        let (w_offsets, w) = self.adjacency_rows(mesh);
+        let row = |c: u32| &w[w_offsets[c as usize] as usize..w_offsets[c as usize + 1] as usize];
+        // `seen[b] == a` once column `b` of row `a` has been met.
+        let mut seen = vec![u32::MAX; n];
+        let mut offsets = vec![0u32; n + 1];
+        for a in 0..n as u32 {
+            let mut len = 0;
+            for &(c, _) in row(a) {
+                for &(b, _) in row(c) {
+                    len += u32::from(std::mem::replace(&mut seen[b as usize], a) != a);
+                }
+            }
+            offsets[a as usize + 1] = offsets[a as usize] + len;
+        }
+        let nnz = offsets[n] as usize;
+        let (mut cols, mut vals) = (vec![0u32; nnz], vec![0.0; nnz]);
+        let mut acc = vec![0.0; n];
+        seen.fill(u32::MAX);
+        for a in 0..n as u32 {
+            let (lo, hi) = (
+                offsets[a as usize] as usize,
+                offsets[a as usize + 1] as usize,
+            );
+            let mut end = lo;
+            for &(c, _) in row(a) {
+                let wca = row(c).iter().find(|&&(b, _)| b == a);
+                let wca = wca.expect("node adjacency is symmetric").1;
+                let m = mass[c as usize].max(1e-300);
+                let s = [wca[0] / m, wca[1] / m, wca[2] / m];
+                for &(b, wcb) in row(c) {
+                    if std::mem::replace(&mut seen[b as usize], a) != a {
+                        cols[end] = b;
+                        end += 1;
+                        acc[b as usize] = 0.0;
+                    }
+                    acc[b as usize] += s[0] * wcb[0] + s[1] * wcb[1] + s[2] * wcb[2];
+                }
+            }
+            debug_assert_eq!(end, hi);
+            cols[lo..hi].sort_unstable();
+            for (v, &b) in vals[lo..hi].iter_mut().zip(&cols[lo..hi]) {
+                *v = acc[b as usize];
+            }
+        }
+        CsrMatrix::from_sorted_rows(n, offsets, cols, vals)
+    }
+
+    /// `w[c,b] = Σ_{e∋c,b} (V_e/4) ∇N_c`, a 3-vector per pair of nodes
+    /// sharing an element, as CSR rows `(offsets, (b, w[c,b]))` in
+    /// first-touch column order. Both sweeps are products with it:
+    /// `(Dᵀp)_c = Σ_b w[c,b] p_b` and `(D u)_a = Σ_c w[c,a]·u_c`.
+    fn adjacency_rows(&self, mesh: &TetMesh) -> (Vec<u32>, Vec<(u32, [f64; 3])>) {
+        let n = mesh.num_nodes();
+        let node_elems = NodeToElements::build(mesh);
+        // A Kuhn-mesh interior node has 14 neighbours; the Vec grows past
+        // the guess on a mesh that has more.
+        let mut w: Vec<(u32, [f64; 3])> = Vec::with_capacity(15 * n);
+        let mut offsets = vec![0u32; n + 1];
+        // Where column `b` sits in `w`, valid while it points into the
+        // row being built.
+        let mut slot = vec![usize::MAX; n];
+        for c in 0..n {
+            let start = w.len();
+            for &e in node_elems.elements_of(c) {
+                let conn = mesh.element(e as usize);
+                let TetGeom { grads, vol } = self.elems[e as usize];
+                let local = conn.iter().position(|&x| x as usize == c);
+                let g = grads[local.expect("element lists the node")].map(|x| vol * 0.25 * x);
+                for &b in &conn {
+                    if !(start..w.len()).contains(&slot[b as usize]) {
+                        slot[b as usize] = w.len();
+                        w.push((b, [0.0; 3]));
+                    }
+                    let sum = &mut w[slot[b as usize]].1;
+                    for d in 0..3 {
+                        sum[d] += g[d];
+                    }
+                }
+            }
+            offsets[c + 1] = w.len() as u32;
+        }
+        (offsets, w)
     }
 }
 
@@ -315,67 +410,6 @@ impl crate::cg::LinOp for ProjectionOp<'_> {
     }
 }
 
-/// [`ProjectionOp`] driven from a [`GeomTable`]: the same `D M⁻¹ Dᵀ`,
-/// bitwise, with the intermediate `M⁻¹ Dᵀ x` written into scratch lent by
-/// the caller, so an apply computes no geometry and allocates nothing.
-pub struct TableProjectionOp<'a> {
-    mesh: &'a TetMesh,
-    table: &'a GeomTable,
-    mass: &'a [f64],
-    diag: &'a [f64],
-    /// `LinOp::apply` takes `&self`; CG applies the operator from one
-    /// thread, one apply at a time.
-    grad: RefCell<&'a mut VectorField>,
-}
-
-impl<'a> TableProjectionOp<'a> {
-    /// The operator on `mesh` with `table` built from it, Jacobi diagonal
-    /// `diag`, and `grad` (on `mesh.num_nodes()` nodes) as its scratch.
-    pub fn new(
-        mesh: &'a TetMesh,
-        table: &'a GeomTable,
-        mass: &'a [f64],
-        diag: &'a [f64],
-        grad: &'a mut VectorField,
-    ) -> Self {
-        assert_eq!(table.len(), mesh.num_elements());
-        assert_eq!(grad.num_nodes(), mesh.num_nodes());
-        Self {
-            mesh,
-            table,
-            mass,
-            diag,
-            grad: RefCell::new(grad),
-        }
-    }
-}
-
-impl crate::cg::LinOp for TableProjectionOp<'_> {
-    // alya:hot
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let g = &mut **self.grad.borrow_mut();
-        self.table.weak_gradient_adjoint_into(self.mesh, x, g);
-        scale_by_inverse_mass(g, self.mass);
-        self.table.weak_divergence_into(self.mesh, g, y);
-    }
-
-    fn dim(&self) -> usize {
-        self.mesh.num_nodes()
-    }
-
-    fn precond_diagonal(&self) -> Vec<f64> {
-        self.diag.to_vec()
-    }
-
-    fn precond_diagonal_into(&self, out: &mut [f64]) {
-        out.copy_from_slice(self.diag);
-    }
-
-    fn apply_flops(&self) -> u64 {
-        projection_flops(self.mesh)
-    }
-}
-
 /// Algebraic work of one `D M⁻¹ Dᵀ` apply (geometry excluded): Dᵀ
 /// (~30/elem) + M⁻¹ scale (6/node) + D (~30/elem).
 fn projection_flops(mesh: &TetMesh) -> u64 {
@@ -436,18 +470,39 @@ mod tests {
             let oracle = ProjectionOp::new(&mesh, &mass);
             let diag = table.stiffness_diagonal(&mesh);
             assert_bitwise(&diag, &oracle.diag, "stiffness diagonal");
-            let mut scratch = u.clone();
-            let fast = TableProjectionOp::new(&mesh, &table, &mass, &diag, &mut scratch);
-            let (mut y_fast, mut y_oracle) = (random(&mut rng, n), vec![0.0; n]);
-            for _ in 0..2 {
-                fast.apply(&p, &mut y_fast);
-                oracle.apply(&p, &mut y_oracle);
-                assert_bitwise(&y_fast, &y_oracle, "D M^-1 Dt p");
-            }
-            assert_eq!(fast.dim(), oracle.dim());
-            assert_eq!(fast.apply_flops(), oracle.apply_flops());
-            assert_bitwise(&fast.precond_diagonal(), &oracle.precond_diagonal(), "diag");
         }
+    }
+
+    #[test]
+    fn assembled_projection_is_the_uncached_operator_to_rounding() {
+        let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let mut nnz = Vec::new();
+        for mesh in meshes() {
+            let n = mesh.num_nodes();
+            let mass = lumped_mass(&mesh);
+            let a = GeomTable::build(&mesh).projection_matrix(&mesh, &mass);
+            let oracle = ProjectionOp::new(&mesh, &mass);
+            assert_eq!((a.num_rows(), a.num_cols()), (n, n));
+            let mut largest = 0.0f64;
+            for r in 0..n {
+                let (cols, vals) = a.row(r);
+                assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r}: {cols:?}");
+                largest = largest.max(max_abs(vals));
+            }
+            assert!(a.max_asymmetry() <= 1e-14 * largest);
+            let (mut y, mut y_oracle) = (vec![0.0; n], vec![0.0; n]);
+            for seed in 0..20 {
+                let x = random(&mut Rng64::new(seed), n);
+                a.spmv(&x, &mut y);
+                oracle.apply(&x, &mut y_oracle);
+                let diff = y.iter().zip(&y_oracle).map(|(u, v)| (u - v).abs());
+                let err = diff.fold(0.0, f64::max) / max_abs(&y_oracle);
+                assert!(err <= 1e-13, "seed {seed}: A x off the oracle by {err:e}");
+            }
+            nnz.push(a.nnz());
+        }
+        // The distance-2 stencil of the 1536-element terrain case, as a count.
+        assert_eq!(nnz[1], 16_747);
     }
 
     #[test]
@@ -465,15 +520,11 @@ mod tests {
     }
 
     #[test]
-    fn table_projection_is_symmetric_positive_semidefinite() {
+    fn assembled_projection_is_symmetric_positive_semidefinite() {
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
         for mesh in meshes() {
             let n = mesh.num_nodes();
-            let table = GeomTable::build(&mesh);
-            let mass = lumped_mass(&mesh);
-            let diag = table.stiffness_diagonal(&mesh);
-            let mut scratch = VectorField::zeros(n);
-            let op = TableProjectionOp::new(&mesh, &table, &mass, &diag, &mut scratch);
+            let op = GeomTable::build(&mesh).projection_matrix(&mesh, &lumped_mass(&mesh));
             let (mut ax, mut ay) = (vec![0.0; n], vec![0.0; n]);
             for seed in 0..20 {
                 let mut rng = Rng64::new(seed);

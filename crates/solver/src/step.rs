@@ -4,14 +4,18 @@
 //!
 //! 1. **Momentum prediction** — assemble the RHS with any of the paper's
 //!    variants (`alya-core`) and advance `u* = u + Δt M⁻¹ R(u)`;
-//! 2. **Pressure Poisson** — solve `L p = (ρ/Δt) ∫ N ∇·u*`;
-//! 3. **Correction** — `u = u* − (Δt/ρ) ∇p` (lumped nodal gradient);
+//! 2. **Pressure projection** — solve `(D M⁻¹ Dᵀ) p = (ρ/Δt) D u*` by
+//!    Jacobi-CG over the case's assembled matrix;
+//! 3. **Correction** — `u = u* − (Δt/ρ) M⁻¹ Dᵀ p`;
 //! 4. **Boundary conditions** — strong Dirichlet re-imposition.
 //!
 //! The projection reduces the discrete divergence every step (asserted by
 //! tests), which is the property a fractional-step scheme must deliver.
+//! The three sweeps a step makes (`D u*`, `Dᵀ p`, `D u`) run from the
+//! case's [`GeomTable`]; the ~100 operator applies inside the CG are one
+//! CSR row loop each ([`CaseParts::projection`], DESIGN §18).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alya_core::{assemble_parallel, assemble_serial, AssemblyInput, ParallelStrategy, Variant};
 use alya_fem::bc::DirichletBc;
@@ -20,8 +24,9 @@ use alya_fem::{ScalarField, VectorField};
 use alya_mesh::TetMesh;
 use alya_telemetry as telemetry;
 
-use crate::cg::{solve_cg_with, CgResult, CgScratch};
-use crate::poisson::{self, GeomTable, TableProjectionOp};
+use crate::cg::{self, CgResult, CgScratch, DiagonalDivide};
+use crate::csr::CsrMatrix;
+use crate::poisson::{self, GeomTable};
 
 /// Explicit time-integration scheme for the momentum prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,13 +119,15 @@ impl MeshHandle<'_> {
 
 /// The immutable per-case data every session of the same case shares:
 /// the Poisson preconditioner diagonal, the lumped mass, the
-/// coloring-based parallel strategy, and the element geometry table the
-/// projection half of the step runs from. Built once per case,
-/// `Arc`-cloned into each [`FractionalStep`] (the serve pool's
-/// copy-on-write story).
+/// coloring-based parallel strategy, the element geometry table the
+/// step's three sweeps run from, and the assembled projection operator its
+/// pressure CG runs over. Built once per case, `Arc`-cloned into each
+/// [`FractionalStep`] (the serve pool's copy-on-write story).
 #[derive(Clone)]
 pub struct CaseParts {
-    /// Jacobi diagonal for the projection operator (P1 stiffness diagonal).
+    /// The P1 stiffness diagonal: still the pressure CG's Jacobi
+    /// preconditioner (*not* the diagonal of [`Self::proj`]), so iteration
+    /// counts are those of Jacobi-CG on the uncached `ProjectionOp`.
     pub proj_diag: Arc<Vec<f64>>,
     /// Lumped mass.
     pub mass: Arc<Vec<f64>>,
@@ -128,6 +135,12 @@ pub struct CaseParts {
     pub strategy: Arc<ParallelStrategy>,
     /// `∇N_a` and volume of every element (104 B each).
     pub geom: Arc<GeomTable>,
+    /// `D M⁻¹ Dᵀ` assembled (12 B per nonzero, 41–54 nonzeros per node).
+    /// Empty until the first step of any session of the case: a case that
+    /// only ever assembles never pays its time or bytes, and a case that
+    /// steps builds it after `build`'s transients are freed (DESIGN §18).
+    /// Read it through [`Self::projection`].
+    pub proj: Arc<OnceLock<CsrMatrix>>,
 }
 
 impl CaseParts {
@@ -139,7 +152,15 @@ impl CaseParts {
             mass: Arc::new(poisson::lumped_mass(mesh)),
             strategy: Arc::new(ParallelStrategy::colored(mesh)),
             geom: Arc::new(geom),
+            proj: Arc::default(),
         }
+    }
+
+    /// The case's projection operator on `mesh` (the mesh the parts were
+    /// built from), assembled by whichever caller gets here first.
+    pub fn projection(&self, mesh: &TetMesh) -> &CsrMatrix {
+        self.proj
+            .get_or_init(|| self.geom.projection_matrix(mesh, &self.mass))
     }
 }
 
@@ -154,9 +175,12 @@ pub struct FractionalStep<'m> {
     parts: CaseParts,
     cg_scratch: CgScratch,
     pressure_scratch: Vec<f64>,
-    /// `M⁻¹ Dᵀ x` inside the projection operator, then `Dᵀ p` of the
-    /// correction. Like the CG scratch, sized by the first step (a pooled
-    /// slot that only ever assembles never pays for it) and kept after.
+    /// The RK stages; `stages[0]` ends the prediction as `u*`, becomes the
+    /// corrected velocity and is swapped with `velocity`. Like the CG
+    /// scratch, this and the two below are sized by the first step (a
+    /// pooled slot that only ever assembles never pays for them) and kept.
+    stages: [VectorField; 2],
+    /// `Dᵀ p` of the correction.
     grad_scratch: VectorField,
     /// `D u*` (the pressure RHS), then `D u` of the corrected velocity.
     div_scratch: ScalarField,
@@ -200,6 +224,7 @@ impl<'m> FractionalStep<'m> {
             parts,
             cg_scratch: CgScratch::new(),
             pressure_scratch: Vec::new(),
+            stages: [VectorField::zeros(0), VectorField::zeros(0)],
             grad_scratch: VectorField::zeros(0),
             div_scratch: ScalarField::zeros(0),
             time: 0.0,
@@ -284,9 +309,15 @@ impl<'m> FractionalStep<'m> {
         let n = mesh.num_nodes();
         let rho = cfg.props.density;
         let mass = self.parts.mass.as_slice();
+        if self.div_scratch.len() != n {
+            self.stages = [VectorField::zeros(n), VectorField::zeros(n)];
+            self.grad_scratch = VectorField::zeros(n);
+            self.div_scratch = ScalarField::zeros(n);
+        }
+        let [stage_a, stage_b] = &mut self.stages;
 
-        // One explicit stage: w + dt * M⁻¹ R(u_stage), BCs re-imposed.
-        let euler_stage = |state: &VectorField, dt: f64| -> VectorField {
+        // One explicit stage: out = state + dt * M⁻¹ R(state), BCs re-imposed.
+        let euler_stage = |state: &VectorField, dt: f64, out: &mut VectorField| {
             let stage_input = AssemblyInput::new(mesh, state, &self.pressure, &self.temperature)
                 .props(cfg.props)
                 .body_force(cfg.body_force)
@@ -296,7 +327,7 @@ impl<'m> FractionalStep<'m> {
             } else {
                 assemble_serial(variant, &stage_input)
             };
-            let mut out = state.clone();
+            out.as_mut_slice().copy_from_slice(state.as_slice());
             for node in 0..n {
                 let m = (mass[node] * rho).max(1e-300);
                 let r = rhs.get(node);
@@ -306,32 +337,39 @@ impl<'m> FractionalStep<'m> {
                 }
                 out.set(node, v);
             }
-            self.bc.apply_to_field(&mut out);
-            out
+            self.bc.apply_to_field(out);
         };
 
         // 1. Momentum prediction (one or three RHS assemblies).
         let predict_span = telemetry::span("momentum-predict");
-        let mut u_star = match cfg.scheme {
-            TimeScheme::ForwardEuler => euler_stage(&self.velocity, cfg.dt),
+        match cfg.scheme {
+            TimeScheme::ForwardEuler => euler_stage(&self.velocity, cfg.dt, stage_a),
             TimeScheme::SspRk3 => {
                 // Shu–Osher form: u1 = u + dt L(u);
                 // u2 = 3/4 u + 1/4 (u1 + dt L(u1));
                 // u* = 1/3 u + 2/3 (u2 + dt L(u2)).
-                let u1 = euler_stage(&self.velocity, cfg.dt);
-                let mut u2 = euler_stage(&u1, cfg.dt);
-                for (w, u0) in u2.as_mut_slice().iter_mut().zip(self.velocity.as_slice()) {
+                euler_stage(&self.velocity, cfg.dt, stage_a);
+                euler_stage(stage_a, cfg.dt, stage_b);
+                for (w, u0) in stage_b
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(self.velocity.as_slice())
+                {
                     *w = 0.75 * u0 + 0.25 * *w;
                 }
-                self.bc.apply_to_field(&mut u2);
-                let mut us = euler_stage(&u2, cfg.dt);
-                for (w, u0) in us.as_mut_slice().iter_mut().zip(self.velocity.as_slice()) {
+                self.bc.apply_to_field(stage_b);
+                euler_stage(stage_b, cfg.dt, stage_a);
+                for (w, u0) in stage_a
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(self.velocity.as_slice())
+                {
                     *w = *u0 / 3.0 + 2.0 / 3.0 * *w;
                 }
-                us
             }
-        };
-        self.bc.apply_to_field(&mut u_star);
+        }
+        let u_star = stage_a;
+        self.bc.apply_to_field(u_star);
         drop(predict_span);
 
         // 2. Pressure projection: solve the *compatible* discrete operator
@@ -341,16 +379,13 @@ impl<'m> FractionalStep<'m> {
         // for every null vector q of Dᵀ — do NOT de-mean (constants are not
         // in this operator's null space; subtracting the mean would inject
         // an inconsistent component that CG amplifies without bound).
-        // Everything from here on runs from the case's geometry table into
-        // solver-owned scratch and, after the first step, allocates nothing.
+        // The sweeps run from the case's geometry table, the CG over its
+        // assembled matrix (built here by the case's first step), all into
+        // solver-owned scratch: after the first step nothing is allocated.
         let geom = &*self.parts.geom;
-        if self.div_scratch.len() != n {
-            self.grad_scratch = VectorField::zeros(n);
-            self.div_scratch = ScalarField::zeros(n);
-        }
         let rhs_span = telemetry::span("pressure-rhs");
         let b = &mut self.div_scratch;
-        geom.weak_divergence_into(mesh, &u_star, b.as_mut_slice());
+        geom.weak_divergence_into(mesh, u_star, b.as_mut_slice());
         // The projection controls the *weak* divergence D u (what the
         // pressure equation sees); report its norm.
         let divergence_before = b.norm();
@@ -362,20 +397,14 @@ impl<'m> FractionalStep<'m> {
         self.pressure_scratch
             .extend_from_slice(self.pressure.as_slice());
         drop(rhs_span);
-        let op = TableProjectionOp::new(
-            mesh,
-            geom,
-            mass,
-            self.parts.proj_diag.as_slice(),
-            &mut self.grad_scratch,
-        );
-        let cg = solve_cg_with(
-            &op,
+        let cg = cg::pcg(
+            self.parts.projection(mesh),
+            &DiagonalDivide(&self.parts.proj_diag),
             b.as_slice(),
             &mut self.pressure_scratch,
             cfg.cg_tol,
             cfg.cg_max_iters,
-            &mut self.cg_scratch,
+            self.cg_scratch.work(),
         );
         self.pressure
             .as_mut_slice()
@@ -397,8 +426,8 @@ impl<'m> FractionalStep<'m> {
         }
 
         // 4. Boundary conditions.
-        self.bc.apply_to_field(&mut u_star);
-        self.velocity = u_star;
+        self.bc.apply_to_field(u_star);
+        std::mem::swap(&mut self.velocity, u_star);
         self.time += cfg.dt;
         drop(correct_span);
 
@@ -608,13 +637,21 @@ mod tests {
         assert!(Arc::ptr_eq(&a.parts.geom, &parts.geom));
 
         let init = VectorField::from_fn(&mesh, |p| [0.1 * p[2], 0.0, 0.05 * p[0]]);
+        let mut cfg = StepConfig::default();
+        cfg.scheme = TimeScheme::SspRk3;
+        a.set_config(cfg);
         a.reset(&init);
         a.step(Variant::Rsp);
-        // Where every buffer the solver owns lives; the last three are the
-        // projection half's scratch, which a step must not move either.
+        // Where every buffer the solver owns lives. A step swaps the
+        // velocity with the first RK stage buffer, so those two are held
+        // as a pair; the rest must not move at all.
         let buffers = |s: &FractionalStep<'_>| {
+            let mut swapped = [s.velocity.as_slice(), s.stages[0].as_slice()].map(<[f64]>::as_ptr);
+            swapped.sort_unstable();
             [
-                s.velocity.as_slice().as_ptr(),
+                swapped[0],
+                swapped[1],
+                s.stages[1].as_slice().as_ptr(),
                 s.pressure.as_slice().as_ptr(),
                 s.temperature.as_slice().as_ptr(),
                 s.pressure_scratch.as_ptr(),
@@ -626,7 +663,58 @@ mod tests {
         a.reset(&init);
         assert_eq!(buffers(&a), before, "reset reallocated a buffer");
         a.step(Variant::Rsp);
-        assert_eq!(buffers(&a)[3..], before[3..], "a step reallocated scratch");
+        assert_eq!(buffers(&a), before, "a step reallocated a buffer");
+    }
+
+    #[test]
+    fn sessions_of_one_case_share_one_projection_matrix_built_by_their_first_step() {
+        let mesh = Arc::new(BoxMeshBuilder::new(3, 3, 3).jitter(0.1).seed(4).build());
+        let parts = CaseParts::build(&mesh);
+        let init = VectorField::from_fn(&mesh, |p| [0.1 * p[2], 0.02 * p[1], 0.05 * p[0]]);
+        let session = || {
+            let mut s = FractionalStep::from_shared_parts(
+                Arc::clone(&mesh),
+                StepConfig::default(),
+                parts.clone(),
+            );
+            s.reset(&init);
+            s
+        };
+        let (mut a, mut b, mut alone) = (session(), session(), session());
+        assert!(parts.proj.get().is_none(), "binding a session built it");
+
+        // Both take their first step together; one of them builds.
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for s in [&mut a, &mut b] {
+                let gate = &gate;
+                scope.spawn(move || {
+                    gate.wait();
+                    s.step(Variant::Rsp)
+                });
+            }
+        });
+        assert!(Arc::ptr_eq(&a.parts.proj, &b.parts.proj));
+        assert!(Arc::ptr_eq(&a.parts.proj, &parts.proj));
+        let built = std::ptr::from_ref(parts.proj.get().expect("a first step built it"));
+        assert_eq!(
+            *parts.projection(&mesh),
+            parts.geom.projection_matrix(&mesh, &parts.mass)
+        );
+
+        // Whichever built it, both stepped over the same matrix.
+        alone.step(Variant::Rsp);
+        for s in [&a, &b] {
+            assert_eq!(s.velocity().as_slice(), alone.velocity().as_slice());
+            assert_eq!(s.pressure().as_slice(), alone.pressure().as_slice());
+        }
+        a.reset(&init);
+        a.step(Variant::Rsp);
+        assert_eq!(
+            std::ptr::from_ref(parts.projection(&mesh)),
+            built,
+            "rebuilt"
+        );
     }
 
     #[test]

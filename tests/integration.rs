@@ -12,7 +12,7 @@ use alya_mesh::{BoxMeshBuilder, TerrainMeshBuilder, TetMesh};
 use alya_solver::cg::LinOp;
 use alya_solver::poisson;
 use alya_solver::step::{CaseParts, FractionalStep, StepConfig, StepStats, TimeScheme};
-use alya_solver::{solve_cg_with, CgScratch};
+use alya_solver::{solve_cg_with, CgScratch, CsrMatrix};
 
 #[test]
 fn terrain_mesh_through_full_pipeline() {
@@ -225,15 +225,42 @@ fn reference_step(
     (u_star, ScalarField::from_values(p), stats)
 }
 
-/// `max |a − b| / max |b|`, the benchmark's oracle norm.
-fn rel_err_max(a: &[f64], b: &[f64]) -> f64 {
-    let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-    let diff: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-    max_abs(&diff) / max_abs(b)
+/// The case's assembled `D M⁻¹ Dᵀ` as the step solves with it: Jacobi on
+/// the stiffness diagonal, not on the matrix's own.
+struct CaseMatrix<'a> {
+    a: &'a CsrMatrix,
+    diag: &'a [f64],
 }
 
-/// The step against its recomposition around the uncached `ProjectionOp`
-/// (the benchmark's oracle): same convergence, iterations within ±2,
+impl LinOp for CaseMatrix<'_> {
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.a.spmv(x, y);
+    }
+
+    fn dim(&self) -> usize {
+        self.a.num_rows()
+    }
+
+    fn precond_diagonal(&self) -> Vec<f64> {
+        self.diag.to_vec()
+    }
+}
+
+/// `max |a − b| / max |b|`, the benchmark's oracle norm.
+fn rel_err_max(a: &[f64], b: &[f64]) -> f64 {
+    let diff = a
+        .iter()
+        .zip(b)
+        .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()));
+    diff / b.iter().fold(0.0f64, |m, y| m.max(y.abs()))
+}
+
+/// The step against its recomposition around each form of the pressure
+/// operator. Around the case's assembled matrix (`CaseParts::projection`,
+/// what the step itself solves with) velocity, pressure, `CgResult` and the
+/// three diagnostics match **bit for bit**. Around the uncached
+/// `ProjectionOp` (the benchmark's oracle) the matrix sums the same
+/// products in another order, so: same convergence, iterations within ±2,
 /// velocity and pressure within `100 × cg_tol` in relative max-norm — the
 /// pressure solve stops at a relative residual of `cg_tol`, so two correct
 /// forms of one operator may end a step that far apart.
@@ -254,6 +281,11 @@ fn step_is_its_recomposition_bitwise_on_the_case_matrix_and_to_cg_tolerance_on_t
         mass: parts.mass.as_slice(),
         diag: Cow::Borrowed(parts.proj_diag.as_slice()),
     };
+    let assembled = CaseMatrix {
+        a: parts.projection(&mesh),
+        diag: parts.proj_diag.as_slice(),
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (scheme, parallel) in [
         (TimeScheme::ForwardEuler, false),
         (TimeScheme::SspRk3, true),
@@ -273,15 +305,10 @@ fn step_is_its_recomposition_bitwise_on_the_case_matrix_and_to_cg_tolerance_on_t
             solver.set_bc(bc.clone());
             solver.reset(&init);
             for step in 0..3 {
-                let (u, p, want) = reference_step(
-                    &mesh,
-                    &parts,
-                    &oracle,
-                    &bc,
-                    &cfg,
-                    solver.velocity(),
-                    solver.pressure(),
-                );
+                let (state, pressure) = (solver.velocity(), solver.pressure());
+                let exact = reference_step(&mesh, &parts, &assembled, &bc, &cfg, state, pressure);
+                let (u, p, want) =
+                    reference_step(&mesh, &parts, &oracle, &bc, &cfg, state, pressure);
                 let got = solver.step(Variant::Rsp);
                 let at = format!("{scheme:?} step {step}");
                 assert!(
@@ -289,6 +316,26 @@ fn step_is_its_recomposition_bitwise_on_the_case_matrix_and_to_cg_tolerance_on_t
                     "{at}: {:?}",
                     got.cg
                 );
+
+                assert_eq!(got.cg, exact.2.cg, "{at}");
+                assert_eq!(
+                    bits(solver.velocity().as_slice()),
+                    bits(exact.0.as_slice()),
+                    "{at}"
+                );
+                assert_eq!(
+                    bits(solver.pressure().as_slice()),
+                    bits(exact.1.as_slice()),
+                    "{at}"
+                );
+                for (g, w) in [
+                    (got.divergence_before, exact.2.divergence_before),
+                    (got.divergence_after, exact.2.divergence_after),
+                    (got.kinetic_energy, exact.2.kinetic_energy),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{at}: {g:e} vs {w:e}");
+                }
+
                 assert_eq!(got.cg.converged, want.cg.converged, "{at}");
                 assert!(
                     got.cg.iterations.abs_diff(want.cg.iterations) <= 2,

@@ -154,3 +154,28 @@ fn eight_way_concurrent_tenants_stay_isolated() {
     let contract = check_report(&report);
     assert!(contract.is_clean(), "{contract}");
 }
+
+/// The assembled projection matrix is built by a case's first *step*: a
+/// case that only ever runs assemble items never pays its time or bytes,
+/// and sessions that do step share the one copy the case holds.
+#[test]
+fn only_a_stepping_session_builds_the_case_projection_matrix() {
+    let case = case_a();
+    let svc = service(2, 1);
+    let t = svc.add_tenant("assembler", 1, 2);
+    let assemble = SessionSpec::new(Arc::clone(&case), 3).assemble_only();
+    for _ in 0..2 {
+        svc.admit(t, &assemble).expect("pool has room");
+    }
+    svc.run_to_idle();
+    assert_eq!(svc.report().outcomes.len(), 2);
+    assert!(
+        case.parts.proj.get().is_none(),
+        "an assemble-only case built the pressure matrix"
+    );
+
+    svc.admit(t, &SessionSpec::new(Arc::clone(&case), 1))
+        .expect("pool has room");
+    svc.run_to_idle();
+    assert!(case.parts.proj.get().is_some());
+}
