@@ -604,6 +604,20 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 5]); 8] = [
     ),
 ];
 
+/// The row of `GOLDEN_RHS_BITS` a strategy must reproduce. `auto` has no
+/// digests of its own: it is held to the row of whatever it resolves to,
+/// and a one-part partition sums in the serial order.
+fn golden_row(strategy: &ParallelStrategy) -> String {
+    match strategy {
+        ParallelStrategy::Colored(_) => "colored".into(),
+        ParallelStrategy::Partitioned(state) => match state.partition.num_parts() {
+            1 => "serial".into(),
+            parts => format!("partitioned/{parts}"),
+        },
+        ParallelStrategy::Sharded(shards) => format!("sharded/{}", shards.num_shards()),
+    }
+}
+
 /// The 1e-12-of-serial and packed == scalar suites cannot see a refactor
 /// that reorders a strategy's nodal sums; these digests can. Every
 /// (path, variant, mode) cell must reproduce the recorded bits exactly.
@@ -623,6 +637,12 @@ fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
         ParallelStrategy::sharded(mesh, 2),
         ParallelStrategy::sharded(mesh, 3),
     ];
+    let auto = ParallelStrategy::auto(mesh);
+    let auto_row = golden_row(&auto);
+    let (_, auto_golden) = GOLDEN_RHS_BITS
+        .iter()
+        .find(|(path, _)| *path == auto_row)
+        .unwrap_or_else(|| panic!("auto resolved to {auto_row}, which has no recorded row"));
     for (col, variant) in Variant::ALL.into_iter().enumerate() {
         for mode in [ExecMode::Scalar, ExecMode::Packed] {
             // Same order as the rows of `GOLDEN_RHS_BITS`.
@@ -645,6 +665,14 @@ fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
                     mode.name()
                 );
             }
+            let rhs = assemble_parallel_with(variant, &input, &auto, mode);
+            let bits = alya_serve::digest_bits(FNV_OFFSET, rhs.as_slice());
+            assert_eq!(
+                bits,
+                auto_golden[col],
+                "auto × {variant} × {}: RHS digest {bits:#018x} is not the {auto_row} row's",
+                mode.name()
+            );
         }
     }
 }
