@@ -2,9 +2,12 @@
 //! (serial / colored / partitioned / sharded) across variants
 //! and thread counts on the Bolund-like terrain case, emitted as
 //! `BENCH_drivers.json` so the repo carries a perf trajectory. Every
-//! concrete configuration is additionally timed in the lane-packed
-//! execution mode ([`alya_core::ExecMode::Packed`]) as a
-//! `-packed`-suffixed strategy row.
+//! configuration is timed in both execution modes: a plain row is
+//! [`alya_core::ExecMode::Scalar`], a `-packed`-suffixed row the
+//! lane-packed mode the drivers default to. The `auto(x)` rows re-time the
+//! strategy [`ParallelStrategy::auto`] resolved to (`serial` for its
+//! one-part floor); outside `--quick` the bin exits nonzero if one
+//! disagrees with `x`'s own row by more than 5 % on best-of-samples.
 //!
 //! Usage:
 //!
@@ -58,6 +61,7 @@ struct Args {
     trace: Option<String>,
     probe_dump: Option<String>,
     assert_packed: bool,
+    quick: bool,
 }
 
 /// Parses a comma-separated, case-insensitive list of contract names
@@ -147,6 +151,7 @@ fn parse_args() -> Result<Args, String> {
         trace,
         probe_dump,
         assert_packed,
+        quick,
     })
 }
 
@@ -264,7 +269,12 @@ fn main() {
             strategies.push(("serial".into(), None));
         }
         let auto = ParallelStrategy::auto(&case.mesh);
-        let auto_name = format!("auto({})", auto.name());
+        let auto_name = match &auto {
+            ParallelStrategy::Partitioned(state) if state.partition.num_parts() == 1 => {
+                "auto(serial)".to_string()
+            }
+            auto => format!("auto({})", auto.name()),
+        };
         strategies.push((
             "colored".into(),
             Some(ParallelStrategy::colored(&case.mesh)),
@@ -279,24 +289,23 @@ fn main() {
         ));
         strategies.push((auto_name, Some(auto)));
 
+        let sweep = |strategy: &Option<ParallelStrategy>, variant, mode| match strategy {
+            None => drop(assemble_serial_with(variant, &input, mode)),
+            Some(s) => drop(assemble_parallel_with(variant, &input, s, mode)),
+        };
+        // A worker first woken under a new cap runs its first sweeps slow
+        // (the committed auto(sharded) row once read 9.9 Melem/s against
+        // sharded's 13.4): one discarded sweep per strategy before any of
+        // this column is timed.
+        for (_, strategy) in &strategies {
+            sweep(strategy, variants[0], ExecMode::Packed);
+        }
+
         for (name, strategy) in &strategies {
             for &variant in &variants {
-                // Scalar always; packed for every concrete strategy (auto
-                // re-times one of them, so its packed row would be a
-                // duplicate).
-                let mut modes = vec![ExecMode::Scalar];
-                if !name.starts_with("auto") {
-                    modes.push(ExecMode::Packed);
-                }
-                for mode in modes {
-                    let (median, min, max) = match strategy {
-                        None => time_runs(args.samples, || {
-                            let _ = assemble_serial_with(variant, &input, mode);
-                        }),
-                        Some(s) => time_runs(args.samples, || {
-                            let _ = assemble_parallel_with(variant, &input, s, mode);
-                        }),
-                    };
+                for mode in [ExecMode::Scalar, ExecMode::Packed] {
+                    let (median, min, max) =
+                        time_runs(args.samples, || sweep(strategy, variant, mode));
                     let row_name = match mode {
                         ExecMode::Scalar => name.clone(),
                         ExecMode::Packed => format!("{name}-packed"),
@@ -340,9 +349,46 @@ fn main() {
         alya_bench::blackbox::write_probe_dump(path, "drivers bench exit");
     }
 
-    if args.assert_packed && !packed_beats_scalar(&rows) {
+    // Best-of-two on a millisecond sweep is a smoke test, not a table.
+    let auto_ok = auto_retimes_its_strategy(&rows) || args.quick;
+    if !auto_ok || (args.assert_packed && !packed_beats_scalar(&rows)) {
         std::process::exit(1);
     }
+}
+
+/// Every `auto(x)` row re-times strategy `x` under the same cap, so its
+/// best-of-samples must sit within 5 % of `x`'s own row (`serial` has one
+/// row, at one thread). A table that fails this measured the harness or a
+/// busy host, and should not be committed.
+fn auto_retimes_its_strategy(rows: &[Row]) -> bool {
+    let mut ok = true;
+    for auto in rows {
+        // "auto(sharded)-packed" re-times "sharded-packed".
+        let Some(name) = auto.strategy.strip_prefix("auto(") else {
+            continue;
+        };
+        let name = name.replacen(')', "", 1);
+        let Some(own) = rows.iter().find(|r| {
+            r.strategy == name
+                && r.variant == auto.variant
+                && (r.threads == auto.threads || name.starts_with("serial"))
+        }) else {
+            continue;
+        };
+        let ratio = auto.min_s / own.min_s;
+        if !(0.95..=1.05).contains(&ratio) {
+            eprintln!(
+                "{} {} t={}: best {:.3} ms, but {name} itself {:.3} ms ({ratio:.2}x)",
+                auto.strategy,
+                auto.variant,
+                auto.threads,
+                auto.min_s * 1e3,
+                own.min_s * 1e3
+            );
+            ok = false;
+        }
+    }
+    ok
 }
 
 /// The CI smoke gate: for every variant measured through both serial

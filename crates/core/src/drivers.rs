@@ -6,22 +6,27 @@
 //! — the paper's CPU shape, "a single vectorization loop and a scalar
 //! scatter loop" — over **one kernel per variant**, [`kernels::element`]:
 //! full packs at `L =` [`DEFAULT_LANES`] when the mode is
-//! [`ExecMode::Packed`], then the remainder at `L = 1`
-//! ([`ExecMode::Scalar`] is simply "zero packs"). Every driver is a list of
-//! element ids plus a sink handed to that loop:
+//! [`ExecMode::Packed`] (what every entry point without a mode parameter
+//! runs), then the remainder at `L = 1` ([`ExecMode::Scalar`] is simply
+//! "zero packs"). Every driver is a list of element ids plus a sink handed
+//! to that loop:
 //!
 //! * [`assemble_serial`] — ids `0..ne`, direct read-modify-write scatter;
 //! * [`assemble_parallel`] with
-//!   * [`ParallelStrategy::Colored`] — races prevented by element
-//!     coloring, every color class fully parallel with plain stores;
 //!   * [`ParallelStrategy::Partitioned`] — owner-computes over mesh
 //!     partitions, each part into a pooled full-width buffer, then a dense
-//!     reduction;
+//!     reduction; a one-part partition runs straight into the output on the
+//!     calling thread, bitwise [`assemble_serial`];
 //!   * [`ParallelStrategy::Sharded`] — owner-computes over shards with
 //!     **compact local-numbered** accumulation buffers (O(nodes-in-shard),
 //!     not O(nn)), unsynchronized direct writeback of interior nodes, and
 //!     a parallel **tree reduction** of only the shard-boundary
 //!     contributions;
+//!   * [`ParallelStrategy::Colored`] — races prevented by element
+//!     coloring, every color class a fork-join with plain stores; only on
+//!     request, [`ParallelStrategy::auto`] never picks it;
+//!
+//!   the `*_into` forms of both write a caller-owned RHS;
 //! * [`crate::DistributedDriver`] — the sharded span, one rank per shard;
 //! * [`assemble_traced`] / [`trace_element`] — the instrumented runs the
 //!   performance models replay.
@@ -138,7 +143,11 @@ pub(crate) fn with_nut<T>(
 /// Both modes execute the same kernel statements and produce
 /// bitwise-identical RHS vectors under the same strategy: a lane computes
 /// what a one-lane call computes, and lanes scatter in list order (pinned
-/// by the equivalence suite). `Packed` is purely a throughput lever.
+/// by the equivalence suite). `Packed` is purely a throughput lever, and
+/// the faster one on every committed `BENCH_drivers.json` row, so it is
+/// what [`assemble_serial`] and [`assemble_parallel`] run; `Scalar` is
+/// reached through the `*_with` / `*_into` forms (lane studies, the
+/// scalar rows of the `drivers` bench).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One element at a time: the whole list is "remainder".
@@ -269,31 +278,44 @@ pub(crate) fn assemble_list<S: ListSink>(
 
 /// Serial assembly over the whole mesh (the reference implementation).
 pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
-    assemble_serial_with(variant, input, ExecMode::Scalar)
+    assemble_serial_with(variant, input, ExecMode::Packed)
 }
 
 /// [`assemble_serial`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Only handwritten
-/// kernels have lanes; generated kernels run one element at a time in
-/// either mode. Elements are tallied once per call — never per pack or
-/// lane — so telemetry is invariant across modes.
+/// [`KernelImpl`], the element body) made explicit.
 pub fn assemble_serial_with<'k>(
     kernel: impl Into<KernelImpl<'k>>,
     input: &AssemblyInput,
     mode: ExecMode,
 ) -> VectorField {
+    let mut rhs = VectorField::zeros(input.mesh.num_nodes());
+    assemble_serial_into(kernel, input, mode, &mut rhs);
+    rhs
+}
+
+/// [`assemble_serial_with`] into a caller-owned `rhs` (one entry per mesh
+/// node), overwritten. Only handwritten kernels have lanes; generated
+/// kernels run one element at a time in either mode. Elements are tallied
+/// once per call — never per pack or lane — so telemetry is invariant
+/// across modes.
+pub fn assemble_serial_into<'k>(
+    kernel: impl Into<KernelImpl<'k>>,
+    input: &AssemblyInput,
+    mode: ExecMode,
+    rhs: &mut VectorField,
+) {
     let kernel = kernel.into();
     let variant = kernel.variant();
+    assert_eq!(rhs.num_nodes(), input.mesh.num_nodes(), "RHS size");
     let _sp = telemetry::span(span_name("serial", kernel, mode));
     with_nut(variant, input, |input| {
         let ne = input.mesh.num_elements();
         metrics::tally_elements(variant, ne as u64);
-        let mut rhs = VectorField::zeros(input.mesh.num_nodes());
-        let mut sink = DirectSink { rhs: &mut rhs };
+        rhs.fill_zero();
+        let mut sink = DirectSink { rhs };
         let mut ws_buf = workspace(variant);
         assemble_list(kernel, mode, input, ne, |i| i, &mut ws_buf, &mut sink);
-        rhs
-    })
+    });
 }
 
 /// Records the instrumented event stream of a single element.
@@ -370,27 +392,26 @@ pub fn assemble_traced(variant: Variant, input: &AssemblyInput) -> (VectorField,
 pub enum ParallelStrategy {
     /// Element coloring; every color class runs fully parallel.
     Colored(Coloring),
-    /// Owner-computes over partitions with per-worker RHS buffers.
+    /// Owner-computes over partitions with per-worker RHS buffers; one
+    /// part is the serial loop on the calling thread.
     Partitioned(PartitionedState),
     /// Owner-computes over shards with compact local-numbered buffers,
     /// direct interior writeback, and a boundary tree reduction.
     Sharded(ShardSet),
 }
 
-/// Elements per worker below which [`ParallelStrategy::auto`] prefers the
-/// colored strategy: shard construction and boundary merging only pay off
-/// once each shard amortizes them over enough elements.
+/// Elements per worker below which [`ParallelStrategy::auto`] stays on
+/// the calling thread: shard construction, the fork-join and boundary
+/// merging only pay off once each shard amortizes them over enough
+/// elements.
 pub const SHARD_AUTO_MIN_ELEMS_PER_WORKER: usize = 2048;
 
 /// Measured driver throughput parsed from a committed `BENCH_drivers.json`
 /// report (the `drivers` benchmark's output).
 ///
-/// [`ParallelStrategy::auto`] consults this instead of trusting the
-/// element-count heuristic alone: when the repo carries measurements for
-/// this host class, the strategy that actually ran faster wins. Absent or
-/// unparseable data degrades to the heuristic — a bench file must never
-/// be able to break assembly — but the degradation is *reported* through
-/// the telemetry event channel ([`alya_telemetry::warn`]), never silent.
+/// Nothing reads it while assembling: analyzer pass 8 audits the packed
+/// rows through it, and `tests/equivalence.rs` holds
+/// [`ParallelStrategy::auto`]'s rule against the committed rows.
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputDb {
     /// `(strategy, variant, threads, melem_per_s)` rows. Rows without a
@@ -429,66 +450,26 @@ impl ThroughputDb {
 
     /// Loads and parses a report file. A missing or unparseable file
     /// returns `None` *and* pushes a warning onto the telemetry event
-    /// channel, so `auto`'s fallback to the heuristic is observable.
-    // alya:cold: one-time config read behind `load_default`'s OnceLock —
-    // the `.load(` calls in hot counter code are `AtomicU64::load`, which
-    // the name-based call graph cannot tell apart from this.
+    /// channel.
+    // alya:cold: an audit-time file read — the `.load(` calls in hot
+    // counter code are `AtomicU64::load`, which the name-based call graph
+    // cannot tell apart from this.
     pub fn load(path: &std::path::Path) -> Option<Self> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) => {
-                telemetry::warn(format!(
-                    "ThroughputDb: cannot read {}: {e}; strategy auto-selection falls \
-                     back to the element-count heuristic",
-                    path.display()
-                ));
+                telemetry::warn(format!("ThroughputDb: cannot read {}: {e}", path.display()));
                 return None;
             }
         };
         let db = Self::parse(&text);
         if db.is_none() {
             telemetry::warn(format!(
-                "ThroughputDb: no well-formed throughput rows in {}; strategy \
-                 auto-selection falls back to the element-count heuristic",
+                "ThroughputDb: no well-formed throughput rows in {}",
                 path.display()
             ));
         }
         db
-    }
-
-    /// The committed workspace baseline (`BENCH_drivers.json` at the
-    /// workspace root, overridable via `ALYA_BENCH_DRIVERS`), parsed once
-    /// per process.
-    pub fn load_default() -> Option<&'static Self> {
-        static DB: std::sync::OnceLock<Option<ThroughputDb>> = std::sync::OnceLock::new();
-        DB.get_or_init(|| {
-            let path = match std::env::var_os("ALYA_BENCH_DRIVERS") {
-                Some(p) => std::path::PathBuf::from(p),
-                None => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .ancestors()
-                    .nth(2)?
-                    .join("BENCH_drivers.json"),
-            };
-            Self::load(&path)
-        })
-        .as_ref()
-    }
-
-    /// Best measured Melem/s of `strategy` at the thread count nearest to
-    /// `threads` (max over variants). `None` when the db has no rows for
-    /// the strategy.
-    pub fn best_melem_per_s(&self, strategy: &str, threads: usize) -> Option<f64> {
-        let nearest = self
-            .rows
-            .iter()
-            .filter(|(s, _, _, _)| s == strategy)
-            .map(|&(_, _, t, _)| t)
-            .min_by_key(|&t| t.abs_diff(threads))?;
-        self.rows
-            .iter()
-            .filter(|(s, _, t, _)| s == strategy && *t == nearest)
-            .map(|&(_, _, _, m)| m)
-            .max_by(f64::total_cmp)
     }
 
     /// Measured Melem/s for one exact `(strategy, variant, threads)` cell
@@ -501,18 +482,6 @@ impl ThroughputDb {
             .filter(|(s, v, t, _)| s == strategy && v == variant && *t == threads)
             .map(|&(_, _, _, m)| m)
             .max_by(f64::total_cmp)
-    }
-
-    /// Distinct variant names present in rows of `strategy` at `threads`,
-    /// in first-seen order.
-    pub fn variants(&self, strategy: &str, threads: usize) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for (s, v, t, _) in &self.rows {
-            if s == strategy && *t == threads && !out.iter().any(|x| x == v) {
-                out.push(v.clone());
-            }
-        }
-        out
     }
 }
 
@@ -554,37 +523,24 @@ impl ParallelStrategy {
         ParallelStrategy::Sharded(ShardSet::build(mesh, &partition))
     }
 
-    /// Picks a strategy from the mesh size, the active worker count and —
-    /// when the repo carries one — the committed `BENCH_drivers.json`
-    /// measurements: sharded once every worker has at least
-    /// [`SHARD_AUTO_MIN_ELEMS_PER_WORKER`] elements (the regime where the
-    /// compact buffers and boundary-only reduction win), unless the bench
-    /// baseline measured colored faster at this thread count; colored
-    /// otherwise.
+    /// Picks a strategy from the mesh size and the active worker count:
+    /// one shard per worker once there is more than one worker and each
+    /// gets at least [`SHARD_AUTO_MIN_ELEMS_PER_WORKER`] elements (the
+    /// regime where the compact buffers and boundary-only reduction win);
+    /// otherwise a one-part partition, which is the serial loop — the
+    /// floor no parallel strategy may fall below. Never colored: no
+    /// committed `BENCH_drivers.json` row has it ahead of either, and
+    /// `tests/equivalence.rs` holds this rule against that table.
     pub fn auto(mesh: &alya_mesh::TetMesh) -> Self {
-        Self::auto_with(mesh, par::num_threads(), ThroughputDb::load_default())
+        Self::auto_with(mesh, par::num_threads())
     }
 
-    /// [`Self::auto`] with the worker count and throughput data made
-    /// explicit (what the unit tests drive; `auto` supplies the live
-    /// values).
-    pub fn auto_with(mesh: &alya_mesh::TetMesh, workers: usize, db: Option<&ThroughputDb>) -> Self {
+    /// [`Self::auto`] with the worker count made explicit.
+    pub fn auto_with(mesh: &alya_mesh::TetMesh, workers: usize) -> Self {
         if workers > 1 && mesh.num_elements() >= workers * SHARD_AUTO_MIN_ELEMS_PER_WORKER {
-            // Measured data can overturn the heuristic's sharded default,
-            // but only when it covers both candidates.
-            if let Some(db) = db {
-                if let (Some(colored), Some(sharded)) = (
-                    db.best_melem_per_s("colored", workers),
-                    db.best_melem_per_s("sharded", workers),
-                ) {
-                    if colored > sharded {
-                        return Self::colored(mesh);
-                    }
-                }
-            }
             Self::sharded(mesh, workers)
         } else {
-            Self::colored(mesh)
+            Self::partitioned(mesh, 1)
         }
     }
 
@@ -831,30 +787,47 @@ pub fn assemble_parallel(
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
 ) -> VectorField {
-    assemble_parallel_with(variant, input, strategy, ExecMode::Scalar)
+    assemble_parallel_with(variant, input, strategy, ExecMode::Packed)
 }
 
 /// [`assemble_parallel`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit. Only handwritten
-/// kernels have lanes; generated kernels run one element at a time in
-/// either mode. Each strategy is a choice of id lists and a sink for the
-/// one element loop; its accumulation order does not depend on the mode,
-/// so every strategy stays bitwise equal across modes.
+/// [`KernelImpl`], the element body) made explicit.
 pub fn assemble_parallel_with<'k>(
     kernel: impl Into<KernelImpl<'k>>,
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
     mode: ExecMode,
 ) -> VectorField {
+    let mut rhs = VectorField::zeros(input.mesh.num_nodes());
+    assemble_parallel_into(kernel, input, strategy, mode, &mut rhs);
+    rhs
+}
+
+/// [`assemble_parallel_with`] into a caller-owned `rhs` (one entry per
+/// mesh node), overwritten. Only handwritten kernels have lanes; generated
+/// kernels run one element at a time in either mode. Each strategy is a
+/// choice of id lists and a sink for the one element loop; its
+/// accumulation order does not depend on the mode, so every strategy stays
+/// bitwise equal across modes.
+pub fn assemble_parallel_into<'k>(
+    kernel: impl Into<KernelImpl<'k>>,
+    input: &AssemblyInput,
+    strategy: &ParallelStrategy,
+    mode: ExecMode,
+    rhs: &mut VectorField,
+) {
     let kernel = kernel.into();
     let variant = kernel.variant();
+    let nn = input.mesh.num_nodes();
+    // The colored and sharded arms store through a raw pointer at offsets
+    // computed from `nn`.
+    assert_eq!(rhs.num_nodes(), nn, "RHS size");
     let _sp = telemetry::span(span_name(strategy.name(), kernel, mode));
     with_nut(variant, input, |input| {
-        let nn = input.mesh.num_nodes();
         // Elements tallied once per call — never per pack or lane —
         // keeping the Table-I profile invariant across modes.
         metrics::tally_elements(variant, input.mesh.num_elements() as u64);
-        let mut rhs = VectorField::zeros(nn);
+        rhs.fill_zero();
         match strategy {
             ParallelStrategy::Colored(coloring) => {
                 // Debug builds statically re-prove the race-freedom
@@ -887,6 +860,15 @@ pub fn assemble_parallel_with<'k>(
                         },
                     );
                 }
+            }
+            ParallelStrategy::Partitioned(state) if state.partition.num_parts() == 1 => {
+                // The serial floor: the whole mesh in id order straight
+                // into the output — no fork, no pooled buffer, no
+                // reduction pass.
+                let ids = state.partition.part(0);
+                let (mut sink, mut ws) = (DirectSink { rhs }, workspace(variant));
+                let key_at = |i| ids[i] as usize;
+                assemble_list(kernel, mode, input, ids.len(), key_at, &mut ws, &mut sink);
             }
             ParallelStrategy::Partitioned(state) => {
                 let partition = &state.partition;
@@ -947,8 +929,7 @@ pub fn assemble_parallel_with<'k>(
                 }
             }
         }
-        rhs
-    })
+    });
 }
 
 #[cfg(test)]
@@ -1007,7 +988,7 @@ mod tests {
         // Non-multiple-of-LANES element count exercises the remainder path.
         assert_ne!(mesh.num_elements() % DEFAULT_LANES, 0);
         for variant in Variant::ALL {
-            let scalar = assemble_serial(variant, &input);
+            let scalar = assemble_serial_with(variant, &input, ExecMode::Scalar);
             let lane = assemble_serial_with(variant, &input, ExecMode::Packed);
             assert_eq!(
                 scalar.max_abs_diff(&lane),
@@ -1019,7 +1000,7 @@ mod tests {
                 ParallelStrategy::partitioned(&mesh, 5),
                 ParallelStrategy::sharded(&mesh, 5),
             ] {
-                let s = assemble_parallel(variant, &input, &strategy);
+                let s = assemble_parallel_with(variant, &input, &strategy, ExecMode::Scalar);
                 let q = assemble_parallel_with(variant, &input, &strategy, ExecMode::Packed);
                 assert_eq!(
                     s.max_abs_diff(&q),
@@ -1189,12 +1170,13 @@ mod tests {
         let (v, p, t) = setup(&mesh);
         let input = AssemblyInput::new(&mesh, &v, &p, &t);
         let strategy = ParallelStrategy::auto(&mesh);
-        // On a small mesh auto must fall back to colored regardless of the
-        // worker count (2048 elements/worker floor).
-        assert_eq!(strategy.name(), "colored");
+        // On a small mesh auto is the serial floor regardless of the
+        // worker count (2048 elements/worker).
+        assert_eq!(strategy.name(), "partitioned");
         let serial = assemble_serial(Variant::Rspr, &input);
         let par = assemble_parallel(Variant::Rspr, &input, &strategy);
-        assert!(max_rel_diff(&serial, &par) < 1e-12);
+        assert_eq!(serial.max_abs_diff(&par), 0.0);
+        assert_eq!(ParallelStrategy::colored(&mesh).name(), "colored");
         assert_eq!(ParallelStrategy::sharded(&mesh, 2).name(), "sharded");
         assert_eq!(
             ParallelStrategy::partitioned(&mesh, 2).name(),
@@ -1214,34 +1196,27 @@ mod tests {
           ]
         }"#;
         let db = ThroughputDb::parse(json).expect("well-formed rows");
-        // Max over variants at the matching thread count.
-        assert_eq!(db.best_melem_per_s("colored", 4), Some(14.0));
-        // Nearest thread count wins when there is no exact match (the
-        // negative-throughput row was rejected, so 8 is nearest to 4).
-        assert_eq!(db.best_melem_per_s("sharded", 4), Some(21.0));
-        assert_eq!(db.best_melem_per_s("partitioned", 4), None);
-        // Exact-cell lookup (no nearest-thread fallback) and variant
-        // enumeration, as the SIMD-contract analyzer uses them.
+        // Exact-cell lookup (no nearest-thread fallback), as the
+        // SIMD-contract analyzer uses it.
         assert_eq!(db.melem_per_s("colored", "rspr", 4), Some(14.0));
         assert_eq!(db.melem_per_s("colored", "rspr", 8), None);
+        assert_eq!(db.melem_per_s("sharded", "rsp", 8), Some(21.0));
+        // The negative-throughput row was rejected.
         assert_eq!(db.melem_per_s("sharded", "rsp", 4), None);
-        assert_eq!(db.variants("colored", 4), vec!["rsp", "rspr"]);
-        assert!(db.variants("partitioned", 4).is_empty());
         assert!(ThroughputDb::parse("").is_none());
         assert!(ThroughputDb::parse("{\"results\": []}").is_none());
         assert!(ThroughputDb::parse("not json at all").is_none());
     }
 
     #[test]
-    fn throughput_db_load_failures_warn_exactly_once_and_fall_back() {
+    fn throughput_db_load_failures_warn_exactly_once() {
         // Both failure shapes in one test, run sequentially: the warning
         // channel is process-global, so parallel sibling tests could
         // interleave their own warnings — filtering each drain by this
         // test's unique path component keeps the exactly-one assertions
         // honest either way.
 
-        // Missing file: load warns once (unreadable) and returns None, so
-        // auto degrades to the element-count heuristic.
+        // Missing file: load warns once (unreadable) and returns None.
         let missing = std::env::temp_dir().join("alya-db-missing-8f41/BENCH_drivers.json");
         let _ = telemetry::drain_warnings();
         assert!(ThroughputDb::load(&missing).is_none());
@@ -1251,7 +1226,6 @@ mod tests {
             .collect();
         assert_eq!(warns.len(), 1, "{warns:?}");
         assert!(warns[0].contains("cannot read"), "{warns:?}");
-        assert!(warns[0].contains("element-count heuristic"), "{warns:?}");
 
         // Unparseable file: load warns once (no well-formed rows) and
         // returns None all the same.
@@ -1269,55 +1243,59 @@ mod tests {
             warns[0].contains("no well-formed throughput rows"),
             "{warns:?}"
         );
-        assert!(warns[0].contains("element-count heuristic"), "{warns:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn auto_consults_measured_throughput_when_present() {
+    fn auto_shards_large_meshes_floors_at_one_part_and_never_colours() {
         // Big enough that 4 workers clear the 2048 elements/worker floor.
-        let mesh = BoxMeshBuilder::new(12, 12, 10).build();
-        assert!(mesh.num_elements() >= 4 * SHARD_AUTO_MIN_ELEMS_PER_WORKER);
-        let colored_wins = ThroughputDb::parse(
-            r#"[{"strategy": "colored", "threads": 4, "melem_per_s": 30.0},
-                {"strategy": "sharded", "threads": 4, "melem_per_s": 20.0}]"#,
-        )
-        .unwrap();
-        let sharded_wins = ThroughputDb::parse(
-            r#"[{"strategy": "colored", "threads": 4, "melem_per_s": 20.0},
-                {"strategy": "sharded", "threads": 4, "melem_per_s": 30.0}]"#,
-        )
-        .unwrap();
-        let one_sided =
-            ThroughputDb::parse(r#"[{"strategy": "colored", "threads": 4, "melem_per_s": 30.0}]"#)
-                .unwrap();
-        assert_eq!(
-            ParallelStrategy::auto_with(&mesh, 4, Some(&colored_wins)).name(),
-            "colored"
-        );
-        assert_eq!(
-            ParallelStrategy::auto_with(&mesh, 4, Some(&sharded_wins)).name(),
-            "sharded"
-        );
-        // Partial data cannot overturn the heuristic.
-        assert_eq!(
-            ParallelStrategy::auto_with(&mesh, 4, Some(&one_sided)).name(),
-            "sharded"
-        );
-        // File-absent path: pure element-count heuristic.
-        assert_eq!(
-            ParallelStrategy::auto_with(&mesh, 4, None).name(),
-            "sharded"
-        );
-        assert_eq!(
-            ParallelStrategy::auto_with(&mesh, 1, None).name(),
-            "colored"
-        );
+        let large = BoxMeshBuilder::new(12, 12, 10).build();
+        assert!(large.num_elements() >= 4 * SHARD_AUTO_MIN_ELEMS_PER_WORKER);
         let small = BoxMeshBuilder::new(3, 3, 2).build();
-        assert_eq!(
-            ParallelStrategy::auto_with(&small, 4, Some(&sharded_wins)).name(),
-            "colored"
-        );
+        let parts = |s: &ParallelStrategy| match s {
+            ParallelStrategy::Partitioned(state) => state.partition.num_parts(),
+            ParallelStrategy::Sharded(shards) => shards.num_shards(),
+            ParallelStrategy::Colored(_) => panic!("auto coloured"),
+        };
+        for (mesh, workers, name, want_parts) in [
+            (&large, 1, "partitioned", 1),
+            (&small, 4, "partitioned", 1),
+            (&large, 4, "sharded", 4),
+            // One worker more than the 8640 elements feed at the floor.
+            (&large, 5, "partitioned", 1),
+        ] {
+            let strategy = ParallelStrategy::auto_with(mesh, workers);
+            assert_eq!(strategy.name(), name, "{workers} workers");
+            assert_eq!(parts(&strategy), want_parts, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn one_part_partitioned_is_bitwise_serial_and_pools_nothing() {
+        let mesh = BoxMeshBuilder::new(3, 3, 3).jitter(0.1).seed(11).build();
+        let (v, p, t) = setup(&mesh);
+        let input = AssemblyInput::new(&mesh, &v, &p, &t)
+            .props(ConstantProperties::AIR)
+            .body_force([0.1, 0.0, -0.5]);
+        let strategy = ParallelStrategy::partitioned(&mesh, 1);
+        let ParallelStrategy::Partitioned(state) = &strategy else {
+            panic!("constructor built the wrong variant");
+        };
+        // A dirty, reused output buffer: `_into` overwrites.
+        let mut out = VectorField::from_fn(&mesh, |p| [p[0], 7.0, -p[2]]);
+        for variant in Variant::ALL {
+            for mode in [ExecMode::Scalar, ExecMode::Packed] {
+                let serial = assemble_serial_with(variant, &input, mode);
+                assert!(serial.max_abs() > 0.0, "degenerate test input");
+                assemble_parallel_into(variant, &input, &strategy, mode, &mut out);
+                let bits =
+                    |f: &VectorField| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&serial), "{variant} × {}", mode.name());
+                assemble_serial_into(variant, &input, mode, &mut out);
+                assert_eq!(bits(&out), bits(&serial), "{variant} × {}", mode.name());
+            }
+        }
+        assert_eq!(state.pooled(), 0, "the serial floor checked out a buffer");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   state is rewound in place ([`alya_solver::FractionalStep::reset`])
 //!   and nothing is allocated. Different case → **cold** rebuild from the
 //!   case's shared [`CaseParts`] (mesh, preconditioner diagonal, lumped
-//!   mass, coloring, element geometry table — one copy per case,
+//!   mass, assembly strategy, element geometry table — one copy per case,
 //!   `Arc`-shared copy-on-write across every session of that case).
 //! * [`sched`] — a deficit-round-robin fair scheduler dispatching session
 //!   work items (one full fractional step, or one RHS assembly) in
@@ -100,7 +100,7 @@ pub enum WorkKind {
 
 /// The immutable, `Arc`-shared description of a case: every session of
 /// the same case shares one mesh, one preconditioner diagonal, one lumped
-/// mass vector, one coloring and one geometry table (the copy-on-write story — sessions only
+/// mass vector, one assembly strategy and one geometry table (the copy-on-write story — sessions only
 /// ever read these, so the "write" never happens and admitting N sessions
 /// of a case costs one case build, not N).
 pub struct SharedCase {
@@ -108,7 +108,7 @@ pub struct SharedCase {
     pub name: String,
     /// The mesh, shared by every session of this case.
     pub mesh: Arc<TetMesh>,
-    /// Shared solver parts (Poisson diagonal, lumped mass, coloring,
+    /// Shared solver parts (Poisson diagonal, lumped mass, assembly strategy,
     /// geometry table).
     pub parts: CaseParts,
     /// Integrator configuration every session of this case runs with.

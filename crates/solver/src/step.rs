@@ -17,7 +17,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use alya_core::{assemble_parallel, assemble_serial, AssemblyInput, ParallelStrategy, Variant};
+use alya_core::{
+    assemble_parallel_into, assemble_serial_into, AssemblyInput, ExecMode, ParallelStrategy,
+    Variant,
+};
 use alya_fem::bc::DirichletBc;
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
@@ -67,7 +70,9 @@ pub struct StepConfig {
     pub cg_tol: f64,
     /// CG iteration cap.
     pub cg_max_iters: usize,
-    /// Rayon-parallel assembly (serial otherwise).
+    /// Assemble the momentum RHS through [`CaseParts::strategy`] on
+    /// `alya_machine::par`'s worker threads (serially on the calling
+    /// thread otherwise).
     pub parallel: bool,
 }
 
@@ -118,10 +123,10 @@ impl MeshHandle<'_> {
 }
 
 /// The immutable per-case data every session of the same case shares:
-/// the Poisson preconditioner diagonal, the lumped mass, the
-/// coloring-based parallel strategy, the element geometry table the
-/// step's three sweeps run from, and the assembled projection operator its
-/// pressure CG runs over. Built once per case, `Arc`-cloned into each
+/// the Poisson preconditioner diagonal, the lumped mass, the parallel
+/// assembly strategy, the element geometry table the step's three sweeps
+/// run from, and the assembled projection operator its pressure CG runs
+/// over. Built once per case, `Arc`-cloned into each
 /// [`FractionalStep`] (the serve pool's copy-on-write story).
 #[derive(Clone)]
 pub struct CaseParts {
@@ -131,7 +136,10 @@ pub struct CaseParts {
     pub proj_diag: Arc<Vec<f64>>,
     /// Lumped mass.
     pub mass: Arc<Vec<f64>>,
-    /// Parallel assembly strategy (element coloring).
+    /// What a `parallel` step assembles through:
+    /// [`ParallelStrategy::auto`] for the mesh and the worker count at
+    /// build time — one shard per worker, or the serial loop on a mesh too
+    /// small to feed them; never a colouring.
     pub strategy: Arc<ParallelStrategy>,
     /// `∇N_a` and volume of every element (104 B each).
     pub geom: Arc<GeomTable>,
@@ -150,7 +158,7 @@ impl CaseParts {
         Self {
             proj_diag: Arc::new(geom.stiffness_diagonal(mesh)),
             mass: Arc::new(poisson::lumped_mass(mesh)),
-            strategy: Arc::new(ParallelStrategy::colored(mesh)),
+            strategy: Arc::new(ParallelStrategy::auto(mesh)),
             geom: Arc::new(geom),
             proj: Arc::default(),
         }
@@ -177,9 +185,11 @@ pub struct FractionalStep<'m> {
     pressure_scratch: Vec<f64>,
     /// The RK stages; `stages[0]` ends the prediction as `u*`, becomes the
     /// corrected velocity and is swapped with `velocity`. Like the CG
-    /// scratch, this and the two below are sized by the first step (a
+    /// scratch, this and the three below are sized by the first step (a
     /// pooled slot that only ever assembles never pays for them) and kept.
     stages: [VectorField; 2],
+    /// The momentum RHS every stage assembles into.
+    rhs_scratch: VectorField,
     /// `Dᵀ p` of the correction.
     grad_scratch: VectorField,
     /// `D u*` (the pressure RHS), then `D u` of the corrected velocity.
@@ -225,6 +235,7 @@ impl<'m> FractionalStep<'m> {
             cg_scratch: CgScratch::new(),
             pressure_scratch: Vec::new(),
             stages: [VectorField::zeros(0), VectorField::zeros(0)],
+            rhs_scratch: VectorField::zeros(0),
             grad_scratch: VectorField::zeros(0),
             div_scratch: ScalarField::zeros(0),
             time: 0.0,
@@ -311,22 +322,25 @@ impl<'m> FractionalStep<'m> {
         let mass = self.parts.mass.as_slice();
         if self.div_scratch.len() != n {
             self.stages = [VectorField::zeros(n), VectorField::zeros(n)];
+            self.rhs_scratch = VectorField::zeros(n);
             self.grad_scratch = VectorField::zeros(n);
             self.div_scratch = ScalarField::zeros(n);
         }
         let [stage_a, stage_b] = &mut self.stages;
+        let rhs = &mut self.rhs_scratch;
 
         // One explicit stage: out = state + dt * M⁻¹ R(state), BCs re-imposed.
-        let euler_stage = |state: &VectorField, dt: f64, out: &mut VectorField| {
+        let mut euler_stage = |state: &VectorField, dt: f64, out: &mut VectorField| {
             let stage_input = AssemblyInput::new(mesh, state, &self.pressure, &self.temperature)
                 .props(cfg.props)
                 .body_force(cfg.body_force)
                 .vreman_c(cfg.vreman_c);
-            let rhs = if cfg.parallel {
-                assemble_parallel(variant, &stage_input, &self.parts.strategy)
+            if cfg.parallel {
+                let strategy = &self.parts.strategy;
+                assemble_parallel_into(variant, &stage_input, strategy, ExecMode::Packed, rhs);
             } else {
-                assemble_serial(variant, &stage_input)
-            };
+                assemble_serial_into(variant, &stage_input, ExecMode::Packed, rhs);
+            }
             out.as_mut_slice().copy_from_slice(state.as_slice());
             for node in 0..n {
                 let m = (mass[node] * rho).max(1e-300);
@@ -652,6 +666,7 @@ mod tests {
                 swapped[0],
                 swapped[1],
                 s.stages[1].as_slice().as_ptr(),
+                s.rhs_scratch.as_slice().as_ptr(),
                 s.pressure.as_slice().as_ptr(),
                 s.temperature.as_slice().as_ptr(),
                 s.pressure_scratch.as_ptr(),

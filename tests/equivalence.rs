@@ -266,10 +266,10 @@ fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts(
     ];
     for cap in [1, 2, 8] {
         par::set_thread_cap(Some(cap));
-        // Variant::ALL on purpose: P has no packed twin, so the packed
-        // mode must fall back to scalar there — identically.
+        // Variant::ALL on purpose: at eight lanes P is B's loop over a
+        // thread-private workspace, and must stay bitwise its one-lane run.
         for variant in Variant::ALL {
-            let scalar = assemble_serial(variant, &input);
+            let scalar = assemble_serial_with(variant, &input, ExecMode::Scalar);
             let packed = assemble_serial_with(variant, &input, ExecMode::Packed);
             assert_eq!(
                 packed.max_abs_diff(&scalar),
@@ -277,7 +277,7 @@ fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts(
                 "cap {cap}, {variant}: packed serial diverged from scalar"
             );
             for strategy in &strategies {
-                let scalar = assemble_parallel(variant, &input, strategy);
+                let scalar = assemble_parallel_with(variant, &input, strategy, ExecMode::Scalar);
                 let packed = assemble_parallel_with(variant, &input, strategy, ExecMode::Packed);
                 assert_eq!(
                     packed.max_abs_diff(&scalar),
@@ -354,7 +354,7 @@ fn table_one_profile_is_invariant_under_packed_execution() {
 
     for variant in [Variant::Rsp, Variant::Rspr] {
         let session = alya_telemetry::session();
-        let scalar = assemble_serial(variant, &input);
+        let scalar = assemble_serial_with(variant, &input, ExecMode::Scalar);
         let scalar_report = session.finish();
 
         let session = alya_telemetry::session();
@@ -675,4 +675,58 @@ fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
             );
         }
     }
+}
+
+/// `ParallelStrategy::auto` reads no table while assembling; this holds its
+/// rule to the committed one instead. On the benched mesh, for every
+/// committed thread count and variant, the packed row of the strategy
+/// `auto_with` resolves to is within 5 % of the best committed row and no
+/// slower than `serial-packed` — so a regenerated `BENCH_drivers.json` that
+/// contradicts the rule fails here rather than silently steering nothing.
+#[test]
+fn auto_is_the_committed_tables_best_row_with_serial_as_the_floor() {
+    use alya_core::drivers::ThroughputDb;
+    let json = include_str!("../BENCH_drivers.json");
+    let db = ThroughputDb::parse(json).expect("BENCH_drivers.json holds throughput rows");
+    let elements: usize = json
+        .split_once("\"elements\": ")
+        .and_then(|(_, rest)| rest.split_once(','))
+        .and_then(|(n, _)| n.parse().ok())
+        .expect("BENCH_drivers.json names its element count");
+    let mesh = alya_mesh::TerrainMeshBuilder::with_approx_elements(elements).build();
+    assert_eq!(mesh.num_elements(), elements, "not the benched mesh");
+
+    let serial_floor = |variant: &str| db.melem_per_s("serial-packed", variant, 1);
+    let mut cells = 0;
+    for threads in 1..=64 {
+        for variant in Variant::ALL.map(Variant::name) {
+            if db.melem_per_s("sharded-packed", variant, threads).is_none() {
+                continue;
+            }
+            let auto = ParallelStrategy::auto_with(&mesh, threads);
+            let got = match golden_row(&auto).split('/').next() {
+                Some("serial") => serial_floor(variant),
+                Some(name) => db.melem_per_s(&format!("{name}-packed"), variant, threads),
+                None => None,
+            }
+            .unwrap_or_else(|| panic!("no packed {} row at {threads} threads", auto.name()));
+            let best = ["serial", "colored", "partitioned", "sharded"]
+                .iter()
+                .flat_map(|s| [(*s).to_string(), format!("{s}-packed")])
+                .filter_map(|s| db.melem_per_s(&s, variant, threads))
+                .fold(0.0, f64::max);
+            let floor = serial_floor(variant).expect("a serial-packed row at one thread");
+            assert!(
+                got >= 0.95 * best && got >= floor,
+                "{variant} at {threads} threads: auto = {} at {got} Melem/s, \
+                 best committed row {best}, serial-packed {floor}",
+                auto.name()
+            );
+            cells += 1;
+        }
+    }
+    assert!(
+        cells >= 2,
+        "the committed table has no packed rows to hold auto to"
+    );
 }

@@ -355,3 +355,77 @@ fn step_is_its_recomposition_bitwise_on_the_case_matrix_and_to_cg_tolerance_on_t
         }
     }
 }
+
+/// The parallel step on the cell it now runs: one packed shard per worker
+/// where the mesh feeds two, the packed serial loop where it does not —
+/// never a colouring. Bitwise repeatable within a thread cap (the shard
+/// count is fixed when the case is built), and the serial step to the
+/// pressure solve's tolerance across caps and against `parallel: false`.
+#[test]
+fn parallel_rk3_step_is_repeatable_per_cap_and_agrees_with_the_serial_step() {
+    use alya_bench::case::Case;
+    use alya_machine::par;
+    for elems in [1536, 24_000] {
+        let mesh = Case::bolund(elems).mesh;
+        let name = CaseParts::build(&mesh).strategy.name();
+        assert_ne!(name, "colored", "{elems} elements");
+    }
+
+    let mesh = Arc::new(BoxMeshBuilder::new(12, 12, 10).jitter(0.1).seed(5).build());
+    assert!(mesh.num_elements() >= 8000);
+    let bc = DirichletBc::no_slip_ground(&mesh, 1e-9);
+    let init = VectorField::from_fn(&mesh, |p| {
+        [
+            0.3 * (std::f64::consts::PI * p[2]).sin() + 0.1 * p[1],
+            0.2 * (2.0 * p[0]).cos() * p[2],
+            0.1 * p[0] * p[1],
+        ]
+    });
+    let mut cfg = StepConfig::default();
+    cfg.dt = 5e-4;
+    cfg.scheme = TimeScheme::SspRk3;
+    cfg.props = ConstantProperties {
+        density: 1.2,
+        viscosity: 1e-2,
+    };
+    // Three steps from the rewound state: final velocity and pressure.
+    let run = |solver: &mut FractionalStep<'_>| {
+        solver.reset(&init);
+        for _ in 0..3 {
+            assert!(solver.step(Variant::Rsp).cg.converged);
+        }
+        let (u, p) = (solver.velocity(), solver.pressure());
+        (u.as_slice().to_vec(), p.as_slice().to_vec())
+    };
+    let mut serial = FractionalStep::new(&mesh, cfg.clone());
+    serial.set_bc(bc.clone());
+    let want = run(&mut serial);
+
+    cfg.parallel = true;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for cap in [1, 2] {
+        par::set_thread_cap(Some(cap));
+        let parts = CaseParts::build(&mesh);
+        assert_ne!(parts.strategy.name(), "colored", "cap {cap}");
+        let mut solver = FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg.clone(), parts);
+        solver.set_bc(bc.clone());
+        let first = run(&mut solver);
+        for _ in 0..2 {
+            let again = run(&mut solver);
+            assert_eq!(bits(&again.0), bits(&first.0), "cap {cap}: velocity");
+            assert_eq!(bits(&again.1), bits(&first.1), "cap {cap}: pressure");
+        }
+        let tol = 100.0 * cfg.cg_tol;
+        for (what, got, want) in [
+            ("velocity", &first.0, &want.0),
+            ("pressure", &first.1, &want.1),
+        ] {
+            let err = rel_err_max(got, want);
+            assert!(
+                err <= tol,
+                "cap {cap}: {what} off the serial step by {err:e}"
+            );
+        }
+    }
+    par::set_thread_cap(None);
+}
