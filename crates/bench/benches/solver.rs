@@ -21,7 +21,7 @@ fn bench_solver(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver");
     group.throughput(Throughput::Elements(lap.nnz() as u64));
     group.sample_size(20);
-    group.bench_function("spmv", |b| b.iter(|| lap.par_spmv(&x, &mut y)));
+    group.bench_function("spmv", |b| b.iter(|| lap.spmv(&x, &mut y)));
     group.finish();
 
     // Pressure projection solve.

@@ -1,7 +1,8 @@
 //! The owner-computes strategies must actually run their parts in
 //! parallel: one part = one coarse work item, so two parts on a host with
-//! two threads are two threads — not one, as when the dispatch helper
-//! applied its per-item serial cutoff to a part *count*.
+//! two threads are two threads (the dispatching one and one spawned) —
+//! not one, as when the dispatch helper applied its per-item serial cutoff
+//! to a part *count*.
 //!
 //! Alone in its own test binary on purpose: the thread cap is
 //! process-global and sibling tests elsewhere lower it to 1 mid-run.
@@ -67,9 +68,11 @@ fn two_parts_of_an_owner_computes_assembly_run_on_two_threads() {
             strategy.name(),
             threads.len()
         );
+        // The dispatching thread is worker 0: it runs a part itself rather
+        // than parking while two spawned threads do.
         assert!(
-            !threads.contains(&std::thread::current().id()),
-            "{}: a part ran on the dispatching thread",
+            threads.contains(&std::thread::current().id()),
+            "{}: no part ran on the dispatching thread",
             strategy.name()
         );
     }

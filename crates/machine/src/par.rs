@@ -8,11 +8,16 @@
 //! and threads are joined before returning. Work stealing is not needed —
 //! every call site here distributes near-uniform work.
 //!
-//! The fine-grained helpers ([`par_for_each_init`], [`par_chunks_mut`])
-//! take a serial fast path on small inputs so tests and tiny meshes do not
-//! pay thread-spawn latency; the coarse ones ([`par_map_init`],
-//! [`par_for_each_coarse`]) treat every item as a whole unit of work and
-//! go parallel from two items up.
+//! The fine-grained helper ([`par_for_each_init`]) takes a serial fast
+//! path on small inputs so tests and tiny meshes do not pay thread-spawn
+//! latency; the coarse ones ([`par_map_init`], [`par_for_each_coarse`])
+//! treat every item as a whole unit of work and go parallel from two items
+//! up.
+//!
+//! Each of those forks and joins threads per call. Work that repeats many
+//! short rounds over the same data (the pressure CG's operator apply) runs
+//! on a [`Team`] instead: [`with_team`] spawns the helpers once, and a
+//! [`Team::round`] costs a handoff through two atomics, not a spawn.
 //!
 //! Every helper propagates the spawner's [`alya_telemetry::Context`] into
 //! the threads it creates, so counters tallied inside worker closures land
@@ -64,8 +69,10 @@ fn worker_count(n: usize) -> usize {
 /// [`par_for_each_coarse`] it runs `min(num_threads(), n)` workers for any
 /// `n ≥ 2` — the per-item serial cutoff of the fine-grained helpers would
 /// read a part *count* of 2–8 as "tiny" and never leave the calling
-/// thread. Each worker thread builds one private state with `init` and
-/// threads it through its calls — the rayon `map_init` pattern.
+/// thread. Each worker builds one private state with `init` and threads it
+/// through its calls — the rayon `map_init` pattern. The calling thread is
+/// worker 0 (it runs the first chunk while `workers − 1` spawned threads
+/// run the rest), and results come back in index order.
 pub fn par_map_init<T, W, I, F>(n: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,
@@ -73,36 +80,34 @@ where
     F: Fn(&mut W, usize) -> T + Sync,
 {
     let workers = num_threads().min(n);
+    let run_chunk = |lo: usize, hi: usize| {
+        let mut state = init();
+        (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<T>>()
+    };
     if workers <= 1 {
-        let mut w = init();
-        return (0..n).map(|i| f(&mut w, i)).collect();
+        return run_chunk(0, n);
     }
     let chunk = n.div_ceil(workers);
     let ctx = telemetry::current_context();
-    let mut parts: Vec<Vec<T>> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|w| {
                 let lo = w * chunk;
                 let hi = ((w + 1) * chunk).min(n);
-                let init = &init;
-                let f = &f;
+                let run_chunk = &run_chunk;
                 s.spawn(move || {
                     telemetry::adopt_context(ctx);
-                    let mut state = init();
-                    (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<T>>()
+                    run_chunk(lo, hi)
                 })
             })
             .collect();
+        let mut out = run_chunk(0, chunk);
+        out.reserve(n - out.len());
         for h in handles {
-            parts.push(h.join().expect("parallel worker panicked"));
+            out.extend(h.join().expect("parallel worker panicked"));
         }
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p);
-    }
-    out
+        out
+    })
 }
 
 /// Runs `f` over `items` in parallel with per-worker state, one
@@ -186,37 +191,162 @@ where
     });
 }
 
-/// Splits `data` into one contiguous chunk per worker and calls
-/// `f(offset, chunk)` for each in parallel — the disjoint-output pattern
-/// (e.g. row ranges of an SpMV destination).
-pub fn par_chunks_mut<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    let workers = worker_count(n);
-    if workers <= 1 {
-        f(0, data);
-        return;
+/// Polls of a barrier word spent spinning before each further poll yields
+/// the CPU: a round's handoff normally lands within the spin, and a member
+/// that shares its CPU with the one it waits for (a team nested under a
+/// serve pool, or more members than cores) hands the core over instead of
+/// burning its time slice.
+const SPINS_BEFORE_YIELD: u32 = 256;
+
+/// [`Barrier::arrived`]'s flag for "a helper panicked"; it also makes the
+/// count exceed every round's target, so the caller's wait ends.
+const FAILED: usize = 1 << (usize::BITS - 1);
+
+/// [`Barrier::round`]'s value that sends the helpers home.
+const DISBAND: usize = usize::MAX;
+
+/// A [`Team`]'s synchronisation: two atomics, written by one side each.
+/// Every store to them is `Release` and every wait `Acquire`, so what the
+/// caller wrote before releasing a round is visible to the helpers' jobs,
+/// and what a job wrote is visible to the caller once it has counted that
+/// helper's arrival.
+#[derive(Default)]
+struct Barrier {
+    /// Rounds the caller has released; [`DISBAND`] ends the team.
+    round: AtomicUsize,
+    /// Helper arrivals summed over all rounds, with [`FAILED`] or-ed in
+    /// once a helper panicked.
+    arrived: AtomicUsize,
+}
+
+/// Polls `word` until `ready` accepts its value, spinning
+/// [`SPINS_BEFORE_YIELD`] times and then yielding between polls. Returns
+/// the accepted value.
+// alya:hot
+fn wait_for(word: &AtomicUsize, ready: impl Fn(usize) -> bool) -> usize {
+    let mut spins = 0;
+    loop {
+        let v = word.load(Ordering::Acquire);
+        if ready(v) {
+            return v;
+        }
+        if spins < SPINS_BEFORE_YIELD {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
-    let chunk = n.div_ceil(workers);
+}
+
+/// Marks the team failed if its helper unwinds out of a job.
+struct FailOnUnwind<'a>(&'a AtomicUsize);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fetch_or(FAILED, Ordering::Release);
+        }
+    }
+}
+
+/// Sends the helpers home when [`with_team`]'s body ends — returning or
+/// unwinding — so the scope that joins them never waits on a helper
+/// parked at the barrier.
+struct DisbandOnExit<'a>(&'a AtomicUsize);
+
+impl Drop for DisbandOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.store(DISBAND, Ordering::Release);
+    }
+}
+
+/// A fixed group of `members` threads — the caller and `members − 1`
+/// helpers spawned once by [`with_team`] — that runs one job per
+/// [`Team::round`].
+pub struct Team<'a> {
+    members: usize,
+    barrier: &'a Barrier,
+}
+
+impl Team<'_> {
+    /// Threads in the team, the caller included.
+    pub fn members(&self) -> usize {
+        self.members
+    }
+
+    /// One round: releases every helper `w ∈ 1..members` into `job(w)`,
+    /// runs `caller_job` on the calling thread meanwhile, and returns once
+    /// every helper has finished its job. Rounds never overlap, and
+    /// everything a helper wrote in its job is visible to the caller
+    /// afterwards.
+    ///
+    /// # Panics
+    ///
+    /// If a helper's job panicked in this round.
+    // alya:hot
+    pub fn round(&self, caller_job: impl FnOnce()) {
+        // Only the caller writes `round`; helpers only read it.
+        let round = self.barrier.round.load(Ordering::Relaxed) + 1;
+        self.barrier.round.store(round, Ordering::Release);
+        caller_job();
+        let target = round * (self.members - 1);
+        let arrived = wait_for(&self.barrier.arrived, |a| a >= target);
+        if arrived & FAILED != 0 {
+            member_panicked();
+        }
+    }
+}
+
+// alya:cold: reached once, on the way out of a team whose helper panicked.
+fn member_panicked() -> ! {
+    panic!("a team member panicked");
+}
+
+/// Runs `body` with a [`Team`] of `members` threads (at least one): spawns
+/// `members − 1` scoped helpers once, each of which runs `job(w)` for its
+/// index `w ∈ 1..members` once per [`Team::round`] and waits at a
+/// spin-then-yield barrier in between. The helpers exit when `body` ends.
+///
+/// A panic in `body`, in a round's caller job or in any helper's `job` reaches
+/// the caller as a panic out of `with_team`, never as a hang at the
+/// barrier. Like every helper here it propagates the caller's telemetry
+/// context, and like the workers of [`par_map_init`] it takes `members`
+/// as given — pass [`num_threads`] to respect [`set_thread_cap`].
+pub fn with_team<J, R>(members: usize, job: J, body: impl FnOnce(&Team<'_>) -> R) -> R
+where
+    J: Fn(usize) + Sync,
+{
+    let members = members.max(1);
+    let barrier = Barrier::default();
+    let team = Team {
+        members,
+        barrier: &barrier,
+    };
+    if members == 1 {
+        return body(&team);
+    }
     let ctx = telemetry::current_context();
     std::thread::scope(|s| {
-        let mut rest = data;
-        let mut offset = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let f = &f;
+        let _disband = DisbandOnExit(&barrier.round);
+        for w in 1..members {
+            let (job, barrier) = (&job, &barrier);
             s.spawn(move || {
                 telemetry::adopt_context(ctx);
-                f(offset, head);
+                let _fail = FailOnUnwind(&barrier.arrived);
+                let mut seen = 0;
+                loop {
+                    seen = wait_for(&barrier.round, |r| r != seen);
+                    if seen == DISBAND {
+                        return;
+                    }
+                    job(w);
+                    barrier.arrived.fetch_add(1, Ordering::Release);
+                }
             });
-            offset += take;
-            rest = tail;
         }
-    });
+        body(&team)
+    })
 }
 
 /// Spawns **exactly one dedicated OS thread per item**, moves each item
@@ -347,12 +477,127 @@ mod tests {
 
     #[test]
     fn init_runs_per_worker_not_per_item() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
         let inits = AtomicUsize::new(0);
-        let _ = par_map_init(4096, || inits.fetch_add(1, Ordering::Relaxed), |_, i| i);
+        let on_caller = Mutex::new(Vec::new());
+        let out = par_map_init(
+            4096,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, i| {
+                if std::thread::current().id() == caller {
+                    on_caller.lock().unwrap().push(i);
+                }
+                i
+            },
+        );
+        assert_eq!(out, (0..4096).collect::<Vec<_>>());
         // Bound by the *hardware* parallelism: a concurrently running test
         // may hold a lower thread cap, which only shrinks worker counts.
         assert!(inits.load(Ordering::Relaxed) <= hardware_threads());
+        // One whole chunk — the first — ran on the calling thread.
+        let on_caller = on_caller.into_inner().unwrap();
+        assert!(!on_caller.is_empty());
+        assert!(on_caller.iter().enumerate().all(|(k, &i)| k == i));
+    }
+
+    /// Runs `rounds` rounds on a `members` team; every job checks that it
+    /// runs once per round and that no two rounds overlap.
+    fn drive_team(members: usize, rounds: usize) {
+        let runs: Vec<AtomicUsize> = (0..members).map(|_| AtomicUsize::new(0)).collect();
+        let (current, active) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let job = |w: usize| {
+            active.fetch_add(1, Ordering::SeqCst);
+            let before = runs[w].fetch_add(1, Ordering::SeqCst);
+            assert_eq!(before, current.load(Ordering::SeqCst), "member {w}");
+            active.fetch_sub(1, Ordering::SeqCst);
+        };
+        with_team(members, job, |team| {
+            assert_eq!(team.members(), members);
+            for r in 0..rounds {
+                current.store(r, Ordering::SeqCst);
+                team.round(|| job(0));
+                assert_eq!(active.load(Ordering::SeqCst), 0, "round {r} still running");
+                for (w, n) in runs.iter().enumerate() {
+                    assert_eq!(n.load(Ordering::SeqCst), r + 1, "member {w}, round {r}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn team_runs_every_job_once_per_round_and_rounds_never_overlap() {
+        for members in [1, 2, 3] {
+            drive_team(members, 500);
+        }
+    }
+
+    #[test]
+    fn team_larger_than_the_machine_still_finishes() {
+        drive_team(2 * hardware_threads() + 1, 200);
+    }
+
+    /// Runs `f` on a thread of its own and fails the test if it takes longer
+    /// than `limit` (a hang at the barrier would otherwise hang the suite).
+    fn within<T: Send + 'static>(
+        limit: std::time::Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(limit)
+            .expect("team did not come back in time")
+    }
+
+    #[test]
+    fn team_member_panic_reaches_the_caller_as_a_panic() {
+        let limit = std::time::Duration::from_secs(20);
+        for members in [2, 3] {
+            for bad_round in [0, 4] {
+                // A helper's job panics in round `bad_round`.
+                let out = within(limit, move || {
+                    let round = AtomicUsize::new(0);
+                    std::panic::catch_unwind(|| {
+                        let job = |w: usize| {
+                            assert!(
+                                !(w == members - 1 && round.load(Ordering::SeqCst) == bad_round)
+                            );
+                        };
+                        with_team(members, job, |team| {
+                            for r in 0..10 {
+                                round.store(r, Ordering::SeqCst);
+                                team.round(|| ());
+                            }
+                        });
+                    })
+                });
+                assert!(
+                    out.is_err(),
+                    "{members} members, helper panic in round {bad_round}"
+                );
+
+                // The caller's own share panics in round `bad_round`.
+                let out = within(limit, move || {
+                    std::panic::catch_unwind(|| {
+                        with_team(
+                            members,
+                            |_| (),
+                            |team| {
+                                for r in 0..10 {
+                                    team.round(|| assert_ne!(r, bad_round));
+                                }
+                            },
+                        );
+                    })
+                });
+                assert!(
+                    out.is_err(),
+                    "{members} members, caller panic in round {bad_round}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -384,19 +629,6 @@ mod tests {
         assert_eq!(num_threads(), hardware_threads());
         set_thread_cap(None);
         assert_eq!(num_threads(), hardware_threads());
-    }
-
-    #[test]
-    fn chunks_cover_disjointly() {
-        let mut data = vec![0u32; 9173];
-        par_chunks_mut(&mut data, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (offset + i) as u32;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u32);
-        }
     }
 
     #[test]

@@ -34,11 +34,11 @@ pub trait LinOp {
 
 impl LinOp for CsrMatrix {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        // Serial on purpose: `par_spmv`'s cutoff counts rows, not work, so
-        // a 405-row product (8 µs) would fork two threads (55–90 µs) every
-        // CG iteration, and at the 4851 rows of the largest served case
-        // (127 µs serial) a second thread can save no more than the fork
-        // costs. Callers that know their matrix is big call `par_spmv`.
+        // On the calling thread. A solve whose case is big enough to shard
+        // runs its applies as a `csr::RowSplit` on a team spawned once per
+        // solve instead: forking per apply (20–50 µs on a 2-vCPU host)
+        // would eat a third of what splitting a 4851-row product (~120 µs)
+        // saves, and a team round costs ~0.2 µs.
         self.spmv(x, y);
     }
 

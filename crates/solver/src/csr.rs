@@ -1,6 +1,11 @@
-//! Compressed-sparse-row matrices.
+//! Compressed-sparse-row matrices, and their product split by rows over a
+//! [`Team`] of worker threads.
 
-use alya_machine::par;
+use std::sync::{Mutex, PoisonError, RwLock};
+
+use alya_machine::par::Team;
+
+use crate::cg::LinOp;
 
 /// A CSR matrix over `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,17 +109,28 @@ impl CsrMatrix {
         }
     }
 
-    /// Serial matrix-vector product `y = A x`. A row is summed in four
-    /// independent partial sums (entries `4k + l` into sum `l`), so the
-    /// adds of one row do not wait on each other — the loop under the
-    /// pressure CG, where a row is 40–55 entries of a cache-resident `x`.
+    /// Matrix-vector product `y = A x` on the calling thread:
+    /// [`Self::spmv_rows`] over every row.
     // alya:hot
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         // alya:allow(hot-panic): one dimension check per product, outside the row loop
         assert_eq!(x.len(), self.num_cols);
         // alya:allow(hot-panic): as above
         assert_eq!(y.len(), self.num_rows);
-        for (r, y) in y.iter_mut().enumerate() {
+        self.spmv_rows(x, 0, y);
+    }
+
+    /// Rows `row0 .. row0 + y.len()` of `A x` into `y`. A row is summed in
+    /// four independent partial sums (entries `4k + l` into sum `l`), so
+    /// the adds of one row do not wait on each other — the loop under the
+    /// pressure CG, where a row is 40–55 entries of a cache-resident `x`.
+    /// Each row's sum depends on that row alone, so any split of the rows
+    /// reproduces [`Self::spmv`] bit for bit.
+    // alya:hot
+    pub fn spmv_rows(&self, x: &[f64], row0: usize, y: &mut [f64]) {
+        debug_assert_eq!(x.len(), self.num_cols);
+        debug_assert!(row0 + y.len() <= self.num_rows);
+        for (r, y) in (row0..).zip(y.iter_mut()) {
             let (cols, vals) = self.row(r);
             let (cols4, vals4) = (cols.chunks_exact(4), vals.chunks_exact(4));
             let mut tail = 0.0;
@@ -131,21 +147,21 @@ impl CsrMatrix {
         }
     }
 
-    /// Thread-parallel matrix-vector product (contiguous row ranges per
-    /// worker, disjoint output slices).
-    pub fn par_spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.num_cols);
-        assert_eq!(y.len(), self.num_rows);
-        par::par_chunks_mut(y, |row0, out| {
-            for (i, o) in out.iter_mut().enumerate() {
-                let (cols, vals) = self.row(row0 + i);
-                let mut acc = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    acc += v * x[*c as usize];
-                }
-                *o = acc;
-            }
-        });
+    /// Row bounds that cut the matrix into `parts` (at least one) ranges of
+    /// about equal nonzeros: `parts + 1` ascending entries from 0 to
+    /// [`Self::num_rows`], range `k` being rows `bounds[k]..bounds[k + 1]`
+    /// (empty when a single row holds more than a share).
+    pub fn nnz_split(&self, parts: usize) -> Vec<usize> {
+        let parts = parts.max(1);
+        let nnz = self.nnz();
+        let mut bounds: Vec<usize> = (0..parts)
+            .map(|k| {
+                self.row_offsets
+                    .partition_point(|&o| o as usize * parts < k * nnz)
+            })
+            .collect();
+        bounds.push(self.num_rows);
+        bounds
     }
 
     /// The main diagonal.
@@ -182,9 +198,113 @@ impl CsrMatrix {
     }
 }
 
+/// The buffers of a [`RowSplit`] product, owned by the solver that runs
+/// it and kept across solves: each member's row bounds, the copy of the
+/// operand the helpers read, and each helper's rows of the result.
+#[derive(Debug, Default)]
+pub(crate) struct SplitScratch {
+    bounds: Vec<usize>,
+    x: RwLock<Vec<f64>>,
+    rows: Vec<Mutex<Vec<f64>>>,
+}
+
+impl SplitScratch {
+    /// Splits `a`'s rows by nonzeros over `members` threads and sizes the
+    /// buffers to match; allocates nothing when they already do.
+    pub(crate) fn prepare(&mut self, a: &CsrMatrix, members: usize) {
+        if self.bounds.len() == members + 1 && self.bounds.last() == Some(&a.num_rows()) {
+            return;
+        }
+        self.bounds = a.nnz_split(members);
+        self.x = RwLock::new(vec![0.0; a.num_cols()]);
+        self.rows = self.bounds[1..]
+            .windows(2)
+            .map(|r| Mutex::new(vec![0.0; r[1] - r[0]]))
+            .collect();
+    }
+
+    /// Helper `w ≥ 1`'s job in a round: its rows of `a x` into its buffer.
+    // alya:hot
+    pub(crate) fn helper_rows(&self, a: &CsrMatrix, w: usize) {
+        // A poisoned lock means a member panicked; the team reports that.
+        let x = self.x.read().unwrap_or_else(PoisonError::into_inner);
+        let mut out = self.rows[w - 1]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        a.spmv_rows(&x, self.bounds[w], &mut out);
+    }
+
+    /// Where the buffers live (a solver reset must keep them).
+    #[cfg(test)]
+    pub(crate) fn buffer_ptrs(&self) -> Vec<*const ()> {
+        let x = self.x.read().unwrap_or_else(PoisonError::into_inner);
+        let mut ptrs = vec![self.bounds.as_ptr().cast(), x.as_ptr().cast()];
+        for r in &self.rows {
+            ptrs.push(
+                r.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_ptr()
+                    .cast(),
+            );
+        }
+        ptrs
+    }
+}
+
+/// `a` with its product split over `team`: the caller computes the first
+/// row range straight into `y` while each helper computes its own range
+/// (from [`SplitScratch::prepare`]'s bounds, [`SplitScratch::helper_rows`]
+/// as the team's job) and the caller copies those rows back. Every row is
+/// summed by [`CsrMatrix::spmv_rows`], so the result is `a.spmv` bit for
+/// bit at any member count.
+pub(crate) struct RowSplit<'a> {
+    pub(crate) a: &'a CsrMatrix,
+    pub(crate) scratch: &'a SplitScratch,
+    pub(crate) team: &'a Team<'a>,
+}
+
+impl LinOp for RowSplit<'_> {
+    // alya:hot
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        let SplitScratch {
+            bounds,
+            x: shared,
+            rows,
+        } = self.scratch;
+        debug_assert_eq!(bounds.len(), self.team.members() + 1);
+        shared
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .copy_from_slice(x);
+        self.team
+            .round(|| self.a.spmv_rows(x, 0, &mut y[..bounds[1]]));
+        for (r, out) in bounds[1..].windows(2).zip(rows) {
+            let out = out.lock().unwrap_or_else(PoisonError::into_inner);
+            y[r[0]..r[1]].copy_from_slice(&out);
+        }
+    }
+
+    fn dim(&self) -> usize {
+        self.a.dim()
+    }
+
+    fn precond_diagonal(&self) -> Vec<f64> {
+        self.a.precond_diagonal()
+    }
+
+    fn precond_diagonal_into(&self, out: &mut [f64]) {
+        self.a.precond_diagonal_into(out);
+    }
+
+    fn apply_flops(&self) -> u64 {
+        self.a.apply_flops()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alya_machine::par;
 
     fn small() -> CsrMatrix {
         // [2 1 0]
@@ -238,9 +358,88 @@ mod tests {
         let mut y = [0.0; 3];
         a.spmv(&x, &mut y);
         assert_eq!(y, [4.0, 10.0, 14.0]);
-        let mut yp = [0.0; 3];
-        a.par_spmv(&x, &mut yp);
-        assert_eq!(y, yp);
+        let mut tail = [0.0; 2];
+        a.spmv_rows(&x, 1, &mut tail);
+        assert_eq!(tail, [10.0, 14.0]);
+    }
+
+    /// `nnz_split(k)` for k ∈ {1, 2, 3, 8, rows + 5}: bounds ascend and
+    /// cover every row, each range holds about a k-th of the nonzeros, and
+    /// `spmv_rows` over the ranges — alone, and as a [`RowSplit`] on a team
+    /// of k threads — is `spmv` bit for bit.
+    fn check_split(a: &CsrMatrix) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x: Vec<f64> = (0..a.num_cols())
+            .map(|i| (0.37 * i as f64).sin() * 1e3 + 1.0 / (i as f64 + 0.5))
+            .collect();
+        let mut want = vec![0.0; a.num_rows()];
+        a.spmv(&x, &mut want);
+        let widest = (0..a.num_rows())
+            .map(|r| a.row(r).0.len())
+            .max()
+            .unwrap_or(0);
+        for k in [1, 2, 3, 8, a.num_rows() + 5] {
+            let bounds = a.nnz_split(k);
+            assert_eq!(bounds.len(), k + 1);
+            assert_eq!((bounds[0], bounds[k]), (0, a.num_rows()));
+            let mut got = vec![f64::NAN; a.num_rows()];
+            for r in bounds.windows(2) {
+                assert!(r[0] <= r[1], "k = {k}: {bounds:?}");
+                let nnz = a.row_offsets[r[1]] - a.row_offsets[r[0]];
+                assert!(nnz as usize <= a.nnz() / k + widest, "k = {k}");
+                a.spmv_rows(&x, r[0], &mut got[r[0]..r[1]]);
+            }
+            assert_eq!(bits(&got), bits(&want), "k = {k}");
+
+            if k > 8 {
+                continue;
+            }
+            let mut scratch = SplitScratch::default();
+            scratch.prepare(a, k);
+            let scratch = &scratch;
+            let mut got = vec![f64::NAN; a.num_rows()];
+            par::with_team(
+                k,
+                |w| scratch.helper_rows(a, w),
+                |team| {
+                    let split = RowSplit { a, scratch, team };
+                    for _ in 0..3 {
+                        split.apply(&x, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "team of {k}");
+                    }
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn split_products_reproduce_spmv_bitwise_with_empty_rows() {
+        let mut t = Vec::new();
+        for r in 0..40u32 {
+            if r % 3 == 1 || (10..17).contains(&r) {
+                continue; // empty rows, singly and in a run
+            }
+            for c in 0..40u32 {
+                if (r * 7 + c * 3) % 5 < 2 || r == c {
+                    t.push((r, c, f64::from(r) - 0.25 * f64::from(c) + 0.125));
+                }
+            }
+        }
+        check_split(&CsrMatrix::from_triplets(45, 40, t));
+        check_split(&CsrMatrix::from_triplets(3, 3, Vec::new()));
+        check_split(&small());
+    }
+
+    #[test]
+    fn split_products_reproduce_spmv_bitwise_on_the_24k_projection_matrix() {
+        let mesh = alya_mesh::BoxMeshBuilder::new(20, 20, 10)
+            .jitter(0.1)
+            .seed(3)
+            .build();
+        assert_eq!(mesh.num_elements(), 24_000);
+        let geom = crate::poisson::GeomTable::build(&mesh);
+        let a = geom.projection_matrix(&mesh, &crate::poisson::lumped_mass(&mesh));
+        check_split(&a);
     }
 
     #[test]

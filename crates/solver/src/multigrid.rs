@@ -146,7 +146,7 @@ impl TwoLevelMg {
 
     fn smooth(&self, b: &[f64], x: &mut [f64], scratch: &mut [f64]) {
         // x += omega * D^{-1} (b - A x)
-        self.a.par_spmv(x, scratch);
+        self.a.spmv(x, scratch);
         for i in 0..x.len() {
             x[i] += self.omega * self.inv_diag[i] * (b[i] - scratch[i]);
         }
@@ -164,7 +164,7 @@ impl Preconditioner for TwoLevelMg {
         }
 
         // Coarse correction on the smoothed residual.
-        self.a.par_spmv(z, az);
+        self.a.spmv(z, az);
         rc.fill(0.0);
         for i in 0..n {
             rc[self.aggregate_of[i] as usize] += r[i] - az[i];

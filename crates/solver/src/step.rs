@@ -13,7 +13,9 @@
 //! tests), which is the property a fractional-step scheme must deliver.
 //! The three sweeps a step makes (`D u*`, `Dᵀ p`, `D u`) run from the
 //! case's [`GeomTable`]; the ~100 operator applies inside the CG are one
-//! CSR row loop each ([`CaseParts::projection`], DESIGN §18).
+//! CSR row loop each ([`CaseParts::projection`], DESIGN §18), split by
+//! rows over the case's workers when a [`StepConfig::parallel`] step's
+//! case is sharded.
 
 use std::sync::{Arc, OnceLock};
 
@@ -24,11 +26,12 @@ use alya_core::{
 use alya_fem::bc::DirichletBc;
 use alya_fem::material::ConstantProperties;
 use alya_fem::{ScalarField, VectorField};
+use alya_machine::par;
 use alya_mesh::TetMesh;
 use alya_telemetry as telemetry;
 
 use crate::cg::{self, CgResult, CgScratch, DiagonalDivide};
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, RowSplit, SplitScratch};
 use crate::poisson::{self, GeomTable};
 
 /// Explicit time-integration scheme for the momentum prediction.
@@ -70,9 +73,12 @@ pub struct StepConfig {
     pub cg_tol: f64,
     /// CG iteration cap.
     pub cg_max_iters: usize,
-    /// Assemble the momentum RHS through [`CaseParts::strategy`] on
-    /// `alya_machine::par`'s worker threads (serially on the calling
-    /// thread otherwise).
+    /// Run the step on `alya_machine::par`'s worker threads: assemble the
+    /// momentum RHS through [`CaseParts::strategy`], and — when that
+    /// strategy is sharded, i.e. the mesh has enough elements for every
+    /// worker — split the pressure CG's operator applies by rows over a
+    /// team of the same workers, bitwise the serial solve. Everything runs
+    /// on the calling thread otherwise.
     pub parallel: bool,
 }
 
@@ -182,6 +188,9 @@ pub struct FractionalStep<'m> {
     bc: DirichletBc,
     parts: CaseParts,
     cg_scratch: CgScratch,
+    /// The row split of a solve on the case's workers (sized by the first
+    /// such solve).
+    split_scratch: SplitScratch,
     pressure_scratch: Vec<f64>,
     /// The RK stages; `stages[0]` ends the prediction as `u*`, becomes the
     /// corrected velocity and is swapped with `velocity`. Like the CG
@@ -233,6 +242,7 @@ impl<'m> FractionalStep<'m> {
             bc: DirichletBc::new(),
             parts,
             cg_scratch: CgScratch::new(),
+            split_scratch: SplitScratch::default(),
             pressure_scratch: Vec::new(),
             stages: [VectorField::zeros(0), VectorField::zeros(0)],
             rhs_scratch: VectorField::zeros(0),
@@ -411,15 +421,35 @@ impl<'m> FractionalStep<'m> {
         self.pressure_scratch
             .extend_from_slice(self.pressure.as_slice());
         drop(rhs_span);
-        let cg = cg::pcg(
-            self.parts.projection(mesh),
-            &DiagonalDivide(&self.parts.proj_diag),
+        // A case sharded for the workers (`ParallelStrategy::auto`'s rule:
+        // enough elements for each) splits every operator apply over them,
+        // on a team spawned once per solve; the CG loop itself, and so
+        // every bit of the solve, is the serial one.
+        let a = self.parts.projection(mesh);
+        let jacobi = DiagonalDivide(&self.parts.proj_diag);
+        let (b, x, work) = (
             b.as_slice(),
             &mut self.pressure_scratch,
-            cfg.cg_tol,
-            cfg.cg_max_iters,
             self.cg_scratch.work(),
         );
+        let members = match *self.parts.strategy {
+            ParallelStrategy::Sharded(_) if cfg.parallel => par::num_threads(),
+            _ => 1,
+        };
+        let cg = if members > 1 {
+            self.split_scratch.prepare(a, members);
+            let scratch = &self.split_scratch;
+            par::with_team(
+                members,
+                |w| scratch.helper_rows(a, w),
+                |team| {
+                    let split = RowSplit { a, scratch, team };
+                    cg::pcg(&split, &jacobi, b, x, cfg.cg_tol, cfg.cg_max_iters, work)
+                },
+            )
+        } else {
+            cg::pcg(a, &jacobi, b, x, cfg.cg_tol, cfg.cg_max_iters, work)
+        };
         self.pressure
             .as_mut_slice()
             .copy_from_slice(&self.pressure_scratch);
@@ -642,7 +672,12 @@ mod tests {
     #[test]
     fn sessions_of_one_case_share_the_geometry_table_and_reset_reuses_every_buffer() {
         let mesh = Arc::new(BoxMeshBuilder::new(3, 3, 3).build());
-        let parts = CaseParts::build(&mesh);
+        // Sharded, so a parallel step splits its solve over the workers
+        // and sizes the split's scratch too.
+        let parts = CaseParts {
+            strategy: Arc::new(ParallelStrategy::sharded(&mesh, 2)),
+            ..CaseParts::build(&mesh)
+        };
         let cfg = StepConfig::default();
         let mut a =
             FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg.clone(), parts.clone());
@@ -653,6 +688,7 @@ mod tests {
         let init = VectorField::from_fn(&mesh, |p| [0.1 * p[2], 0.0, 0.05 * p[0]]);
         let mut cfg = StepConfig::default();
         cfg.scheme = TimeScheme::SspRk3;
+        cfg.parallel = true;
         a.set_config(cfg);
         a.reset(&init);
         a.step(Variant::Rsp);
@@ -662,7 +698,7 @@ mod tests {
         let buffers = |s: &FractionalStep<'_>| {
             let mut swapped = [s.velocity.as_slice(), s.stages[0].as_slice()].map(<[f64]>::as_ptr);
             swapped.sort_unstable();
-            [
+            let mut all: Vec<*const ()> = [
                 swapped[0],
                 swapped[1],
                 s.stages[1].as_slice().as_ptr(),
@@ -673,8 +709,17 @@ mod tests {
                 s.grad_scratch.as_slice().as_ptr(),
                 s.div_scratch.as_slice().as_ptr(),
             ]
+            .map(<*const f64>::cast)
+            .into();
+            all.extend(s.split_scratch.buffer_ptrs());
+            all
         };
         let before = buffers(&a);
+        // Bounds, the shared operand and one buffer per helper.
+        let members = par::num_threads();
+        if members > 1 {
+            assert_eq!(before.len(), 9 + 2 + members - 1, "the solve ran serially");
+        }
         a.reset(&init);
         assert_eq!(buffers(&a), before, "reset reallocated a buffer");
         a.step(Variant::Rsp);

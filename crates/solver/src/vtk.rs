@@ -48,6 +48,8 @@ impl<'a> VtkWriter<'a> {
     }
 
     /// Writes the dataset to any sink.
+    // alya:cold: file output — shares the name `write` with the
+    // `RwLock::write` of the split CSR product.
     pub fn write(&self, mut w: impl Write) -> io::Result<()> {
         let mesh = self.mesh;
         writeln!(w, "# vtk DataFile Version 3.0")?;

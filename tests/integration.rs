@@ -2,8 +2,9 @@
 //! end to end.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use alya_core::drivers::SHARD_AUTO_MIN_ELEMS_PER_WORKER;
 use alya_core::{assemble_parallel, assemble_serial, ParallelStrategy, Variant};
 use alya_fem::bc::DirichletBc;
 use alya_fem::material::ConstantProperties;
@@ -12,7 +13,11 @@ use alya_mesh::{BoxMeshBuilder, TerrainMeshBuilder, TetMesh};
 use alya_solver::cg::LinOp;
 use alya_solver::poisson;
 use alya_solver::step::{CaseParts, FractionalStep, StepConfig, StepStats, TimeScheme};
-use alya_solver::{solve_cg_with, CgScratch, CsrMatrix};
+use alya_solver::{solve_cg_with, CgResult, CgScratch, CsrMatrix};
+
+/// Held by every test here that moves the process-wide thread cap, so one
+/// test's cap never lands in the middle of another's.
+static THREAD_CAP: Mutex<()> = Mutex::new(());
 
 #[test]
 fn terrain_mesh_through_full_pipeline() {
@@ -401,6 +406,7 @@ fn parallel_rk3_step_is_repeatable_per_cap_and_agrees_with_the_serial_step() {
     serial.set_bc(bc.clone());
     let want = run(&mut serial);
 
+    let _cap = THREAD_CAP.lock().unwrap_or_else(PoisonError::into_inner);
     cfg.parallel = true;
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for cap in [1, 2] {
@@ -428,4 +434,57 @@ fn parallel_rk3_step_is_repeatable_per_cap_and_agrees_with_the_serial_step() {
         }
     }
     par::set_thread_cap(None);
+}
+
+/// The pressure solve on the case's workers is the serial solve. A case
+/// sharded for two workers, stepped three times at thread cap 2 (every CG
+/// apply split by rows over a two-member team) and at cap 1 (each apply on
+/// the calling thread): velocity, pressure and every `CgResult` are equal
+/// bit for bit.
+#[test]
+fn a_pressure_solve_split_over_the_workers_is_the_serial_solve_bitwise() {
+    use alya_machine::par;
+    let mesh = Arc::new(BoxMeshBuilder::new(12, 12, 10).jitter(0.1).seed(5).build());
+    assert!(mesh.num_elements() >= 2 * SHARD_AUTO_MIN_ELEMS_PER_WORKER);
+    let parts = CaseParts {
+        strategy: Arc::new(ParallelStrategy::auto_with(&mesh, 2)),
+        ..CaseParts::build(&mesh)
+    };
+    assert_eq!(parts.strategy.name(), "sharded");
+    let bc = DirichletBc::no_slip_ground(&mesh, 1e-9);
+    let init = VectorField::from_fn(&mesh, |p| {
+        [
+            0.3 * (std::f64::consts::PI * p[2]).sin() + 0.1 * p[1],
+            0.2 * (2.0 * p[0]).cos() * p[2],
+            0.1 * p[0] * p[1],
+        ]
+    });
+    let mut cfg = StepConfig::default();
+    cfg.dt = 5e-4;
+    cfg.scheme = TimeScheme::SspRk3;
+    cfg.parallel = true;
+    cfg.props = ConstantProperties {
+        density: 1.2,
+        viscosity: 1e-2,
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let _cap = THREAD_CAP.lock().unwrap_or_else(PoisonError::into_inner);
+    let run = |cap: usize| {
+        par::set_thread_cap(Some(cap));
+        let mut solver =
+            FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg.clone(), parts.clone());
+        solver.set_bc(bc.clone());
+        solver.reset(&init);
+        let cg: Vec<CgResult> = (0..3).map(|_| solver.step(Variant::Rsp).cg).collect();
+        par::set_thread_cap(None);
+        let (u, p) = (solver.velocity(), solver.pressure());
+        (cg, bits(u.as_slice()), bits(p.as_slice()))
+    };
+    let (split, serial) = (run(2), run(1));
+    for cg in &split.0 {
+        assert!(cg.converged && cg.iterations > 5, "{cg:?}");
+    }
+    assert_eq!(split.0, serial.0, "CgResult");
+    assert!(split.1 == serial.1, "velocity");
+    assert!(split.2 == serial.2, "pressure");
 }
