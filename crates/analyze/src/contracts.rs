@@ -470,7 +470,7 @@ pub fn check_all(input: &AssemblyInput) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::Fixture;
+    use crate::Fixture;
 
     #[test]
     fn real_kernels_satisfy_their_contracts() {

@@ -1,28 +1,29 @@
 //! Pass 10 — the IR-derivation checker.
 //!
 //! `alya-form` describes the Navier-Stokes assembly *once* and derives
-//! every variant — its executable Gauss loop and its contract — by
-//! rewriting. This pass holds both backends to the handwritten truth:
+//! every variant — its Gauss loop and its contract — by rewriting. The
+//! derivation is an oracle: no driver runs it, and this pass holds the
+//! handwritten kernels and contract table to it, per variant:
 //!
-//! * **Executable parity**: per variant, the generated kernel's per-element
-//!   event stream must equal the handwritten kernel's event-for-event
-//!   (sampled elements, both addressing conventions), and a whole-mesh
-//!   serial assembly through `KernelImpl::Generated` must be **bitwise**
-//!   identical to the handwritten one.
-//! * **Contract parity**: the contract derived from the generated kernel's
+//! * **Contract parity**: the contract derived from the generated program's
 //!   trace must equal the hand-maintained [`alya_core::KernelContract`]
 //!   field-for-field — so the table in `alya_core::variant` can never
 //!   drift from what the form actually implies (and vice versa).
+//! * **Stream parity**: the generated per-element event stream must equal
+//!   the handwritten kernel's event-for-event (sampled elements, both
+//!   addressing conventions).
+//! * **Output parity**: [`assemble_generated`]'s serial whole-mesh run
+//!   must be **bitwise** identical to [`assemble_serial`].
 //!
 //! The audit binary's `ir-contract-drift` seeded mode perturbs a derived
 //! contract and feeds it back through [`check_derived_contract`] to prove
 //! this pass actually bites.
 
-use alya_core::drivers::{assemble_serial, assemble_serial_with, CPU_VECTOR_DIM};
+use alya_core::drivers::{assemble_serial, trace_element, CPU_VECTOR_DIM};
 use alya_core::layout::Layout;
-use alya_core::{AssemblyInput, ExecMode, KernelContract, KernelImpl, Variant};
-use alya_form::exec::trace_generated;
-use alya_form::{derive, derive_contract, CompiledKernel};
+use alya_core::{AssemblyInput, KernelContract, Variant};
+use alya_form::exec::{assemble_generated, trace_generated};
+use alya_form::{derive, derive_contract};
 
 use crate::contracts::Violation;
 
@@ -96,7 +97,7 @@ fn check_stream_parity(
     convention: &str,
     out: &mut Vec<Violation>,
 ) {
-    let hand = alya_core::drivers::trace_element(variant, input, e, lay);
+    let hand = trace_element(variant, input, e, lay);
     let generated = trace_generated(prog, input, e, lay);
     let n = hand.events.len().min(generated.events.len());
     for i in 0..n {
@@ -126,12 +127,12 @@ fn check_stream_parity(
 }
 
 /// Runs the full pass on `input`: derivation, contract parity, stream
-/// parity on sampled elements under both layouts, and whole-mesh bitwise
-/// output parity for every variant.
+/// parity on the elements `{0, ne/3, ne/2, ne−1}` under both layouts, and
+/// whole-mesh bitwise output parity for every variant.
 pub fn check_form(input: &AssemblyInput) -> FormReport {
     let ne = input.mesh.num_elements();
     let nn = input.mesh.num_nodes();
-    let elements = [0, ne / 3, ne - 1];
+    let elements = [0, ne / 3, ne / 2, ne - 1];
     let mut report = FormReport::default();
     for v in Variant::ALL {
         let prog = derive(v);
@@ -154,11 +155,9 @@ pub fn check_form(input: &AssemblyInput) -> FormReport {
             }
         }
 
-        // Whole-mesh bitwise output parity through the driver entry point.
+        // Whole-mesh bitwise output parity against the driver entry point.
         let hand = assemble_serial(v, input);
-        let kernel = CompiledKernel::new(prog);
-        let generated =
-            assemble_serial_with(KernelImpl::Generated(&kernel), input, ExecMode::Scalar);
+        let generated = assemble_generated(&prog, input);
         let mismatched = hand
             .as_slice()
             .iter()
@@ -170,7 +169,7 @@ pub fn check_form(input: &AssemblyInput) -> FormReport {
                 v,
                 &mut report.violations,
                 format!(
-                    "generated kernel output is not bitwise identical to handwritten: {mismatched} of {} RHS entries differ",
+                    "generated whole-mesh run is not bitwise identical to assemble_serial: {mismatched} of {} RHS entries differ",
                     hand.as_slice().len()
                 ),
             );
@@ -182,7 +181,7 @@ pub fn check_form(input: &AssemblyInput) -> FormReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::Fixture;
+    use crate::Fixture;
 
     #[test]
     fn derivation_pass_is_clean_on_the_fixture() {
@@ -190,7 +189,7 @@ mod tests {
         let report = check_form(&fx.input());
         assert!(report.is_clean(), "{report:#?}");
         assert_eq!(report.variants_checked, Variant::ALL.len());
-        assert_eq!(report.streams_compared, Variant::ALL.len() * 3 * 2);
+        assert_eq!(report.streams_compared, Variant::ALL.len() * 4 * 2);
     }
 
     #[test]

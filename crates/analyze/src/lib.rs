@@ -70,12 +70,12 @@
 //!    sessions, zero steady-state cold builds, ordered latency quantiles.
 //! 10. **IR-derivation checker** ([`form`]) — derives every variant's
 //!     program from `alya-form`'s single symbolic base description and
-//!     holds both backends to the handwritten truth: generated event
+//!     holds the handwritten kernels to that oracle: generated event
 //!     streams equal to the handwritten kernels' event-for-event (sampled
-//!     elements, both addressing conventions), whole-mesh serial assembly
-//!     through `KernelImpl::Generated` **bitwise** identical to the
-//!     handwritten path, and the trace-derived [`alya_core::KernelContract`]
-//!     equal to the hand-maintained table field-for-field.
+//!     elements, both addressing conventions), the derived program's
+//!     serial whole-mesh run **bitwise** identical to `assemble_serial`,
+//!     and the trace-derived [`alya_core::KernelContract`] equal to the
+//!     hand-maintained table field-for-field.
 //! 11. **Probe contract** ([`probe`]) — proves the always-on `alya-probe`
 //!     flight recorder is inert and useful: a pipelined distributed
 //!     assembly with the recorder on is **bitwise** identical to one with
@@ -98,7 +98,6 @@
 
 pub mod comm;
 pub mod contracts;
-pub mod fixture;
 pub mod form;
 pub mod probe;
 pub mod races;
@@ -108,7 +107,7 @@ pub mod simd;
 pub mod sources;
 pub mod telemetry;
 
-pub use fixture::Fixture;
+pub use alya_form::fixture::Fixture;
 
 use std::path::Path;
 
@@ -150,8 +149,8 @@ pub struct AuditReport {
     /// scenario, plus the committed `BENCH_serve.json` when a workspace
     /// root carried one (pass 9).
     pub serve: serve::ServeContractReport,
-    /// IR-derivation report: generated kernels and derived contracts held
-    /// to the handwritten truth (pass 10).
+    /// IR-derivation report: the handwritten kernels and contract table
+    /// held to the derived programs (pass 10).
     pub form: form::FormReport,
     /// Probe-contract report: recorder transparency, bounded retention,
     /// seeded-stall black-box dump, and sentinel quietness over the

@@ -380,13 +380,13 @@ impl DistributedDriver {
         // `ASSEMBLY_CHUNK` shard positions of `order` through the shared
         // element loop into the compact buffer — the sharded strategy's
         // span, over this rank's boundary-first order.
-        let (kernel, mode) = (variant.into(), self.mode);
+        let mode = self.mode;
         let assemble_chunk = |order: &[u32], done: &mut usize, buf: &mut [f64], ws: &mut [f64]| {
             let end = (*done + ASSEMBLY_CHUNK).min(order.len());
             let span = &order[*done..end];
             let mut sink = CompactSink::new(shard, input.mesh, buf);
             let pos_at = |i| span[i] as usize;
-            assemble_list(kernel, mode, input, span.len(), pos_at, ws, &mut sink);
+            assemble_list(variant, mode, input, span.len(), pos_at, ws, &mut sink);
             *done = end;
             if end == order.len() {
                 StageStatus::Done

@@ -8,8 +8,10 @@
 //! full packs at `L =` [`DEFAULT_LANES`] when the mode is
 //! [`ExecMode::Packed`] (what every entry point without a mode parameter
 //! runs), then the remainder at `L = 1` ([`ExecMode::Scalar`] is simply
-//! "zero packs"). Every driver is a list of element ids plus a sink handed
-//! to that loop:
+//! "zero packs"). That kernel is the only element body a driver can run;
+//! `alya-form`'s derived programs are an oracle it is checked against
+//! (analyzer pass 10), not an alternative. Every driver is a list of
+//! element ids plus a sink handed to that loop:
 //!
 //! * [`assemble_serial`] — ids `0..ne`, direct read-modify-write scatter;
 //! * [`assemble_parallel`] with
@@ -69,61 +71,8 @@ pub fn assemble_element<R: Recorder, S: ScatterSink>(
     kernels::element(variant, input, &[e], lay, ws_buf, stride, lane, sink, rec);
 }
 
-/// A kernel whose element body was *derived* (e.g. interpreted from the
-/// `alya-form` symbolic IR) rather than handwritten. Implementations must
-/// compute exactly one element's RHS contribution and report it through
-/// `emit(node, component, value)` in the same order the handwritten
-/// kernel's scatter would.
-pub trait GeneratedKernel: Sync {
-    /// The variant this kernel claims to implement — drivers use it for
-    /// workspace sizing, the ν_t pre-pass and telemetry naming.
-    fn variant(&self) -> Variant;
-    /// Runs one element. `ws_buf`/`stride`/`lane` follow the same
-    /// conventions as [`assemble_element`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_element(
-        &self,
-        input: &AssemblyInput,
-        e: usize,
-        lay: &Layout,
-        ws_buf: &mut [f64],
-        stride: usize,
-        lane: usize,
-        emit: &mut dyn FnMut(u32, usize, f64),
-    );
-}
-
-/// Which element body a driver executes: the handwritten kernel of a
-/// [`Variant`], or a [`GeneratedKernel`] derived from the symbolic IR.
-///
-/// `From<Variant>` keeps every existing `assemble_*_with(variant, …)` call
-/// site source-compatible.
-#[derive(Clone, Copy)]
-pub enum KernelImpl<'k> {
-    /// The hand-maintained kernel in `crates/core/src/kernels/`.
-    Handwritten(Variant),
-    /// A derived kernel (the `KernelImpl::Generated` path).
-    Generated(&'k dyn GeneratedKernel),
-}
-
-impl KernelImpl<'_> {
-    /// The variant whose contract/workspace conventions this kernel follows.
-    pub fn variant(&self) -> Variant {
-        match self {
-            KernelImpl::Handwritten(v) => *v,
-            KernelImpl::Generated(k) => k.variant(),
-        }
-    }
-}
-
-impl From<Variant> for KernelImpl<'static> {
-    fn from(v: Variant) -> Self {
-        KernelImpl::Handwritten(v)
-    }
-}
-
 /// Attaches the ν_t pass output when the variant needs it, then calls `f`.
-pub(crate) fn with_nut<T>(
+pub fn with_nut<T>(
     variant: Variant,
     input: &AssemblyInput,
     f: impl FnOnce(&AssemblyInput) -> T,
@@ -168,14 +117,13 @@ impl ExecMode {
 }
 
 /// Span name of one driver call: `assemble:<driver>[-packed]:<variant>`,
-/// the suffix present exactly when packs run (a generated kernel has one
-/// lane).
-fn span_name(driver: &str, kernel: KernelImpl<'_>, mode: ExecMode) -> String {
-    let suffix = match (kernel, mode) {
-        (KernelImpl::Handwritten(_), ExecMode::Packed) => "-packed",
-        _ => "",
+/// the suffix present exactly when packs run.
+fn span_name(driver: &str, variant: Variant, mode: ExecMode) -> String {
+    let suffix = match mode {
+        ExecMode::Packed => "-packed",
+        ExecMode::Scalar => "",
     };
-    format!("assemble:{driver}{suffix}:{}", kernel.variant().name())
+    format!("assemble:{driver}{suffix}:{}", variant.name())
 }
 
 /// A [`ScatterSink`] the element loop can point at one entry of its id
@@ -235,13 +183,9 @@ fn assemble_keys<const L: usize, S: ListSink>(
 /// exists once per list, here. Elements scatter in list order in both
 /// phases, which is what keeps the two modes bitwise equal under every
 /// sink.
-///
-/// This is also the only place the handwritten/generated dispatch lives.
-/// The generated path funnels `emit` calls into the sink untraced —
-/// tracing generated kernels is the form crate's interpreter's job.
 // alya:hot
 pub(crate) fn assemble_list<S: ListSink>(
-    kernel: KernelImpl<'_>,
+    variant: Variant,
     mode: ExecMode,
     input: &AssemblyInput,
     len: usize,
@@ -252,7 +196,7 @@ pub(crate) fn assemble_list<S: ListSink>(
     const L: usize = DEFAULT_LANES;
     let lay = Layout::cpu(0, CPU_VECTOR_DIM, input.mesh.num_nodes());
     let mut done = 0;
-    if let (KernelImpl::Handwritten(variant), ExecMode::Packed) = (kernel, mode) {
+    if mode == ExecMode::Packed {
         while done + L <= len {
             let keys: [usize; L] = std::array::from_fn(|l| key_at(done + l));
             assemble_keys(variant, input, keys, &lay, ws_buf, sink);
@@ -260,19 +204,7 @@ pub(crate) fn assemble_list<S: ListSink>(
         }
     }
     for i in done..len {
-        let key = key_at(i);
-        match kernel {
-            KernelImpl::Handwritten(variant) => {
-                assemble_keys(variant, input, [key], &lay, ws_buf, sink);
-            }
-            KernelImpl::Generated(k) => {
-                let e = sink.element(key);
-                sink.aim(key);
-                let lay = Layout::cpu(e, CPU_VECTOR_DIM, input.mesh.num_nodes());
-                let mut emit = |n: u32, d: usize, v: f64| sink.add(n, d, v, &lay, &mut NoRecord);
-                k.run_element(input, e, &lay, ws_buf, 1, 0, &mut emit);
-            }
-        }
+        assemble_keys(variant, input, [key_at(i)], &lay, ws_buf, sink);
     }
 }
 
@@ -281,40 +213,35 @@ pub fn assemble_serial(variant: Variant, input: &AssemblyInput) -> VectorField {
     assemble_serial_with(variant, input, ExecMode::Packed)
 }
 
-/// [`assemble_serial`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit.
-pub fn assemble_serial_with<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
+/// [`assemble_serial`] with the execution mode made explicit.
+pub fn assemble_serial_with(
+    variant: Variant,
     input: &AssemblyInput,
     mode: ExecMode,
 ) -> VectorField {
     let mut rhs = VectorField::zeros(input.mesh.num_nodes());
-    assemble_serial_into(kernel, input, mode, &mut rhs);
+    assemble_serial_into(variant, input, mode, &mut rhs);
     rhs
 }
 
 /// [`assemble_serial_with`] into a caller-owned `rhs` (one entry per mesh
-/// node), overwritten. Only handwritten kernels have lanes; generated
-/// kernels run one element at a time in either mode. Elements are tallied
-/// once per call — never per pack or lane — so telemetry is invariant
-/// across modes.
-pub fn assemble_serial_into<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
+/// node), overwritten. Elements are tallied once per call — never per
+/// pack or lane — so telemetry is invariant across modes.
+pub fn assemble_serial_into(
+    variant: Variant,
     input: &AssemblyInput,
     mode: ExecMode,
     rhs: &mut VectorField,
 ) {
-    let kernel = kernel.into();
-    let variant = kernel.variant();
     assert_eq!(rhs.num_nodes(), input.mesh.num_nodes(), "RHS size");
-    let _sp = telemetry::span(span_name("serial", kernel, mode));
+    let _sp = telemetry::span(span_name("serial", variant, mode));
     with_nut(variant, input, |input| {
         let ne = input.mesh.num_elements();
         metrics::tally_elements(variant, ne as u64);
         rhs.fill_zero();
         let mut sink = DirectSink { rhs };
         let mut ws_buf = workspace(variant);
-        assemble_list(kernel, mode, input, ne, |i| i, &mut ws_buf, &mut sink);
+        assemble_list(variant, mode, input, ne, |i| i, &mut ws_buf, &mut sink);
     });
 }
 
@@ -790,39 +717,34 @@ pub fn assemble_parallel(
     assemble_parallel_with(variant, input, strategy, ExecMode::Packed)
 }
 
-/// [`assemble_parallel`] with the execution mode (and, via
-/// [`KernelImpl`], the element body) made explicit.
-pub fn assemble_parallel_with<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
+/// [`assemble_parallel`] with the execution mode made explicit.
+pub fn assemble_parallel_with(
+    variant: Variant,
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
     mode: ExecMode,
 ) -> VectorField {
     let mut rhs = VectorField::zeros(input.mesh.num_nodes());
-    assemble_parallel_into(kernel, input, strategy, mode, &mut rhs);
+    assemble_parallel_into(variant, input, strategy, mode, &mut rhs);
     rhs
 }
 
 /// [`assemble_parallel_with`] into a caller-owned `rhs` (one entry per
-/// mesh node), overwritten. Only handwritten kernels have lanes; generated
-/// kernels run one element at a time in either mode. Each strategy is a
-/// choice of id lists and a sink for the one element loop; its
-/// accumulation order does not depend on the mode, so every strategy stays
-/// bitwise equal across modes.
-pub fn assemble_parallel_into<'k>(
-    kernel: impl Into<KernelImpl<'k>>,
+/// mesh node), overwritten. Each strategy is a choice of id lists and a
+/// sink for the one element loop; its accumulation order does not depend
+/// on the mode, so every strategy stays bitwise equal across modes.
+pub fn assemble_parallel_into(
+    variant: Variant,
     input: &AssemblyInput,
     strategy: &ParallelStrategy,
     mode: ExecMode,
     rhs: &mut VectorField,
 ) {
-    let kernel = kernel.into();
-    let variant = kernel.variant();
     let nn = input.mesh.num_nodes();
     // The colored and sharded arms store through a raw pointer at offsets
     // computed from `nn`.
     assert_eq!(rhs.num_nodes(), nn, "RHS size");
-    let _sp = telemetry::span(span_name(strategy.name(), kernel, mode));
+    let _sp = telemetry::span(span_name(strategy.name(), variant, mode));
     with_nut(variant, input, |input| {
         // Elements tallied once per call — never per pack or lane —
         // keeping the Table-I profile invariant across modes.
@@ -856,7 +778,7 @@ pub fn assemble_parallel_into<'k>(
                         |ws, ids| {
                             let mut sink = ColoredSink { shared: &shared };
                             let key_at = |i| ids[i] as usize;
-                            assemble_list(kernel, mode, input, ids.len(), key_at, ws, &mut sink);
+                            assemble_list(variant, mode, input, ids.len(), key_at, ws, &mut sink);
                         },
                     );
                 }
@@ -868,7 +790,7 @@ pub fn assemble_parallel_into<'k>(
                 let ids = state.partition.part(0);
                 let (mut sink, mut ws) = (DirectSink { rhs }, workspace(variant));
                 let key_at = |i| ids[i] as usize;
-                assemble_list(kernel, mode, input, ids.len(), key_at, &mut ws, &mut sink);
+                assemble_list(variant, mode, input, ids.len(), key_at, &mut ws, &mut sink);
             }
             ParallelStrategy::Partitioned(state) => {
                 let partition = &state.partition;
@@ -876,13 +798,14 @@ pub fn assemble_parallel_into<'k>(
                     partition.num_parts(),
                     || workspace(variant),
                     |ws_buf, p| {
+                        let _part_sp = telemetry::span(format!("part:{p}"));
                         // Full-width per-part buffer from the reuse pool
                         // (allocated on the first call only).
                         let mut local = state.checkout(nn);
                         let mut sink = DirectSink { rhs: &mut local };
                         let ids = partition.part(p);
                         let key_at = |i| ids[i] as usize;
-                        assemble_list(kernel, mode, input, ids.len(), key_at, ws_buf, &mut sink);
+                        assemble_list(variant, mode, input, ids.len(), key_at, ws_buf, &mut sink);
                         local
                     },
                 );
@@ -918,7 +841,7 @@ pub fn assemble_parallel_into<'k>(
                         let mut local = vec![0.0; 3 * shard.num_local_nodes()];
                         let mut sink = CompactSink::new(shard, input.mesh, &mut local);
                         let len = shard.elements().len();
-                        assemble_list(kernel, mode, input, len, |i| i, ws_buf, &mut sink);
+                        assemble_list(variant, mode, input, len, |i| i, ws_buf, &mut sink);
                         shard_finish(shard, &local, shared, nn)
                     },
                 );
@@ -1012,37 +935,6 @@ mod tests {
         }
     }
 
-    /// A generated kernel that replays the handwritten body through
-    /// `emit` and counts the elements it was handed.
-    struct Replay(Variant, std::sync::atomic::AtomicUsize);
-
-    impl GeneratedKernel for Replay {
-        fn variant(&self) -> Variant {
-            self.0
-        }
-        fn run_element(
-            &self,
-            input: &AssemblyInput,
-            e: usize,
-            lay: &Layout,
-            ws_buf: &mut [f64],
-            stride: usize,
-            lane: usize,
-            emit: &mut dyn FnMut(u32, usize, f64),
-        ) {
-            struct Emit<'a>(&'a mut dyn FnMut(u32, usize, f64));
-            impl ScatterSink for Emit<'_> {
-                fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _: &Layout, _: &mut R) {
-                    (self.0)(n, d, v);
-                }
-            }
-            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let mut sink = Emit(emit);
-            let rec = &mut NoRecord;
-            assemble_element(self.0, input, e, lay, ws_buf, stride, lane, &mut sink, rec);
-        }
-    }
-
     #[test]
     fn element_loop_is_bitwise_equal_across_modes_on_ragged_id_lists() {
         let mesh = BoxMeshBuilder::new(3, 3, 3).jitter(0.1).seed(11).build();
@@ -1050,16 +942,17 @@ mod tests {
         let nut = compute_nu_t(&AssemblyInput::new(&mesh, &v, &p, &t));
         let mut input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
         input.nu_t = Some(&nut);
-        let run = |kernel: KernelImpl<'_>, mode, ids: &[usize]| {
+        let run = |variant, mode, ids: &[usize]| {
             let mut rhs = VectorField::zeros(mesh.num_nodes());
             let mut sink = DirectSink { rhs: &mut rhs };
-            let mut ws_buf = workspace(kernel.variant());
+            let mut ws_buf = workspace(variant);
+            let key_at = |i| ids[i];
             assemble_list(
-                kernel,
+                variant,
                 mode,
                 &input,
                 ids.len(),
-                |i| ids[i],
+                key_at,
                 &mut ws_buf,
                 &mut sink,
             );
@@ -1074,18 +967,11 @@ mod tests {
         for ids in [&short, &ragged] {
             assert_ne!(ids.len() % DEFAULT_LANES, 0);
             for variant in Variant::ALL {
-                let scalar = run(variant.into(), ExecMode::Scalar, ids);
+                let scalar = run(variant, ExecMode::Scalar, ids);
                 assert!(scalar.max_abs() > 0.0, "{variant}: degenerate list");
-                let packed = run(variant.into(), ExecMode::Packed, ids);
+                let packed = run(variant, ExecMode::Packed, ids);
                 assert_eq!(scalar.max_abs_diff(&packed), 0.0, "{variant}");
             }
-            // A generated kernel asked for packed execution takes the
-            // scalar path for every element of the list.
-            let replay = Replay(Variant::Rsp, std::sync::atomic::AtomicUsize::new(0));
-            let generated = run(KernelImpl::Generated(&replay), ExecMode::Packed, ids);
-            let hand = run(Variant::Rsp.into(), ExecMode::Scalar, ids);
-            assert_eq!(generated.max_abs_diff(&hand), 0.0);
-            assert_eq!(replay.1.into_inner(), ids.len());
         }
     }
 

@@ -26,7 +26,6 @@
 //! scatters lanes `1..L` in order.
 
 pub mod baseline;
-pub mod generic;
 pub mod rs;
 pub mod rsp;
 pub mod rspr;

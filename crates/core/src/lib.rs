@@ -57,8 +57,7 @@ pub mod workspace;
 pub use distributed::{DistributedDriver, HaloFault};
 pub use drivers::{
     assemble_parallel, assemble_parallel_into, assemble_parallel_with, assemble_serial,
-    assemble_serial_into, assemble_serial_with, assemble_traced, ExecMode, GeneratedKernel,
-    KernelImpl, ParallelStrategy,
+    assemble_serial_into, assemble_serial_with, assemble_traced, ExecMode, ParallelStrategy,
 };
 pub use input::AssemblyInput;
 pub use packs::DEFAULT_LANES;

@@ -16,7 +16,7 @@
 //!
 //! [`Lanes`] abstracts over "one `f64` per lane" so the math helpers in
 //! [`crate::ops`], the workspace and the gathers serve a plain `f64`
-//! caller (the ν_t pass, the generic kernel, the `alya-form` interpreter)
+//! caller (the ν_t pass, the `alya-form` interpreter)
 //! and the lane kernels from one body.
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};

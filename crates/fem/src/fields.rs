@@ -27,13 +27,8 @@ impl ScalarField {
 
     /// Field defined by a function of the node position.
     pub fn from_fn(mesh: &TetMesh, f: impl Fn([f64; 3]) -> f64) -> Self {
-        Self::from_coords(mesh.coords(), f)
-    }
-
-    /// Field defined over an explicit coordinate list (mixed meshes etc.).
-    pub fn from_coords(coords: &[[f64; 3]], f: impl Fn([f64; 3]) -> f64) -> Self {
         Self {
-            values: coords.iter().map(|&p| f(p)).collect(),
+            values: mesh.coords().iter().map(|&p| f(p)).collect(),
         }
     }
 
@@ -102,13 +97,8 @@ impl VectorField {
 
     /// Field defined by a function of the node position.
     pub fn from_fn(mesh: &TetMesh, f: impl Fn([f64; 3]) -> [f64; 3]) -> Self {
-        Self::from_coords(mesh.coords(), f)
-    }
-
-    /// Field defined over an explicit coordinate list (mixed meshes etc.).
-    pub fn from_coords(coords: &[[f64; 3]], f: impl Fn([f64; 3]) -> [f64; 3]) -> Self {
-        let mut field = Self::zeros(coords.len());
-        for (i, &p) in coords.iter().enumerate() {
+        let mut field = Self::zeros(mesh.num_nodes());
+        for (i, &p) in mesh.coords().iter().enumerate() {
             field.set(i, f(p));
         }
         field

@@ -9,17 +9,17 @@
 //! instrumented event stream event for event. Both properties are what
 //! analyzer pass 10 checks.
 
-use alya_core::drivers::GeneratedKernel;
+use std::ops::Range;
+
+use alya_core::drivers::{with_nut, CPU_VECTOR_DIM};
 use alya_core::gather::{self, DirectSink, ScatterSink};
 use alya_core::input::AssemblyInput;
 use alya_core::layout::{self, Layout};
-use alya_core::nut::compute_nu_t;
 use alya_core::ops;
-use alya_core::variant::Variant;
 use alya_core::workspace::Ws;
 use alya_fem::element::{tet4_shape, ElementKind, Tet4, TET4_GAUSS, TET4_LOCAL_GRADS};
 use alya_fem::VectorField;
-use alya_machine::{Recorder, Space, TraceRecorder};
+use alya_machine::{NoRecord, Recorder, Space, TraceRecorder};
 
 use crate::ir::{Expr, Ix, Program, Stmt, Sym};
 
@@ -367,7 +367,7 @@ fn exec_stmt<R: Recorder, S: ScatterSink>(
 }
 
 /// Interprets `prog` for one element, scattering through `sink` and
-/// recording through `rec` — the generated-kernel counterpart of
+/// recording through `rec` — the derived counterpart of
 /// `alya_core::drivers::assemble_element`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ir<R: Recorder, S: ScatterSink>(
@@ -394,71 +394,30 @@ pub fn run_ir<R: Recorder, S: ScatterSink>(
     }
 }
 
-/// Adapter funneling the drivers' `emit` callback into the kernel-facing
-/// [`ScatterSink`] shape (untraced — the drivers record nothing on the
-/// generated path).
-struct EmitSink<'a> {
-    emit: &'a mut dyn FnMut(u32, usize, f64),
-}
-
-impl ScatterSink for EmitSink<'_> {
-    fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _lay: &Layout, _rec: &mut R) {
-        (self.emit)(n, d, v);
-    }
-}
-
-/// An IR program packaged as a [`GeneratedKernel`] the drivers can run via
-/// `KernelImpl::Generated`.
-pub struct CompiledKernel {
-    prog: Program,
-}
-
-impl CompiledKernel {
-    /// Wraps a derived program.
-    pub fn new(prog: Program) -> Self {
-        CompiledKernel { prog }
-    }
-
-    /// The underlying program.
-    pub fn program(&self) -> &Program {
-        &self.prog
-    }
-}
-
-// alya:cold: the IR interpreter builds its slot tables per element and
-// panics on malformed programs by design — it is the oracle pass 10 pins
-// the handwritten kernels to, not a production element body, so the one
-// element loop's `run_element` call must not pull it into the hot set.
-impl GeneratedKernel for CompiledKernel {
-    fn variant(&self) -> Variant {
-        self.prog.variant
-    }
-
-    fn run_element(
-        &self,
-        input: &AssemblyInput,
-        e: usize,
-        lay: &Layout,
-        ws_buf: &mut [f64],
-        stride: usize,
-        lane: usize,
-        emit: &mut dyn FnMut(u32, usize, f64),
-    ) {
-        let mut ws = match self.prog.space {
-            Some(Space::Global) => Ws::global(ws_buf, stride, lane),
-            _ => Ws::local(ws_buf),
-        };
-        let mut sink = EmitSink { emit };
-        run_ir(
-            &self.prog,
-            input,
-            e,
-            lay,
-            &mut ws,
-            &mut sink,
-            &mut alya_machine::NoRecord,
-        );
-    }
+/// Interprets `prog` on `elements`, in order, into a fresh RHS through one
+/// [`DirectSink`] and one reused workspace — the body of both
+/// [`trace_generated`] and [`assemble_generated`]. The ν_t pass is
+/// attached exactly as the drivers attach it.
+fn run_elements<R: Recorder>(
+    prog: &Program,
+    input: &AssemblyInput,
+    elements: Range<usize>,
+    lay: &Layout,
+    rec: &mut R,
+) -> VectorField {
+    with_nut(prog.variant, input, |input| {
+        let mut ws_buf = vec![0.0; prog.variant.nvalues().max(1)];
+        let mut rhs = VectorField::zeros(input.mesh.num_nodes());
+        let mut sink = DirectSink { rhs: &mut rhs };
+        for e in elements {
+            let mut ws = match prog.space {
+                Some(Space::Global) => Ws::global(&mut ws_buf, 1, 0),
+                _ => Ws::local(&mut ws_buf),
+            };
+            run_ir(prog, input, e, lay, &mut ws, &mut sink, rec);
+        }
+        rhs
+    })
 }
 
 /// Traces one element of a derived program — the exact mirror of
@@ -471,81 +430,17 @@ pub fn trace_generated(
     e: usize,
     lay: &Layout,
 ) -> TraceRecorder {
-    if prog.variant.needs_nut_pass() && input.nu_t.is_none() {
-        let nut = compute_nu_t(input);
-        let mut inp = *input;
-        inp.nu_t = Some(&nut);
-        return trace_generated_ready(prog, &inp, e, lay);
-    }
-    trace_generated_ready(prog, input, e, lay)
-}
-
-/// [`trace_generated`] once the ν_t field is attached (or not needed).
-fn trace_generated_ready(
-    prog: &Program,
-    input: &AssemblyInput,
-    e: usize,
-    lay: &Layout,
-) -> TraceRecorder {
-    let nn = input.mesh.num_nodes();
     let mut rec = TraceRecorder::new();
-    let nval = prog.variant.nvalues().max(1);
-    let mut ws_buf = vec![0.0; nval];
-    let mut rhs = VectorField::zeros(nn);
-    let mut sink = DirectSink { rhs: &mut rhs };
-    let mut ws = match prog.space {
-        Some(Space::Global) => Ws::global(&mut ws_buf, 1, 0),
-        _ => Ws::local(&mut ws_buf),
-    };
-    run_ir(prog, input, e, lay, &mut ws, &mut sink, &mut rec);
+    run_elements(prog, input, e..e + 1, lay, &mut rec);
     rec
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::derive;
-    use crate::fixture::Fixture;
-    use alya_core::drivers::{trace_element, CPU_VECTOR_DIM};
-    use alya_core::Variant;
-
-    /// Event-for-event parity with the handwritten kernels, reporting the
-    /// first divergence with context — the strongest possible pin: the
-    /// generated kernel performs the *same operations in the same order*,
-    /// not merely the same totals.
-    #[test]
-    fn generated_event_streams_match_handwritten_exactly() {
-        let fx = Fixture::new();
-        let input = fx.input();
-        let ne = fx.mesh.num_elements();
-        let nn = fx.mesh.num_nodes();
-        for v in Variant::ALL {
-            let prog = derive(v);
-            for &e in &[0usize, ne / 3, ne - 1] {
-                for lay in [Layout::gpu(e, ne, nn), Layout::cpu(e, CPU_VECTOR_DIM, nn)] {
-                    let hand = trace_element(v, &input, e, &lay);
-                    let gen = trace_generated(&prog, &input, e, &lay);
-                    let n = hand.events.len().min(gen.events.len());
-                    for i in 0..n {
-                        assert_eq!(
-                            hand.events[i],
-                            gen.events[i],
-                            "{} element {e}: first divergence at event {i}\n  handwritten: {:?}\n  generated:   {:?}",
-                            v.name(),
-                            &hand.events[i.saturating_sub(5)..(i + 5).min(n)],
-                            &gen.events[i.saturating_sub(5)..(i + 5).min(n)],
-                        );
-                    }
-                    assert_eq!(
-                        hand.events.len(),
-                        gen.events.len(),
-                        "{} element {e}: stream lengths diverge after a common prefix; tails: {:?} vs {:?}",
-                        v.name(),
-                        &hand.events[n.saturating_sub(5)..],
-                        &gen.events[n.saturating_sub(5)..],
-                    );
-                }
-            }
-        }
-    }
+/// Serial whole-mesh assembly of a derived program, elements in id order
+/// into one [`DirectSink`] — the order `alya_core::assemble_serial` scatters
+/// in, so analyzer pass 10 can require the two RHS vectors to be bitwise
+/// equal. A test-time oracle: no driver runs it.
+pub fn assemble_generated(prog: &Program, input: &AssemblyInput) -> VectorField {
+    let lay = Layout::cpu(0, CPU_VECTOR_DIM, input.mesh.num_nodes());
+    let ne = input.mesh.num_elements();
+    run_elements(prog, input, 0..ne, &lay, &mut NoRecord)
 }

@@ -1,8 +1,9 @@
-//! The contract-derivation fixture: the same jittered box mesh and smooth
-//! fields the analyzer audits on. Contract derivation replays one element
-//! of a real mesh, so the fixture must have jitter and curvature — a
-//! degenerate mesh could let a data-dependent branch skew the derived
-//! counts.
+//! The canonical fixture: a small jittered box mesh with smooth
+//! non-trivial fields, shared by contract derivation here and every
+//! analyzer pass (`alya-analyze` re-exports it). The contracts are
+//! structural, but derivation replays one element of a real mesh, so the
+//! fixture has jitter and curvature — a degenerate mesh could let a
+//! data-dependent branch skew the derived counts or hide behind zeros.
 
 use alya_core::AssemblyInput;
 use alya_fem::material::ConstantProperties;

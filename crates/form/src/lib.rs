@@ -16,16 +16,21 @@
 //! * `RSPR` = [`rewrite::recombine`]`(RSP)` — the accumulation loop
 //!   recombined node-major to shrink live ranges below the register budget.
 //!
-//! Two backends walk the same IR. The executable backend
-//! ([`exec::CompiledKernel`]) interprets a program against the *real*
-//! `alya-core` workspace, gather/scatter, and math routines, and plugs into
-//! the drivers as `KernelImpl::Generated`; its results are required to be
-//! **bitwise identical** to the handwritten kernels, and its instrumented
-//! event streams identical event-for-event. The analysis backend
+//! Two backends walk the same IR. The executable backend ([`exec`])
+//! interprets a program against the *real* `alya-core` workspace,
+//! gather/scatter, and math routines: [`exec::trace_generated`] records one
+//! element's event stream, which must equal the handwritten kernel's
+//! event-for-event, and [`exec::assemble_generated`] runs the whole mesh
+//! serially, which must be **bitwise identical** to
+//! `alya_core::assemble_serial`. The analysis backend
 //! ([`contract::derive_contract`]) replays one element's event stream into
 //! a [`KernelContract`] that must equal the hand-maintained one in
 //! `alya_core::variant` field-for-field. Analyzer pass 10
-//! (`alya-analyze`'s `form` module) enforces both on every audit.
+//! (`alya-analyze`'s `form` module) enforces all three on every audit.
+//!
+//! The crate is an oracle, not a source: the handwritten kernels are the
+//! only element bodies a driver runs, and the derivation is what they are
+//! checked against.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +43,6 @@ pub mod rewrite;
 
 pub use alya_core::variant::{KernelContract, Variant};
 pub use contract::derive_contract;
-pub use exec::CompiledKernel;
 pub use ir::{Block, Expr, Ix, Program, Stmt};
 
 /// Derives `variant`'s program from the single base description.

@@ -26,7 +26,6 @@
 pub mod adjacency;
 pub mod coloring;
 pub mod generator;
-pub mod mixed;
 pub mod ordering;
 pub mod partition;
 pub mod quality;
