@@ -488,3 +488,52 @@ fn a_pressure_solve_split_over_the_workers_is_the_serial_solve_bitwise() {
     assert!(split.1 == serial.1, "velocity");
     assert!(split.2 == serial.2, "pressure");
 }
+
+/// FNV-1a digest of a solver's velocity, then its pressure, folded the way
+/// `alya-serve` digests a retired step session.
+fn state_digest(solver: &FractionalStep<'_>) -> u64 {
+    let h = alya_serve::digest_bits(0xcbf2_9ce4_8422_2325, solver.velocity().as_slice());
+    alya_serve::digest_bits(h, solver.pressure().as_slice())
+}
+
+/// Absolute bits of three steps from the terrain case's snapshot (the
+/// benchmark's `dt`, properties and body force, no boundary conditions,
+/// `Variant::Rsp`), at the benchmark's two sizes: ForwardEuler serial at
+/// 1536 and 24 000 elements, and SspRk3 `parallel` at 24 000 on a case
+/// sharded for two workers whatever the host offers. A change that moves
+/// any of these bits re-records them here, in its own commit, with the
+/// distance of the new state from the old.
+#[test]
+fn three_steps_from_the_terrain_snapshot_keep_their_digests() {
+    use alya_bench::case::Case;
+    for (elems, scheme, parallel, want) in [
+        (1536, TimeScheme::ForwardEuler, false, 0x4eb1_6479_20fb_836a_u64),
+        (24_000, TimeScheme::ForwardEuler, false, 0x07e4_32ca_0722_82bd),
+        (24_000, TimeScheme::SspRk3, true, 0xe86c_8f5d_369f_53c6),
+    ] {
+        let case = Case::bolund(elems);
+        let mesh = Arc::new(case.mesh);
+        let parts = CaseParts {
+            strategy: Arc::new(ParallelStrategy::auto_with(&mesh, 2)),
+            ..CaseParts::build(&mesh)
+        };
+        let cfg = StepConfig {
+            dt: 5e-4,
+            scheme,
+            props: case.props,
+            body_force: case.body_force,
+            parallel,
+            ..StepConfig::default()
+        };
+        let mut solver = FractionalStep::from_shared_parts(Arc::clone(&mesh), cfg, parts);
+        solver.reset(&case.velocity);
+        for _ in 0..3 {
+            assert!(solver.step(Variant::Rsp).cg.converged);
+        }
+        let got = state_digest(&solver);
+        assert_eq!(
+            got, want,
+            "{elems} elements, {scheme:?}: {got:#018x} != {want:#018x}"
+        );
+    }
+}
