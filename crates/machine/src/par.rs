@@ -1,7 +1,7 @@
 //! Minimal structured-parallelism helpers over `std::thread::scope`.
 //!
 //! The workspace builds without third-party crates, so the parallel
-//! drivers (`alya-core::drivers`, `alya-solver::csr`) use these helpers
+//! drivers (`alya-core::drivers`, `alya-solver::cg`) use these helpers
 //! instead of rayon. The model is deliberately simple: an index range is
 //! split into one contiguous chunk per worker, each worker owns a
 //! per-thread state built by `init` (the reused workspace buffer pattern),
@@ -15,7 +15,7 @@
 //! up.
 //!
 //! Each of those forks and joins threads per call. Work that repeats many
-//! short rounds over the same data (the pressure CG's operator apply) runs
+//! short rounds over the same data (the pressure CG's iterations) runs
 //! on a [`Team`] instead: [`with_team`] spawns the helpers once, and a
 //! [`Team::round`] costs a handoff through two atomics, not a spawn.
 //!

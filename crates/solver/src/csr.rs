@@ -1,11 +1,5 @@
-//! Compressed-sparse-row matrices, and their product split by rows over a
-//! [`Team`] of worker threads.
-
-use std::sync::{Mutex, PoisonError, RwLock};
-
-use alya_machine::par::Team;
-
-use crate::cg::LinOp;
+//! Compressed-sparse-row matrices: the product the pressure CG runs, whole
+//! or row range by row range.
 
 /// A CSR matrix over `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,113 +192,9 @@ impl CsrMatrix {
     }
 }
 
-/// The buffers of a [`RowSplit`] product, owned by the solver that runs
-/// it and kept across solves: each member's row bounds, the copy of the
-/// operand the helpers read, and each helper's rows of the result.
-#[derive(Debug, Default)]
-pub(crate) struct SplitScratch {
-    bounds: Vec<usize>,
-    x: RwLock<Vec<f64>>,
-    rows: Vec<Mutex<Vec<f64>>>,
-}
-
-impl SplitScratch {
-    /// Splits `a`'s rows by nonzeros over `members` threads and sizes the
-    /// buffers to match; allocates nothing when they already do.
-    pub(crate) fn prepare(&mut self, a: &CsrMatrix, members: usize) {
-        if self.bounds.len() == members + 1 && self.bounds.last() == Some(&a.num_rows()) {
-            return;
-        }
-        self.bounds = a.nnz_split(members);
-        self.x = RwLock::new(vec![0.0; a.num_cols()]);
-        self.rows = self.bounds[1..]
-            .windows(2)
-            .map(|r| Mutex::new(vec![0.0; r[1] - r[0]]))
-            .collect();
-    }
-
-    /// Helper `w ≥ 1`'s job in a round: its rows of `a x` into its buffer.
-    // alya:hot
-    pub(crate) fn helper_rows(&self, a: &CsrMatrix, w: usize) {
-        // A poisoned lock means a member panicked; the team reports that.
-        let x = self.x.read().unwrap_or_else(PoisonError::into_inner);
-        let mut out = self.rows[w - 1]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        a.spmv_rows(&x, self.bounds[w], &mut out);
-    }
-
-    /// Where the buffers live (a solver reset must keep them).
-    #[cfg(test)]
-    pub(crate) fn buffer_ptrs(&self) -> Vec<*const ()> {
-        let x = self.x.read().unwrap_or_else(PoisonError::into_inner);
-        let mut ptrs = vec![self.bounds.as_ptr().cast(), x.as_ptr().cast()];
-        for r in &self.rows {
-            ptrs.push(
-                r.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .as_ptr()
-                    .cast(),
-            );
-        }
-        ptrs
-    }
-}
-
-/// `a` with its product split over `team`: the caller computes the first
-/// row range straight into `y` while each helper computes its own range
-/// (from [`SplitScratch::prepare`]'s bounds, [`SplitScratch::helper_rows`]
-/// as the team's job) and the caller copies those rows back. Every row is
-/// summed by [`CsrMatrix::spmv_rows`], so the result is `a.spmv` bit for
-/// bit at any member count.
-pub(crate) struct RowSplit<'a> {
-    pub(crate) a: &'a CsrMatrix,
-    pub(crate) scratch: &'a SplitScratch,
-    pub(crate) team: &'a Team<'a>,
-}
-
-impl LinOp for RowSplit<'_> {
-    // alya:hot
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let SplitScratch {
-            bounds,
-            x: shared,
-            rows,
-        } = self.scratch;
-        debug_assert_eq!(bounds.len(), self.team.members() + 1);
-        shared
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .copy_from_slice(x);
-        self.team
-            .round(|| self.a.spmv_rows(x, 0, &mut y[..bounds[1]]));
-        for (r, out) in bounds[1..].windows(2).zip(rows) {
-            let out = out.lock().unwrap_or_else(PoisonError::into_inner);
-            y[r[0]..r[1]].copy_from_slice(&out);
-        }
-    }
-
-    fn dim(&self) -> usize {
-        self.a.dim()
-    }
-
-    fn precond_diagonal(&self) -> Vec<f64> {
-        self.a.precond_diagonal()
-    }
-
-    fn precond_diagonal_into(&self, out: &mut [f64]) {
-        self.a.precond_diagonal_into(out);
-    }
-
-    fn apply_flops(&self) -> u64 {
-        self.a.apply_flops()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alya_machine::par;
 
     fn small() -> CsrMatrix {
         // [2 1 0]
@@ -365,8 +255,8 @@ mod tests {
 
     /// `nnz_split(k)` for k ∈ {1, 2, 3, 8, rows + 5}: bounds ascend and
     /// cover every row, each range holds about a k-th of the nonzeros, and
-    /// `spmv_rows` over the ranges — alone, and as a [`RowSplit`] on a team
-    /// of k threads — is `spmv` bit for bit.
+    /// `spmv_rows` over the ranges is `spmv` bit for bit. (The CG team
+    /// that runs those ranges is held bitwise by the `cg` tests.)
     fn check_split(a: &CsrMatrix) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let x: Vec<f64> = (0..a.num_cols())
@@ -390,25 +280,6 @@ mod tests {
                 a.spmv_rows(&x, r[0], &mut got[r[0]..r[1]]);
             }
             assert_eq!(bits(&got), bits(&want), "k = {k}");
-
-            if k > 8 {
-                continue;
-            }
-            let mut scratch = SplitScratch::default();
-            scratch.prepare(a, k);
-            let scratch = &scratch;
-            let mut got = vec![f64::NAN; a.num_rows()];
-            par::with_team(
-                k,
-                |w| scratch.helper_rows(a, w),
-                |team| {
-                    let split = RowSplit { a, scratch, team };
-                    for _ in 0..3 {
-                        split.apply(&x, &mut got);
-                        assert_eq!(bits(&got), bits(&want), "team of {k}");
-                    }
-                },
-            );
         }
     }
 

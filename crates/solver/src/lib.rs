@@ -6,11 +6,12 @@
 //! and names as future work). This crate supplies the rest of that loop so
 //! the examples can run an actual simulation end to end:
 //!
-//! * [`csr`] — compressed sparse row matrices: the serial SpMV the
-//!   pressure CG runs on, and a thread-parallel one for callers that know
-//!   their matrix is big;
+//! * [`csr`] — compressed sparse row matrices and the one SpMV row loop
+//!   the pressure CG runs, over all rows or over one range of them;
 //! * [`cg`] — preconditioned conjugate gradients (one loop; Jacobi by
-//!   default);
+//!   default), run on the calling thread or, for a sharded `parallel`
+//!   step, on a team of worker threads that each own a range of rows,
+//!   with dot products whose bits do not depend on the team's size;
 //! * [`poisson`] — the pressure-Poisson operator (P1 Laplacian), lumped
 //!   mass matrix, weak divergence/gradient sweeps — each uncached and
 //!   driven from a per-case geometry table (bitwise equal) — and the

@@ -19,12 +19,12 @@
 //! * **coarse solve** — dense Cholesky with a tiny diagonal shift (also
 //!   absorbs the Neumann null space).
 
-use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
 use alya_mesh::{NodeToElements, Partition, TetMesh};
 
 pub use crate::cg::Preconditioner;
-use crate::cg::{pcg, CgResult, CgScratch, LinOp};
+use crate::cg::{pcg, CgResult, CgWork, LinOp};
 use crate::csr::CsrMatrix;
 
 /// Plain Jacobi (diagonal) preconditioning.
@@ -66,9 +66,10 @@ pub struct TwoLevelMg {
     num_coarse: usize,
     inv_diag: Vec<f64>,
     omega: f64,
-    /// Work vectors of one cycle (`Preconditioner::apply` takes `&self`;
-    /// CG applies it from one thread, one cycle at a time).
-    scratch: RefCell<MgScratch>,
+    /// Work vectors of one cycle (`Preconditioner::apply` takes `&self`,
+    /// and a preconditioner is `Sync`; CG applies it one cycle at a time,
+    /// so the lock is never contended).
+    scratch: Mutex<MgScratch>,
 }
 
 struct MgScratch {
@@ -135,7 +136,7 @@ impl TwoLevelMg {
             num_coarse: nc,
             inv_diag,
             omega: 2.0 / 3.0,
-            scratch: RefCell::new(MgScratch {
+            scratch: Mutex::new(MgScratch {
                 az: vec![0.0; nn],
                 rc: vec![0.0; nc],
                 yc: vec![0.0; nc],
@@ -156,7 +157,8 @@ impl TwoLevelMg {
 impl Preconditioner for TwoLevelMg {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let n = r.len();
-        let MgScratch { az, rc, yc, xc } = &mut *self.scratch.borrow_mut();
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let MgScratch { az, rc, yc, xc } = &mut *scratch;
 
         // Pre-smooth from zero: z = omega D^{-1} r.
         for i in 0..n {
@@ -187,7 +189,8 @@ impl Preconditioner for TwoLevelMg {
 }
 
 /// Preconditioned conjugate gradients with an arbitrary SPD preconditioner
-/// — [`crate::cg::solve_cg_with`]'s loop with `m` in place of Jacobi.
+/// — [`crate::cg::solve_cg_with`]'s loop with `m` in place of Jacobi, on
+/// the calling thread.
 pub fn solve_pcg(
     a: &impl LinOp,
     m: &impl Preconditioner,
@@ -196,7 +199,7 @@ pub fn solve_pcg(
     rel_tol: f64,
     max_iters: usize,
 ) -> CgResult {
-    pcg(a, m, b, x, rel_tol, max_iters, CgScratch::new().work())
+    pcg(a, m, b, x, rel_tol, max_iters, &mut CgWork::default(), 1)
 }
 
 /// Dense Cholesky factorization (lower triangular, row-major).

@@ -13,9 +13,9 @@
 //! tests), which is the property a fractional-step scheme must deliver.
 //! The three sweeps a step makes (`D u*`, `Dᵀ p`, `D u`) run from the
 //! case's [`GeomTable`]; the ~100 operator applies inside the CG are one
-//! CSR row loop each ([`CaseParts::projection`], DESIGN §18), split by
-//! rows over the case's workers when a [`StepConfig::parallel`] step's
-//! case is sharded.
+//! CSR row loop each ([`CaseParts::projection`], DESIGN §18), and the
+//! whole CG iteration is split by rows over the case's workers when a
+//! [`StepConfig::parallel`] step's case is sharded.
 
 use std::sync::{Arc, OnceLock};
 
@@ -31,7 +31,7 @@ use alya_mesh::TetMesh;
 use alya_telemetry as telemetry;
 
 use crate::cg::{self, CgResult, CgScratch, DiagonalDivide};
-use crate::csr::{CsrMatrix, RowSplit, SplitScratch};
+use crate::csr::CsrMatrix;
 use crate::poisson::{self, GeomTable};
 
 /// Explicit time-integration scheme for the momentum prediction.
@@ -76,9 +76,10 @@ pub struct StepConfig {
     /// Run the step on `alya_machine::par`'s worker threads: assemble the
     /// momentum RHS through [`CaseParts::strategy`], and — when that
     /// strategy is sharded, i.e. the mesh has enough elements for every
-    /// worker — split the pressure CG's operator applies by rows over a
-    /// team of the same workers, bitwise the serial solve. Everything runs
-    /// on the calling thread otherwise.
+    /// worker — run the whole pressure-CG iteration (products, dots,
+    /// updates and the Jacobi divide) on a team of the same workers, each
+    /// owning a range of rows, bitwise the one-thread solve at any worker
+    /// count. Everything runs on the calling thread otherwise.
     pub parallel: bool,
 }
 
@@ -187,10 +188,8 @@ pub struct FractionalStep<'m> {
     temperature: ScalarField,
     bc: DirichletBc,
     parts: CaseParts,
+    /// The pressure CG's vectors, cut for the members a solve runs on.
     cg_scratch: CgScratch,
-    /// The row split of a solve on the case's workers (sized by the first
-    /// such solve).
-    split_scratch: SplitScratch,
     pressure_scratch: Vec<f64>,
     /// The RK stages; `stages[0]` ends the prediction as `u*`, becomes the
     /// corrected velocity and is swapped with `velocity`. Like the CG
@@ -242,7 +241,6 @@ impl<'m> FractionalStep<'m> {
             bc: DirichletBc::new(),
             parts,
             cg_scratch: CgScratch::new(),
-            split_scratch: SplitScratch::default(),
             pressure_scratch: Vec::new(),
             stages: [VectorField::zeros(0), VectorField::zeros(0)],
             rhs_scratch: VectorField::zeros(0),
@@ -422,34 +420,24 @@ impl<'m> FractionalStep<'m> {
             .extend_from_slice(self.pressure.as_slice());
         drop(rhs_span);
         // A case sharded for the workers (`ParallelStrategy::auto`'s rule:
-        // enough elements for each) splits every operator apply over them,
-        // on a team spawned once per solve; the CG loop itself, and so
-        // every bit of the solve, is the serial one.
-        let a = self.parts.projection(mesh);
-        let jacobi = DiagonalDivide(&self.parts.proj_diag);
-        let (b, x, work) = (
-            b.as_slice(),
-            &mut self.pressure_scratch,
-            self.cg_scratch.work(),
-        );
+        // enough elements for each) runs the whole CG iteration on a team
+        // of them, spawned once per solve, each member owning a range of
+        // rows; the blocked reductions make every bit of the solve the
+        // one-member solve's.
         let members = match *self.parts.strategy {
             ParallelStrategy::Sharded(_) if cfg.parallel => par::num_threads(),
             _ => 1,
         };
-        let cg = if members > 1 {
-            self.split_scratch.prepare(a, members);
-            let scratch = &self.split_scratch;
-            par::with_team(
-                members,
-                |w| scratch.helper_rows(a, w),
-                |team| {
-                    let split = RowSplit { a, scratch, team };
-                    cg::pcg(&split, &jacobi, b, x, cfg.cg_tol, cfg.cg_max_iters, work)
-                },
-            )
-        } else {
-            cg::pcg(a, &jacobi, b, x, cfg.cg_tol, cfg.cg_max_iters, work)
-        };
+        let cg = cg::pcg(
+            self.parts.projection(mesh),
+            &DiagonalDivide(&self.parts.proj_diag),
+            b.as_slice(),
+            &mut self.pressure_scratch,
+            cfg.cg_tol,
+            cfg.cg_max_iters,
+            &mut self.cg_scratch.work,
+            members,
+        );
         self.pressure
             .as_mut_slice()
             .copy_from_slice(&self.pressure_scratch);
@@ -672,8 +660,8 @@ mod tests {
     #[test]
     fn sessions_of_one_case_share_the_geometry_table_and_reset_reuses_every_buffer() {
         let mesh = Arc::new(BoxMeshBuilder::new(3, 3, 3).build());
-        // Sharded, so a parallel step splits its solve over the workers
-        // and sizes the split's scratch too.
+        // Sharded, so a parallel step runs its solve on a team of the
+        // workers and cuts the CG scratch for every member.
         let parts = CaseParts {
             strategy: Arc::new(ParallelStrategy::sharded(&mesh, 2)),
             ..CaseParts::build(&mesh)
@@ -711,15 +699,18 @@ mod tests {
             ]
             .map(<*const f64>::cast)
             .into();
-            all.extend(s.split_scratch.buffer_ptrs());
+            all.extend(s.cg_scratch.buffer_ptrs());
             all
         };
         let before = buffers(&a);
-        // Bounds, the shared operand and one buffer per helper.
+        // Bounds, the search direction, the block sums and six buffers per
+        // member.
         let members = par::num_threads();
-        if members > 1 {
-            assert_eq!(before.len(), 9 + 2 + members - 1, "the solve ran serially");
-        }
+        assert_eq!(
+            before.len(),
+            9 + 3 + 6 * members,
+            "not one member per worker"
+        );
         a.reset(&init);
         assert_eq!(buffers(&a), before, "reset reallocated a buffer");
         a.step(Variant::Rsp);
