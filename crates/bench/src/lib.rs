@@ -6,9 +6,6 @@
 //! * [`profile`] — turns each kernel variant into the lowered event
 //!   streams and register demands the machine models consume (running the
 //!   register allocator exactly where the compilers would);
-//! * [`pipeline`] — the async variant of the above: trace generation on
-//!   a producer thread overlapped with model replay through an
-//!   `alya-sched` double buffer, bit-identical to the fused path;
 //! * [`paper`] — the published Table I/II/III and figure values, printed
 //!   side by side with the model output;
 //! * [`report`] — plain-text table formatting.
@@ -25,7 +22,6 @@ pub mod blackbox;
 pub mod case;
 pub mod harness;
 pub mod paper;
-pub mod pipeline;
 pub mod profile;
 pub mod report;
 pub mod trace;

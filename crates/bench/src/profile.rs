@@ -138,7 +138,7 @@ fn measured_pressure_or_zero(variant: Variant, input: &AssemblyInput) -> u32 {
 }
 
 /// Lowered CPU pack trace (16 lanes, spills against the AVX-512 budget).
-pub fn cpu_pack_trace(variant: Variant, input: &AssemblyInput, pack: usize) -> Vec<Event> {
+fn cpu_pack_trace(variant: Variant, input: &AssemblyInput, pack: usize) -> Vec<Event> {
     let ne = input.mesh.num_elements();
     let nn = input.mesh.num_nodes();
     let alloc = RegisterAllocator::new(CPU_PRIVATE_F64_BUDGET);

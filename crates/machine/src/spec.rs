@@ -91,64 +91,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA V100-SXM2-32GB (the A100's predecessor) — public datasheet
-    /// values with a measured-style ~92 % bandwidth derate.
-    pub fn v100_32gb() -> Self {
-        Self {
-            name: "NVIDIA V100-SXM2-32GB",
-            warp_size: 32,
-            num_sms: 80,
-            clock_hz: 1.53e9,
-            registers_per_sm: 65_536,
-            max_registers_per_thread: 255,
-            register_granularity: 8,
-            max_threads_per_sm: 2048,
-            threads_per_block: 128,
-            l1_bytes: 32 * 1024, // cache share of the 128 KB L1/shmem
-            l1_assoc: 8,
-            l2_bytes: 6 * 1024 * 1024,
-            l2_assoc: 16,
-            line_bytes: 32,
-            dram_bw: 830.0e9,
-            l2_bw: 2200.0e9,
-            l1_bytes_per_cycle_per_sm: 128.0,
-            dram_latency_cycles: 450.0,
-            l2_latency_cycles: 200.0,
-            peak_fp64: 7.8e12,
-            issue_width: 4.0,
-            dependent_issue_latency: 8.0,
-        }
-    }
-
-    /// NVIDIA H100-SXM5-80GB — public datasheet values (vector FP64),
-    /// HBM3 with a measured-style derate.
-    pub fn h100_sxm() -> Self {
-        Self {
-            name: "NVIDIA H100-SXM5-80GB",
-            warp_size: 32,
-            num_sms: 132,
-            clock_hz: 1.98e9,
-            registers_per_sm: 65_536,
-            max_registers_per_thread: 255,
-            register_granularity: 8,
-            max_threads_per_sm: 2048,
-            threads_per_block: 128,
-            l1_bytes: 64 * 1024, // cache share of the 256 KB L1/shmem
-            l1_assoc: 8,
-            l2_bytes: 50 * 1024 * 1024,
-            l2_assoc: 16,
-            line_bytes: 32,
-            dram_bw: 3000.0e9,
-            l2_bw: 7500.0e9,
-            l1_bytes_per_cycle_per_sm: 128.0,
-            dram_latency_cycles: 550.0,
-            l2_latency_cycles: 240.0,
-            peak_fp64: 33.5e12,
-            issue_width: 4.0,
-            dependent_issue_latency: 8.0,
-        }
-    }
-
     /// Machine arithmetic intensity (Flop/B), ≈ 7 for the A100.
     pub fn machine_intensity(&self) -> f64 {
         self.peak_fp64 / self.dram_bw
@@ -266,45 +208,6 @@ impl CpuSpec {
         }
     }
 
-    /// Dual-socket Intel Xeon Platinum 8480+ (Sapphire Rapids) — a
-    /// newer-generation node for the cross-hardware projection.
-    pub fn sapphire_rapids_8480() -> Self {
-        Self {
-            name: "2x Intel Xeon Platinum 8480+ (Sapphire Rapids)",
-            cores_per_socket: 56,
-            sockets: 2,
-            simd_lanes: 8,
-            fma_units: 2,
-            load_ports: 2,
-            store_ports: 1,
-            turbo_bins: vec![
-                TurboBin {
-                    max_active_cores: 8,
-                    clock_hz: 3.8e9,
-                },
-                TurboBin {
-                    max_active_cores: 32,
-                    clock_hz: 3.4e9,
-                },
-                TurboBin {
-                    max_active_cores: 112,
-                    clock_hz: 3.0e9,
-                },
-            ],
-            l1_bytes: 48 * 1024,
-            l1_assoc: 12,
-            l2_bytes: 2048 * 1024,
-            l2_assoc: 16,
-            l3_bytes: 105 * 1024 * 1024,
-            l3_assoc: 15,
-            line_bytes: 64,
-            socket_dram_bw: 250.0e9,
-            core_dram_bw: 15.0e9,
-            sustained_ipc: 1.0,
-            l2_bytes_per_cycle: 64.0,
-        }
-    }
-
     /// Total cores on the node.
     pub fn total_cores(&self) -> u32 {
         self.cores_per_socket * self.sockets
@@ -408,28 +311,5 @@ mod tests {
     #[test]
     fn total_cores_is_node_size() {
         assert_eq!(CpuSpec::icelake_8360y().total_cores(), 72);
-        assert_eq!(CpuSpec::sapphire_rapids_8480().total_cores(), 112);
-    }
-
-    #[test]
-    fn gpu_generations_order_sanely() {
-        let v100 = GpuSpec::v100_32gb();
-        let a100 = GpuSpec::a100_40gb();
-        let h100 = GpuSpec::h100_sxm();
-        assert!(v100.peak_fp64 < a100.peak_fp64 && a100.peak_fp64 < h100.peak_fp64);
-        assert!(v100.dram_bw < a100.dram_bw && a100.dram_bw < h100.dram_bw);
-        // Machine intensity rises across generations (compute outpaces
-        // bandwidth) — the "towards exascale" pressure the paper's
-        // optimizations anticipate.
-        assert!(h100.machine_intensity() > a100.machine_intensity());
-    }
-
-    #[test]
-    fn v100_occupancy_math_matches_a100_register_file() {
-        // Same 64K-register file: occupancy at 255 regs identical.
-        assert_eq!(
-            GpuSpec::v100_32gb().resident_threads_per_sm(255),
-            GpuSpec::a100_40gb().resident_threads_per_sm(255)
-        );
     }
 }

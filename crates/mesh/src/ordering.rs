@@ -5,8 +5,9 @@
 //! consecutive elements that share nodes reuse cache lines. Structured
 //! generators emit a reasonably local order; this module provides
 //! space-filling-curve reordering (better locality), random shuffling
-//! (worst case), and the permutation plumbing — the substrate for the
-//! gather-locality ablation in `alya-bench`.
+//! (worst case), and the permutation plumbing. The audit's
+//! `shard-mismatch` seed and the shard tests reorder a mesh by Morton; the
+//! mesh property tests take every order as an input.
 
 use crate::tet::TetMesh;
 
@@ -95,24 +96,6 @@ pub fn morton_key(p: [f64; 3], lo: [f64; 3], hi: [f64; 3]) -> u64 {
     key
 }
 
-/// Mean node-index spread of consecutive elements — a cheap locality
-/// metric (smaller = better gather locality).
-pub fn ordering_locality(mesh: &TetMesh) -> f64 {
-    let ne = mesh.num_elements();
-    if ne < 2 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for e in 1..ne {
-        let prev = mesh.element(e - 1);
-        let cur = mesh.element(e);
-        let pm = prev.iter().map(|&n| n as f64).sum::<f64>() / 4.0;
-        let cm = cur.iter().map(|&n| n as f64).sum::<f64>() / 4.0;
-        total += (pm - cm).abs();
-    }
-    total / (ne - 1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,29 +143,6 @@ mod tests {
         assert!(a < b);
         // Equal points tie.
         assert_eq!(a, morton_key([0.1, 0.1, 0.1], lo, hi));
-    }
-
-    #[test]
-    fn random_destroys_locality_morton_preserves_it() {
-        let mesh = BoxMeshBuilder::new(8, 8, 8).build();
-        let natural = ordering_locality(&mesh);
-        let morton = ordering_locality(&reorder_elements(
-            &mesh,
-            &element_permutation(&mesh, ElementOrder::Morton),
-        ));
-        let random = ordering_locality(&reorder_elements(
-            &mesh,
-            &element_permutation(&mesh, ElementOrder::Random),
-        ));
-        assert!(
-            random > 3.0 * natural.max(morton),
-            "random {random} vs natural {natural} / morton {morton}"
-        );
-        // Morton stays within a small factor of the structured order.
-        assert!(
-            morton < 5.0 * natural,
-            "morton {morton} vs natural {natural}"
-        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! production setting points at AMG-preconditioned solvers as future work —
 //! Jacobi-PCG is the honest laptop-scale stand-in). There is one CG loop,
 //! `pcg`, generic over the operator and the [`Preconditioner`];
-//! [`solve_cg`], [`solve_cg_with`] and [`crate::multigrid::solve_pcg`] run
-//! it on one member, and a `parallel` fractional step on a sharded case
-//! runs it on a team of the case's workers (DESIGN §18).
+//! [`solve_cg`] and [`solve_cg_with`] run it on one member, and a
+//! `parallel` fractional step on a sharded case runs it on a team of the
+//! case's workers (DESIGN §18).
 //!
 //! Every dot product and norm of the loop is a sum over fixed blocks of
 //! [`BLOCK`] rows, each block summed in four partial sums, and the block

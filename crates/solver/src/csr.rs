@@ -176,20 +176,6 @@ impl CsrMatrix {
         }
         worst
     }
-
-    /// Replaces row `r` by the identity row (Dirichlet elimination; the
-    /// symmetric column sweep is the caller's business).
-    pub fn set_identity_row(&mut self, r: usize) {
-        let lo = self.row_offsets[r] as usize;
-        let hi = self.row_offsets[r + 1] as usize;
-        for i in lo..hi {
-            self.values[i] = if self.col_indices[i] as usize == r {
-                1.0
-            } else {
-                0.0
-            };
-        }
-    }
 }
 
 #[cfg(test)]
@@ -311,16 +297,6 @@ mod tests {
         let geom = crate::poisson::GeomTable::build(&mesh);
         let a = geom.projection_matrix(&mesh, &crate::poisson::lumped_mass(&mesh));
         check_split(&a);
-    }
-
-    #[test]
-    fn identity_row_elimination() {
-        let mut a = small();
-        a.set_identity_row(1);
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [0.0; 3];
-        a.spmv(&x, &mut y);
-        assert_eq!(y[1], 2.0);
     }
 
     #[test]

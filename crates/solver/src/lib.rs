@@ -38,12 +38,9 @@
 
 pub mod cg;
 pub mod csr;
-pub mod multigrid;
 pub mod poisson;
 pub mod step;
-pub mod vtk;
 
 pub use cg::{solve_cg, solve_cg_with, CgResult, CgScratch};
 pub use csr::CsrMatrix;
 pub use step::{CaseParts, FractionalStep, StepConfig, StepStats, TimeScheme};
-pub use vtk::VtkWriter;

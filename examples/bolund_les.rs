@@ -71,13 +71,4 @@ fn main() {
         }
     }
     println!("\ndone: LES advanced to t = {:.4}", solver.time());
-
-    // Drop a ParaView-readable snapshot next to the binary.
-    let out = std::env::temp_dir().join("bolund_les.vtk");
-    alya_solver::VtkWriter::new(&mesh)
-        .vector("velocity", solver.velocity())
-        .scalar("pressure", solver.pressure())
-        .write_file(&out)
-        .expect("VTK write failed");
-    println!("snapshot written to {}", out.display());
 }
