@@ -14,8 +14,10 @@
 //!   shard is touched by no element of any other shard, so plain
 //!   unsynchronized stores from concurrent shards never alias. Proven by
 //!   [`alya_mesh::ShardSet::validate`], which additionally proves the
-//!   compact local↔global maps are mutually consistent and every element
-//!   belongs to exactly one shard.
+//!   compact local↔global maps are mutually consistent, every element
+//!   belongs to exactly one shard, each shard's elements are ascending,
+//!   and the boundary replay covers every pair slot once in ascending
+//!   element id — what makes the sharded RHS the serial one bit for bit.
 
 use alya_mesh::{Coloring, ColoringConflict, Partition, ShardSet, TetMesh};
 
@@ -77,7 +79,8 @@ pub struct ShardReport {
     pub num_shards: usize,
     /// Elements covered.
     pub num_elements: usize,
-    /// Boundary-node slots entering the cross-shard reduction.
+    /// Boundary-node slots across shards (an interface node counts once
+    /// per shard touching it).
     pub boundary_slots: usize,
     /// The first violated invariant, if any — aliasing interior writes or
     /// inconsistent compact maps, a data race or corruption in the sharded
@@ -97,7 +100,7 @@ impl std::fmt::Display for ShardReport {
         match &self.violation {
             None => write!(
                 f,
-                "shard-safe: {} elements in {} shards, {} boundary slots reduced, interior writes exclusive",
+                "shard-safe: {} elements in {} shards, {} boundary slots, interior writes exclusive, replay in serial order",
                 self.num_elements, self.num_shards, self.boundary_slots
             ),
             Some(v) => write!(f, "SHARD VIOLATION: {v}"),

@@ -1,5 +1,5 @@
-//! Parallel scatter-strategy ablation: colored vs owner-computes
-//! partitions vs compact-numbered shards (all race-free by construction).
+//! Parallel scatter-strategy ablation: colored vs compact-numbered
+//! owner-computes shards (both race-free by construction).
 
 use alya_bench::harness::{BenchmarkId, Criterion, Throughput};
 use alya_bench::{criterion_group, criterion_main};
@@ -17,7 +17,6 @@ fn bench_scatter(c: &mut Criterion) {
 
     let strategies = [
         ("colored", ParallelStrategy::colored(&case.mesh)),
-        ("partitioned", ParallelStrategy::partitioned(&case.mesh, 8)),
         ("sharded", ParallelStrategy::sharded(&case.mesh, 8)),
     ];
 

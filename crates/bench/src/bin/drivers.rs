@@ -1,12 +1,12 @@
 //! Driver-throughput benchmark: Melem/s of every assembly strategy
-//! (serial / colored / partitioned / sharded) across variants
+//! (serial / colored / sharded) across variants
 //! and thread counts on the Bolund-like terrain case, emitted as
 //! `BENCH_drivers.json` so the repo carries a perf trajectory. Every
 //! configuration is timed in both execution modes: a plain row is
 //! [`alya_core::ExecMode::Scalar`], a `-packed`-suffixed row the
 //! lane-packed mode the drivers default to. The `auto(x)` rows re-time the
 //! strategy [`ParallelStrategy::auto`] resolved to (`serial` for its
-//! one-part floor); outside `--quick` the bin exits nonzero if one
+//! floor); outside `--quick` the bin exits nonzero if one
 //! disagrees with `x`'s own row by more than 5 % on best-of-samples.
 //!
 //! Usage:
@@ -32,9 +32,9 @@
 //! Thread counts are swept with [`par::set_thread_cap`]: every power of
 //! two up to the hardware parallelism (the cap can only lower, so the
 //! sweep is honest on any host — a 1-core box reports a single column).
-//! Per-shard boundary statistics and the cross-shard reduction traffic
-//! ([`alya_mesh::ShardSet::boundary_reduction_bytes`]) are reported next
-//! to the timings: they are the sharded strategy's whole story.
+//! Per-shard boundary statistics and the boundary replay's traffic
+//! ([`alya_mesh::ShardSet::replay_bytes`]) are reported next to the
+//! timings: they are the sharded strategy's whole story.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -252,36 +252,28 @@ fn main() {
     let max_threads = *thread_counts.last().expect("non-empty");
     let shard_stats = ShardSet::build(&case.mesh, &Partition::rcb(&case.mesh, max_threads.max(2)));
     println!(
-        "shards at {} workers: {} boundary slots, {} bytes into the tree reduction",
+        "shards at {} workers: {} boundary slots, {} pairs, {} bytes replayed",
         max_threads.max(2),
         shard_stats.total_boundary_slots(),
-        shard_stats.boundary_reduction_bytes()
+        shard_stats.replay().len(),
+        shard_stats.replay_bytes()
     );
 
     let mut rows: Vec<Row> = Vec::new();
     for &threads in &thread_counts {
         par::set_thread_cap(Some(threads));
-        // Partitioned/sharded decompose into exactly `threads` parts so the
-        // owner-computes mapping matches the worker count; serial only runs
-        // in the 1-thread column.
+        // Sharded decomposes into exactly `threads` parts (two at one
+        // thread) so the owner-computes mapping matches the worker count;
+        // serial only runs in the 1-thread column.
         let mut strategies: Vec<(String, Option<ParallelStrategy>)> = Vec::new();
         if threads == 1 {
             strategies.push(("serial".into(), None));
         }
         let auto = ParallelStrategy::auto(&case.mesh);
-        let auto_name = match &auto {
-            ParallelStrategy::Partitioned(state) if state.partition.num_parts() == 1 => {
-                "auto(serial)".to_string()
-            }
-            auto => format!("auto({})", auto.name()),
-        };
+        let auto_name = format!("auto({})", auto.name());
         strategies.push((
             "colored".into(),
             Some(ParallelStrategy::colored(&case.mesh)),
-        ));
-        strategies.push((
-            "partitioned".into(),
-            Some(ParallelStrategy::partitioned(&case.mesh, threads.max(2))),
         ));
         strategies.push((
             "sharded".into(),
@@ -456,22 +448,19 @@ fn render_json(
         "    \"total_boundary_slots\": {},",
         shards.total_boundary_slots()
     );
-    let _ = writeln!(
-        s,
-        "    \"boundary_reduction_bytes\": {},",
-        shards.boundary_reduction_bytes()
-    );
+    let _ = writeln!(s, "    \"replay_pairs\": {},", shards.replay().len());
+    let _ = writeln!(s, "    \"replay_bytes\": {},", shards.replay_bytes());
     s.push_str("    \"per_shard\": [\n");
     let per: Vec<String> = shards
         .shards()
         .map(|sh| {
             format!(
-                "      {{\"elements\": {}, \"local_nodes\": {}, \"interior\": {}, \"boundary\": {}, \"reduction_bytes\": {}}}",
+                "      {{\"elements\": {}, \"local_nodes\": {}, \"interior\": {}, \"boundary\": {}, \"pair_slots\": {}}}",
                 sh.elements().len(),
                 sh.num_local_nodes(),
                 sh.num_interior(),
                 sh.num_boundary(),
-                sh.num_boundary() * 3 * 8,
+                sh.pair_nodes().len(),
             )
         })
         .collect();

@@ -2,15 +2,16 @@
 //! scheduled by an `alya-sched` stage pipeline.
 //!
 //! Where [`crate::drivers::ParallelStrategy::Sharded`] keeps all shards in
-//! one address space and merges boundary lists in-process, the
+//! one address space and replays the boundary in-process, the
 //! [`DistributedDriver`] runs **one rank per shard as its own OS thread
 //! with no shared mutable state**: each rank assembles its elements into a
 //! compact local buffer (the *same* element loop,
 //! `drivers::assemble_list`, and `CompactSink` as the sharded
 //! driver — per the paper, the per-rank kernel must not change when the
-//! code goes distributed), then ships the contributions of
-//! interface nodes it does not own to the owning rank as a sparse sorted
-//! `(local_slot, value)` message ([`alya_comm::HaloMsg`]).
+//! code goes distributed), folds each boundary (element, corner) pair
+//! slot into its node's slot in slot order, then ships the contributions
+//! of interface nodes it does not own to the owning rank as a sparse
+//! sorted `(local_slot, value)` message ([`alya_comm::HaloMsg`]).
 //!
 //! ## The overlap pipeline
 //!
@@ -61,7 +62,7 @@ use alya_comm::{
     CommReport, Communicator, ExchangeProgress, HaloMsg, NeighborExchange, RankHandle, RecordMode,
 };
 use alya_fem::VectorField;
-use alya_mesh::{ExchangePlan, Partition, ShardSet, TetMesh};
+use alya_mesh::{ExchangePlan, Partition, Shard, ShardSet, TetMesh};
 use alya_probe as probe;
 use alya_sched::{Pipeline, SchedTrace, StageStatus, Stall, Watchdog};
 use alya_telemetry as telemetry;
@@ -151,6 +152,20 @@ fn drain_step(
         p.wait_any(handle, DRAIN_SLICE)
     } else {
         p.poll(handle)
+    }
+}
+
+/// Folds each pair slot into its boundary node's slot, in slot order. Pair
+/// slots are numbered in element order and start at zero, so a node's sum
+/// is the one its slot would have accumulated had the elements scattered
+/// into it directly.
+fn fold_pairs(local: &mut [f64], shard: &Shard) {
+    let nl = shard.num_slots();
+    for (k, &b) in shard.pair_nodes().iter().enumerate() {
+        let (b, p) = (b as usize, shard.num_local_nodes() + k);
+        for d in 0..3 {
+            local[d * nl + b] += local[d * nl + p];
+        }
     }
 }
 
@@ -359,7 +374,7 @@ impl DistributedDriver {
         let shard = self.shards.shard(r as usize);
         let sched = self.plan.rank(r as usize);
         let split = &self.splits[r as usize];
-        let nl = shard.num_local_nodes();
+        let nl = shard.num_slots();
         // Overlap on: pre = boundary elements only, rest = interior.
         // Overlap off: pre = everything (same order), rest = empty.
         let cut = if self.overlap {
@@ -401,10 +416,11 @@ impl DistributedDriver {
         let b_pre = pipe.buffer("pre-acc", s_pre);
 
         let s_post = pipe.stage("halo-post", &[s_pre], |c, ctx| {
-            // Boundary slot values are final here (interior elements never
-            // touch them), so these are the exact bytes the back-to-back
-            // schedule would send.
+            // Pair slots are final here (interior elements never touch
+            // them), so the folded node slots are the exact bytes the
+            // back-to-back schedule would send.
             ctx.buf_read(b_pre);
+            fold_pairs(&mut c.local, shard);
             let sends: Vec<(u32, HaloMsg)> = sched
                 .sends
                 .iter()

@@ -15,15 +15,15 @@
 //!
 //! * [`assemble_serial`] — ids `0..ne`, direct read-modify-write scatter;
 //! * [`assemble_parallel`] with
-//!   * [`ParallelStrategy::Partitioned`] — owner-computes over mesh
-//!     partitions, each part into a pooled full-width buffer, then a dense
-//!     reduction; a one-part partition runs straight into the output on the
-//!     calling thread, bitwise [`assemble_serial`];
+//!   * [`ParallelStrategy::Serial`] — the same loop straight into the
+//!     output on the calling thread, the floor [`ParallelStrategy::auto`]
+//!     falls back to;
 //!   * [`ParallelStrategy::Sharded`] — owner-computes over shards with
 //!     **compact local-numbered** accumulation buffers (O(nodes-in-shard),
 //!     not O(nn)), unsynchronized direct writeback of interior nodes, and
-//!     a parallel **tree reduction** of only the shard-boundary
-//!     contributions;
+//!     a serial **replay** of the shard-boundary contributions in
+//!     ascending element id — bitwise [`assemble_serial`] at any shard
+//!     count;
 //!   * [`ParallelStrategy::Colored`] — races prevented by element
 //!     coloring, every color class a fork-join with plain stores; only on
 //!     request, [`ParallelStrategy::auto`] never picks it;
@@ -32,8 +32,6 @@
 //! * [`crate::DistributedDriver`] — the sharded span, one rank per shard;
 //! * [`assemble_traced`] / [`trace_element`] — the instrumented runs the
 //!   performance models replay.
-
-use std::sync::Mutex;
 
 use alya_fem::VectorField;
 use alya_machine::par;
@@ -317,19 +315,20 @@ pub fn assemble_traced(variant: Variant, input: &AssemblyInput) -> (VectorField,
 
 /// Scatter discipline for [`assemble_parallel`].
 pub enum ParallelStrategy {
+    /// The serial element loop on the calling thread, straight into the
+    /// output: bitwise [`assemble_serial`].
+    Serial,
     /// Element coloring; every color class runs fully parallel.
     Colored(Coloring),
-    /// Owner-computes over partitions with per-worker RHS buffers; one
-    /// part is the serial loop on the calling thread.
-    Partitioned(PartitionedState),
     /// Owner-computes over shards with compact local-numbered buffers,
-    /// direct interior writeback, and a boundary tree reduction.
+    /// direct interior writeback, and the boundary replayed in the serial
+    /// order.
     Sharded(ShardSet),
 }
 
 /// Elements per worker below which [`ParallelStrategy::auto`] stays on
-/// the calling thread: shard construction, the fork-join and boundary
-/// merging only pay off once each shard amortizes them over enough
+/// the calling thread: shard construction, the fork-join and the boundary
+/// replay only pay off once each shard amortizes them over enough
 /// elements.
 pub const SHARD_AUTO_MIN_ELEMS_PER_WORKER: usize = 2048;
 
@@ -439,11 +438,6 @@ impl ParallelStrategy {
         ParallelStrategy::Colored(Coloring::greedy(&graph))
     }
 
-    /// Builds a partitioned strategy with `parts` workers.
-    pub fn partitioned(mesh: &alya_mesh::TetMesh, parts: usize) -> Self {
-        ParallelStrategy::Partitioned(PartitionedState::new(Partition::rcb(mesh, parts)))
-    }
-
     /// Builds a sharded strategy with `shards` compact-numbered shards.
     pub fn sharded(mesh: &alya_mesh::TetMesh, shards: usize) -> Self {
         let partition = Partition::rcb(mesh, shards);
@@ -453,9 +447,9 @@ impl ParallelStrategy {
     /// Picks a strategy from the mesh size and the active worker count:
     /// one shard per worker once there is more than one worker and each
     /// gets at least [`SHARD_AUTO_MIN_ELEMS_PER_WORKER`] elements (the
-    /// regime where the compact buffers and boundary-only reduction win);
-    /// otherwise a one-part partition, which is the serial loop — the
-    /// floor no parallel strategy may fall below. Never colored: no
+    /// regime where the compact buffers and boundary-only replay win);
+    /// otherwise [`ParallelStrategy::Serial`] — the floor no parallel
+    /// strategy may fall below. Both give the serial bits. Never colored: no
     /// committed `BENCH_drivers.json` row has it ahead of either, and
     /// `tests/equivalence.rs` holds this rule against that table.
     pub fn auto(mesh: &alya_mesh::TetMesh) -> Self {
@@ -467,60 +461,17 @@ impl ParallelStrategy {
         if workers > 1 && mesh.num_elements() >= workers * SHARD_AUTO_MIN_ELEMS_PER_WORKER {
             Self::sharded(mesh, workers)
         } else {
-            Self::partitioned(mesh, 1)
+            ParallelStrategy::Serial
         }
     }
 
     /// Stable short name (benchmark tables, reports).
     pub fn name(&self) -> &'static str {
         match self {
+            ParallelStrategy::Serial => "serial",
             ParallelStrategy::Colored(_) => "colored",
-            ParallelStrategy::Partitioned(_) => "partitioned",
             ParallelStrategy::Sharded(_) => "sharded",
         }
-    }
-}
-
-/// [`ParallelStrategy::Partitioned`]'s partition plus a pool of per-part
-/// full-width RHS buffers, allocated on first use and reused across
-/// assembly calls — re-allocating O(parts × nn) every call made the old
-/// strategy an unfair baseline.
-pub struct PartitionedState {
-    /// The element partition workers iterate.
-    pub partition: Partition,
-    pool: Mutex<Vec<VectorField>>,
-}
-
-impl PartitionedState {
-    /// Wraps a partition with an empty buffer pool.
-    pub fn new(partition: Partition) -> Self {
-        Self {
-            partition,
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pops a pooled buffer (or allocates one), zeroed, over `nn` nodes.
-    fn checkout(&self, nn: usize) -> VectorField {
-        let recycled = self.pool.lock().expect("partitioned pool poisoned").pop();
-        match recycled {
-            Some(mut buf) if buf.num_nodes() == nn => {
-                buf.fill_zero();
-                buf
-            }
-            _ => VectorField::zeros(nn),
-        }
-    }
-
-    /// Returns buffers to the pool for the next assembly call.
-    fn restore(&self, buffers: Vec<VectorField>) {
-        let mut pool = self.pool.lock().expect("partitioned pool poisoned");
-        pool.extend(buffers);
-    }
-
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        self.pool.lock().expect("partitioned pool poisoned").len()
     }
 }
 
@@ -596,7 +547,7 @@ pub(crate) struct CompactSink<'a> {
     gnodes: [u32; 4],
     /// The same corners in the shard's compact numbering.
     lnodes: [u32; 4],
-    /// The shard's `3 × num_local_nodes` accumulation buffer.
+    /// The shard's `3 × num_slots` accumulation buffer.
     buf: &'a mut [f64],
 }
 
@@ -626,7 +577,7 @@ impl ScatterSink for CompactSink<'_> {
             // node outside its own element — a contract breach pass 1 makes
             // impossible; the branch is never taken on valid kernels.
             .expect("scatter to a node outside the element");
-        self.buf[d * self.shard.num_local_nodes() + self.lnodes[a] as usize] += v;
+        self.buf[d * self.shard.num_slots() + self.lnodes[a] as usize] += v;
     }
 }
 
@@ -643,45 +594,12 @@ impl ListSink for CompactSink<'_> {
     }
 }
 
-/// Sparse boundary contributions of one shard (or a merge of several),
-/// sorted ascending by global node id.
-type BoundaryVec = Vec<(u32, [f64; 3])>;
-
-/// Merges two sorted sparse contribution lists, summing equal node ids —
-/// the combine step of the boundary tree reduction. O(|a| + |b|).
-fn merge_boundary(a: BoundaryVec, b: BoundaryVec) -> BoundaryVec {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(&(ga, _)), Some(&(gb, _))) => {
-                if ga < gb {
-                    out.push(ia.next().expect("peeked"));
-                } else if gb < ga {
-                    out.push(ib.next().expect("peeked"));
-                } else {
-                    let (g, va) = ia.next().expect("peeked");
-                    let (_, vb) = ib.next().expect("peeked");
-                    out.push((g, [va[0] + vb[0], va[1] + vb[1], va[2] + vb[2]]));
-                }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    out
-}
-
-/// Interior writeback (unsynchronized plain stores to this shard's
-/// exclusive nodes) plus sparse sorted boundary extraction of one assembled
-/// shard.
-/// Interior nodes are exclusive to the shard (validated by the caller) and
-/// the RHS started zeroed, so the store is exact and race-free; boundary
-/// nodes go through the tree reduction as a sorted list (`global_nodes`'
-/// boundary block is sorted ascending).
-fn shard_finish(shard: &Shard, local: &[f64], shared: &SharedRhs, nn: usize) -> BoundaryVec {
-    let nl = shard.num_local_nodes();
+/// Interior writeback of one assembled shard: unsynchronized plain stores
+/// to the nodes it owns exclusively (validated by the caller), so the
+/// store is race-free, and its elements are ascending, so the value is the
+/// serial loop's sum.
+fn write_interior(shard: &Shard, local: &[f64], shared: &SharedRhs, nn: usize) {
+    let nl = shard.num_slots();
     let ni = shard.num_interior();
     for (l, &g) in shard.global_nodes()[..ni].iter().enumerate() {
         for d in 0..3 {
@@ -695,20 +613,11 @@ fn shard_finish(shard: &Shard, local: &[f64], shared: &SharedRhs, nn: usize) -> 
             }
         }
     }
-    shard
-        .boundary_global_nodes()
-        .iter()
-        .enumerate()
-        .map(|(b, &g)| {
-            let l = ni + b;
-            (g, [local[l], local[nl + l], local[2 * nl + l]])
-        })
-        .collect()
 }
 
-/// Parallel assembly with the chosen scatter discipline. Produces the same
-/// RHS as [`assemble_serial`] up to floating-point reassociation of the
-/// nodal sums.
+/// Parallel assembly with the chosen scatter discipline. The serial and
+/// sharded strategies produce [`assemble_serial`]'s bits; the colored one
+/// equals it up to floating-point reassociation of the nodal sums.
 pub fn assemble_parallel(
     variant: Variant,
     input: &AssemblyInput,
@@ -783,44 +692,16 @@ pub fn assemble_parallel_into(
                     );
                 }
             }
-            ParallelStrategy::Partitioned(state) if state.partition.num_parts() == 1 => {
-                // The serial floor: the whole mesh in id order straight
-                // into the output — no fork, no pooled buffer, no
-                // reduction pass.
-                let ids = state.partition.part(0);
+            ParallelStrategy::Serial => {
+                let ne = input.mesh.num_elements();
                 let (mut sink, mut ws) = (DirectSink { rhs }, workspace(variant));
-                let key_at = |i| ids[i] as usize;
-                assemble_list(variant, mode, input, ids.len(), key_at, &mut ws, &mut sink);
-            }
-            ParallelStrategy::Partitioned(state) => {
-                let partition = &state.partition;
-                let partials: Vec<VectorField> = par::par_map_init(
-                    partition.num_parts(),
-                    || workspace(variant),
-                    |ws_buf, p| {
-                        let _part_sp = telemetry::span(format!("part:{p}"));
-                        // Full-width per-part buffer from the reuse pool
-                        // (allocated on the first call only).
-                        let mut local = state.checkout(nn);
-                        let mut sink = DirectSink { rhs: &mut local };
-                        let ids = partition.part(p);
-                        let key_at = |i| ids[i] as usize;
-                        assemble_list(variant, mode, input, ids.len(), key_at, ws_buf, &mut sink);
-                        local
-                    },
-                );
-                let out = rhs.as_mut_slice();
-                for part in &partials {
-                    for (o, v) in out.iter_mut().zip(part.as_slice()) {
-                        *o += v;
-                    }
-                }
-                state.restore(partials);
+                assemble_list(variant, mode, input, ne, |i| i, &mut ws, &mut sink);
             }
             ParallelStrategy::Sharded(shards) => {
                 // Debug builds re-prove the compact-numbering invariants the
-                // unsafe interior writeback rests on (element coverage,
-                // map consistency, interior exclusivity).
+                // unsafe interior writeback and the serial bits rest on
+                // (element coverage and order, map consistency, interior
+                // exclusivity, the replay order).
                 debug_assert!(
                     shards.validate(input.mesh).is_ok(),
                     "sharded scatter invariant violated: {}",
@@ -831,24 +712,27 @@ pub fn assemble_parallel_into(
                     num_nodes: nn,
                 };
                 let shared = &shared;
-                let boundaries: Vec<BoundaryVec> = par::par_map_init(
+                let locals: Vec<Vec<f64>> = par::par_map_init(
                     shards.num_shards(),
                     || workspace(variant),
                     |ws_buf, s| {
                         let _shard_sp = telemetry::span(format!("shard:{s}"));
                         let shard = shards.shard(s);
                         // Compact accumulation: O(nodes-in-shard), not O(nn).
-                        let mut local = vec![0.0; 3 * shard.num_local_nodes()];
+                        let mut local = vec![0.0; 3 * shard.num_slots()];
                         let mut sink = CompactSink::new(shard, input.mesh, &mut local);
                         let len = shard.elements().len();
                         assemble_list(variant, mode, input, len, |i| i, ws_buf, &mut sink);
-                        shard_finish(shard, &local, shared, nn)
+                        write_interior(shard, &local, shared, nn);
+                        local
                     },
                 );
-                if let Some(merged) = par::tree_reduce(boundaries, merge_boundary) {
-                    for (g, v) in merged {
-                        rhs.add(g as usize, v);
-                    }
+                // Boundary nodes start at zero and take their pair slots in
+                // ascending element id: the serial loop's sum.
+                for &(g, s, l) in shards.replay() {
+                    let (local, l) = (&locals[s as usize], l as usize);
+                    let nl = shards.shard(s as usize).num_slots();
+                    rhs.add(g as usize, [local[l], local[nl + l], local[2 * nl + l]]);
                 }
             }
         }
@@ -919,8 +803,8 @@ mod tests {
                 "{variant}: packed serial is not bitwise scalar"
             );
             for strategy in [
+                ParallelStrategy::Serial,
                 ParallelStrategy::colored(&mesh),
-                ParallelStrategy::partitioned(&mesh, 5),
                 ParallelStrategy::sharded(&mesh, 5),
             ] {
                 let s = assemble_parallel_with(variant, &input, &strategy, ExecMode::Scalar);
@@ -982,8 +866,8 @@ mod tests {
         let input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
         let serial = assemble_serial(Variant::Rsp, &input);
         for strategy in [
+            ParallelStrategy::Serial,
             ParallelStrategy::colored(&mesh),
-            ParallelStrategy::partitioned(&mesh, 5),
             ParallelStrategy::sharded(&mesh, 5),
         ] {
             let par = assemble_parallel(Variant::Rsp, &input, &strategy);
@@ -992,62 +876,30 @@ mod tests {
         }
     }
 
+    fn bits(f: &VectorField) -> Vec<u64> {
+        f.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn sharded_matches_serial_across_variants_and_shard_counts() {
         let mesh = BoxMeshBuilder::new(4, 3, 3).jitter(0.1).seed(7).build();
         let (v, p, t) = setup(&mesh);
         let input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
-        for shards in [1, 2, 8] {
+        for shards in [1, 2, 3, 5, 8] {
             let strategy = ParallelStrategy::sharded(&mesh, shards);
             for variant in Variant::ALL {
-                let serial = assemble_serial(variant, &input);
-                let par = assemble_parallel(variant, &input, &strategy);
-                let diff = max_rel_diff(&serial, &par);
-                assert!(diff < 1e-12, "{variant} × {shards} shards: {diff}");
+                for mode in [ExecMode::Scalar, ExecMode::Packed] {
+                    let serial = assemble_serial_with(variant, &input, mode);
+                    let par = assemble_parallel_with(variant, &input, &strategy, mode);
+                    assert_eq!(
+                        bits(&par),
+                        bits(&serial),
+                        "{variant} × {} × {shards} shards",
+                        mode.name()
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn partitioned_pool_reuses_buffers_across_calls() {
-        let mesh = BoxMeshBuilder::new(3, 3, 2).build();
-        let (v, p, t) = setup(&mesh);
-        let input = AssemblyInput::new(&mesh, &v, &p, &t);
-        let strategy = ParallelStrategy::partitioned(&mesh, 4);
-        let ParallelStrategy::Partitioned(state) = &strategy else {
-            panic!("constructor built the wrong variant");
-        };
-        assert_eq!(state.pooled(), 0, "pool must start empty");
-        let first = assemble_parallel(Variant::Rsp, &input, &strategy);
-        let after_first = state.pooled();
-        assert_eq!(after_first, state.partition.num_parts());
-        let second = assemble_parallel(Variant::Rsp, &input, &strategy);
-        // Buffers were recycled, not accumulated, and stale contents were
-        // rezeroed (results identical).
-        assert_eq!(state.pooled(), after_first);
-        assert_eq!(first.max_abs_diff(&second), 0.0);
-    }
-
-    #[test]
-    fn merge_boundary_sums_matching_nodes_and_keeps_order() {
-        let a = vec![(1u32, [1.0, 0.0, 0.0]), (4, [0.5, 0.5, 0.5])];
-        let b = vec![
-            (0u32, [2.0, 0.0, 1.0]),
-            (4, [0.5, -0.5, 1.5]),
-            (9, [1.0; 3]),
-        ];
-        let m = merge_boundary(a, b);
-        assert_eq!(
-            m,
-            vec![
-                (0, [2.0, 0.0, 1.0]),
-                (1, [1.0, 0.0, 0.0]),
-                (4, [1.0, 0.0, 2.0]),
-                (9, [1.0, 1.0, 1.0]),
-            ]
-        );
-        assert_eq!(merge_boundary(vec![], vec![(3, [1.0; 3])]).len(), 1);
-        assert!(merge_boundary(vec![], vec![]).is_empty());
     }
 
     #[test]
@@ -1058,16 +910,12 @@ mod tests {
         let strategy = ParallelStrategy::auto(&mesh);
         // On a small mesh auto is the serial floor regardless of the
         // worker count (2048 elements/worker).
-        assert_eq!(strategy.name(), "partitioned");
+        assert_eq!(strategy.name(), "serial");
         let serial = assemble_serial(Variant::Rspr, &input);
         let par = assemble_parallel(Variant::Rspr, &input, &strategy);
         assert_eq!(serial.max_abs_diff(&par), 0.0);
         assert_eq!(ParallelStrategy::colored(&mesh).name(), "colored");
         assert_eq!(ParallelStrategy::sharded(&mesh, 2).name(), "sharded");
-        assert_eq!(
-            ParallelStrategy::partitioned(&mesh, 2).name(),
-            "partitioned"
-        );
     }
 
     #[test]
@@ -1139,16 +987,16 @@ mod tests {
         assert!(large.num_elements() >= 4 * SHARD_AUTO_MIN_ELEMS_PER_WORKER);
         let small = BoxMeshBuilder::new(3, 3, 2).build();
         let parts = |s: &ParallelStrategy| match s {
-            ParallelStrategy::Partitioned(state) => state.partition.num_parts(),
+            ParallelStrategy::Serial => 1,
             ParallelStrategy::Sharded(shards) => shards.num_shards(),
             ParallelStrategy::Colored(_) => panic!("auto coloured"),
         };
         for (mesh, workers, name, want_parts) in [
-            (&large, 1, "partitioned", 1),
-            (&small, 4, "partitioned", 1),
+            (&large, 1, "serial", 1),
+            (&small, 4, "serial", 1),
             (&large, 4, "sharded", 4),
             // One worker more than the 8640 elements feed at the floor.
-            (&large, 5, "partitioned", 1),
+            (&large, 5, "serial", 1),
         ] {
             let strategy = ParallelStrategy::auto_with(mesh, workers);
             assert_eq!(strategy.name(), name, "{workers} workers");
@@ -1157,31 +1005,24 @@ mod tests {
     }
 
     #[test]
-    fn one_part_partitioned_is_bitwise_serial_and_pools_nothing() {
+    fn the_serial_strategy_is_bitwise_serial() {
         let mesh = BoxMeshBuilder::new(3, 3, 3).jitter(0.1).seed(11).build();
         let (v, p, t) = setup(&mesh);
         let input = AssemblyInput::new(&mesh, &v, &p, &t)
             .props(ConstantProperties::AIR)
             .body_force([0.1, 0.0, -0.5]);
-        let strategy = ParallelStrategy::partitioned(&mesh, 1);
-        let ParallelStrategy::Partitioned(state) = &strategy else {
-            panic!("constructor built the wrong variant");
-        };
         // A dirty, reused output buffer: `_into` overwrites.
         let mut out = VectorField::from_fn(&mesh, |p| [p[0], 7.0, -p[2]]);
         for variant in Variant::ALL {
             for mode in [ExecMode::Scalar, ExecMode::Packed] {
                 let serial = assemble_serial_with(variant, &input, mode);
                 assert!(serial.max_abs() > 0.0, "degenerate test input");
-                assemble_parallel_into(variant, &input, &strategy, mode, &mut out);
-                let bits =
-                    |f: &VectorField| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assemble_parallel_into(variant, &input, &ParallelStrategy::Serial, mode, &mut out);
                 assert_eq!(bits(&out), bits(&serial), "{variant} × {}", mode.name());
                 assemble_serial_into(variant, &input, mode, &mut out);
                 assert_eq!(bits(&out), bits(&serial), "{variant} × {}", mode.name());
             }
         }
-        assert_eq!(state.pooled(), 0, "the serial floor checked out a buffer");
     }
 
     #[test]

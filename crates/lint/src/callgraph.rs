@@ -7,7 +7,7 @@
 //! the `// alya:cold` marker prunes the instrumentation-only impls that
 //! monomorphization removes from production builds (e.g. `TraceRecorder`,
 //! which is only reachable when `R::ENABLED`). Known gap: functions passed
-//! as values (`tree_reduce(parts, merge_boundary)`) are not treated as
+//! as values (`v.iter().map(f64::abs)`) are not treated as
 //! calls; hot paths in this workspace invoke everything directly.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -390,10 +390,9 @@ where
 
 /// Reduces `items` to one value by **pairwise tree combination**: at every
 /// level adjacent pairs are combined concurrently, halving the item count,
-/// until one value remains. Compared with the serial left fold the old
-/// drivers used, the critical path shrinks from `n − 1` sequential
-/// combines to `⌈log₂ n⌉` parallel levels — the reduction shape multi-GPU
-/// and distributed assembly will reuse across devices/ranks.
+/// until one value remains: `⌈log₂ n⌉` parallel levels instead of `n − 1`
+/// sequential combines. No driver calls it; it is the reference the
+/// pressure CG's blocked `tree_sum` is held to bit for bit.
 ///
 /// The combine order is a deterministic function of `items.len()` alone
 /// (pairs in order, an odd tail item carried to the next level), so

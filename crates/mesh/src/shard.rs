@@ -15,14 +15,24 @@
 //!   accumulated value can be written straight into the global RHS with no
 //!   synchronization, because no other shard ever contributes to it; the
 //!   remaining *boundary* (interface) nodes are shared with neighbouring
-//!   shards and must go through a reduction;
+//!   shards;
+//! * a **pair slot** per boundary (element, corner) pair, after the node
+//!   slots: an element's contribution to a boundary node lands in a slot
+//!   of its own, so nothing is summed inside the shard that the serial
+//!   loop would sum in a different order;
 //! * the element connectivity rewritten in local numbering
-//!   ([`Shard::local_conn`]), so the assembly inner loop never performs a
+//!   ([`Shard::local_conn`]: interior corners to node slots, boundary
+//!   corners to pair slots), so the assembly inner loop never performs a
 //!   global→local hash or search;
 //! * the inverse map ([`Shard::global_nodes`]) for the scatter-back,
 //!   with interior nodes first (`..num_interior()`) and boundary nodes
-//!   after, each block sorted ascending by global id — sorted boundary
-//!   blocks make the cross-shard reduction a linear sparse merge.
+//!   after, each block sorted ascending by global id.
+//!
+//! Across shards, [`ShardSet::replay`] lists every boundary node's pair
+//! slots in ascending global element id — the order the serial element
+//! loop adds them in. Each shard's elements are ascending too, so an
+//! interior node is summed in that order already: summing the replay from
+//! zero gives the serial bits at any shard count.
 //!
 //! This is the standard compact-local-numbering gather/scatter of
 //! distributed FEM codes (NekRS's per-rank local ordering, deal.II's
@@ -41,14 +51,18 @@ const NO_LOCAL: u32 = u32::MAX;
 pub struct Shard {
     /// Global ids of the elements of this shard.
     elements: Vec<u32>,
-    /// Element connectivity rewritten in local node numbering (parallel to
-    /// `elements`).
+    /// Element connectivity in local numbering (parallel to `elements`):
+    /// interior corners point at node slots, boundary corners at pair
+    /// slots.
     local_conn: Vec<[u32; NODES_PER_TET]>,
     /// Local → global node map. Interior nodes occupy `..num_interior`,
     /// boundary nodes the tail; both blocks sorted ascending by global id.
     global_nodes: Vec<u32>,
     /// Number of interior (exclusively-owned) nodes.
     num_interior: usize,
+    /// Pair slot `global_nodes.len() + k` belongs to the boundary node in
+    /// node slot `pair_nodes[k]`. Pair slots are numbered in element order.
+    pair_nodes: Vec<u32>,
 }
 
 impl Shard {
@@ -70,10 +84,35 @@ impl Shard {
         &self.global_nodes
     }
 
-    /// Nodes this shard touches (size of its accumulation buffer).
+    /// Nodes this shard touches: the node slots.
     #[inline]
     pub fn num_local_nodes(&self) -> usize {
         self.global_nodes.len()
+    }
+
+    /// Node slots plus pair slots: the per-component length of the
+    /// shard's accumulation buffer.
+    #[inline]
+    pub fn num_slots(&self) -> usize {
+        self.global_nodes.len() + self.pair_nodes.len()
+    }
+
+    /// For each pair slot, in slot order: the node slot of its boundary
+    /// node. Pair slot `k` is local slot `num_local_nodes() + k`.
+    #[inline]
+    pub fn pair_nodes(&self) -> &[u32] {
+        &self.pair_nodes
+    }
+
+    /// The global node behind local slot `l` (node or pair slot), or
+    /// `None` past the last slot.
+    fn slot_node(&self, l: usize) -> Option<u32> {
+        let nodes = self.global_nodes.len();
+        let node_slot = match l.checked_sub(nodes) {
+            None => l,
+            Some(k) => *self.pair_nodes.get(k)? as usize,
+        };
+        self.global_nodes.get(node_slot).copied()
     }
 
     /// Interior nodes: touched by this shard's elements only, written to
@@ -83,7 +122,7 @@ impl Shard {
         self.num_interior
     }
 
-    /// Boundary (interface) nodes: shared with other shards, reduced.
+    /// Boundary (interface) nodes: shared with other shards.
     #[inline]
     pub fn num_boundary(&self) -> usize {
         self.global_nodes.len() - self.num_interior
@@ -106,9 +145,10 @@ impl Shard {
     }
 
     /// Whether element position `i` (an index into [`Shard::elements`])
-    /// touches at least one boundary node. Boundary elements are the only
-    /// producers of halo-message contributions: assembling them first lets
-    /// the distributed driver post its sends before the interior bulk.
+    /// touches at least one boundary node (writes a pair slot). Boundary
+    /// elements are the only producers of halo-message contributions:
+    /// assembling them first lets the distributed driver post its sends
+    /// before the interior bulk.
     #[inline]
     pub fn is_boundary_element(&self, i: usize) -> bool {
         let ni = self.num_interior as u32;
@@ -138,6 +178,8 @@ impl Shard {
 #[derive(Debug, Clone)]
 pub struct ShardSet {
     shards: Vec<Shard>,
+    /// `(global node, shard, pair slot)`, see [`ShardSet::replay`].
+    replay: Vec<(u32, u32, u32)>,
     num_mesh_elements: usize,
     num_mesh_nodes: usize,
 }
@@ -146,8 +188,9 @@ impl ShardSet {
     /// Builds the shard set of `mesh` induced by `partition`.
     ///
     /// Cost: two O(4·ne) sweeps plus an O(touched · log touched) sort per
-    /// shard; a single `nn`-sized scratch map is reused across shards (it
-    /// is reset by visiting only the nodes each shard touched).
+    /// shard and one O(pairs · log pairs) sort of the replay; a single
+    /// `nn`-sized scratch map is reused across shards (it is reset by
+    /// visiting only the nodes each shard touched).
     pub fn build(mesh: &TetMesh, partition: &Partition) -> Self {
         let nn = mesh.num_nodes();
         let ne = mesh.num_elements();
@@ -172,6 +215,8 @@ impl ShardSet {
         // Pass 2 — per shard: collect touched nodes, classify, renumber.
         let mut local_of = vec![NO_LOCAL; nn];
         let mut shards = Vec::with_capacity(partition.num_parts());
+        // (global node, global element, shard, pair slot) per boundary pair.
+        let mut pairs: Vec<(u32, u32, u32, u32)> = Vec::new();
         for p in 0..partition.num_parts() {
             let elements: Vec<u32> = partition.part(p).to_vec();
 
@@ -186,8 +231,8 @@ impl ShardSet {
                 }
             }
 
-            // Interior block first, boundary block after; both sorted so
-            // the boundary contributions merge linearly across shards.
+            // Interior block first, boundary block after; both sorted
+            // (`boundary_slot` searches the boundary block).
             let mut interior: Vec<u32> = Vec::new();
             let mut boundary: Vec<u32> = Vec::new();
             for &node in &touched {
@@ -206,10 +251,22 @@ impl ShardSet {
             for (l, &g) in global_nodes.iter().enumerate() {
                 local_of[g as usize] = l as u32;
             }
-            let local_conn: Vec<[u32; NODES_PER_TET]> = elements
-                .iter()
-                .map(|&e| conn[e as usize].map(|g| local_of[g as usize]))
-                .collect();
+            // Interior corners keep their node slot; each boundary corner
+            // gets the next pair slot.
+            let mut pair_nodes: Vec<u32> = Vec::new();
+            let mut local_conn: Vec<[u32; NODES_PER_TET]> = Vec::with_capacity(elements.len());
+            for &e in &elements {
+                local_conn.push(conn[e as usize].map(|g| {
+                    let l = local_of[g as usize];
+                    if (l as usize) < num_interior {
+                        return l;
+                    }
+                    let slot = (global_nodes.len() + pair_nodes.len()) as u32;
+                    pair_nodes.push(l);
+                    pairs.push((g, e, p as u32, slot));
+                    slot
+                }));
+            }
 
             // Reset the scratch map by visiting only this shard's nodes.
             for &g in &global_nodes {
@@ -221,11 +278,16 @@ impl ShardSet {
                 local_conn,
                 global_nodes,
                 num_interior,
+                pair_nodes,
             });
         }
 
+        // An element touches a node once, so (node, element) is unique.
+        pairs.sort_unstable_by_key(|&(g, e, _, _)| (g, e));
+        let replay = pairs.into_iter().map(|(g, _, s, l)| (g, s, l)).collect();
         Self {
             shards,
+            replay,
             num_mesh_elements: ne,
             num_mesh_nodes: nn,
         }
@@ -249,16 +311,25 @@ impl ShardSet {
     }
 
     /// Total boundary-node slots across shards (each interface node counts
-    /// once per shard that touches it) — the per-assembly element count of
-    /// the cross-shard reduction.
+    /// once per shard that touches it).
     pub fn total_boundary_slots(&self) -> usize {
         self.shards.iter().map(Shard::num_boundary).sum()
     }
 
-    /// Bytes entering the cross-shard reduction per assembly: 3 components
-    /// × 8 bytes per boundary slot.
-    pub fn boundary_reduction_bytes(&self) -> usize {
-        self.total_boundary_slots() * 3 * 8
+    /// The boundary replay: one `(global node, shard, pair slot)` per
+    /// boundary (element, corner) pair, ascending by node and, within a
+    /// node, by global element id — the order the serial element loop adds
+    /// the contributions in. Summed into a zeroed RHS in this order, the
+    /// pair slots give every boundary node its serial bits.
+    pub fn replay(&self) -> &[(u32, u32, u32)] {
+        &self.replay
+    }
+
+    /// Bytes the replay moves per assembly: per pair, its 12-byte entry and
+    /// the 3 × 8-byte pair value read, and the 3 × 8-byte RHS entry read
+    /// and written back.
+    pub fn replay_bytes(&self) -> usize {
+        self.replay.len() * (12 + 3 * 8 + 2 * 3 * 8)
     }
 
     /// Boundary (interface) nodes counted **once** each, however many
@@ -296,25 +367,21 @@ impl ShardSet {
         touch.into_iter().collect()
     }
 
-    /// Largest compact buffer any shard needs (3 × nodes, in values).
-    pub fn max_local_values(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| 3 * s.num_local_nodes())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Proves the invariants the sharded scatter's `unsafe` interior
-    /// writeback rests on, against `mesh`:
+    /// writeback and its serial bits rest on, against `mesh`:
     ///
-    /// 1. every mesh element appears in exactly one shard;
+    /// 1. every mesh element appears in exactly one shard, and each
+    ///    shard's element list is strictly ascending;
     /// 2. each shard's `local_conn` is its elements' connectivity mapped
-    ///    through `global_nodes` (the compact maps are mutually inverse);
+    ///    through its slots (the compact maps are mutually inverse): every
+    ///    boundary corner points at a pair slot of its own, every pair
+    ///    slot at its element's corner node;
     /// 3. interior exclusivity: a node interior to shard `s` is touched by
     ///    no element of any other shard — so plain unsynchronized stores
     ///    from concurrent shards never alias;
-    /// 4. the interior/boundary split point is consistent.
+    /// 4. the interior/boundary split point is consistent;
+    /// 5. the replay covers every pair slot exactly once and lists each
+    ///    boundary node's sources in ascending global element id.
     ///
     /// Returns the first violated invariant as an error message.
     pub fn validate(&self, mesh: &TetMesh) -> Result<(), String> {
@@ -331,6 +398,8 @@ impl ShardSet {
         let nn = mesh.num_nodes();
         let mut seen = vec![false; mesh.num_elements()];
         let mut interior_of = vec![u32::MAX; nn];
+        // Per shard, per pair slot: the global element writing it.
+        let mut pair_elements: Vec<Vec<u32>> = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter().enumerate() {
             if shard.num_interior > shard.global_nodes.len() {
                 return Err(format!(
@@ -358,6 +427,23 @@ impl ShardSet {
             if shard.local_conn.len() != shard.elements.len() {
                 return Err(format!("shard {s}: local_conn/elements length mismatch"));
             }
+            if let Some(w) = shard.elements.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!(
+                    "shard {s}: element {} listed after element {}",
+                    w[1], w[0]
+                ));
+            }
+            let nodes = shard.global_nodes.len();
+            if let Some(&b) = shard
+                .pair_nodes
+                .iter()
+                .find(|&&b| (b as usize) < shard.num_interior || b as usize >= nodes)
+            {
+                return Err(format!(
+                    "shard {s}: a pair slot names node slot {b}, not a boundary node"
+                ));
+            }
+            let mut writer = vec![u32::MAX; shard.pair_nodes.len()];
             for (i, &e) in shard.elements.iter().enumerate() {
                 let e = e as usize;
                 if e >= mesh.num_elements() {
@@ -370,22 +456,84 @@ impl ShardSet {
                 let global = mesh.element(e);
                 for a in 0..NODES_PER_TET {
                     let l = shard.local_conn[i][a] as usize;
-                    if l >= shard.global_nodes.len() {
+                    let Some(g) = shard.slot_node(l) else {
                         return Err(format!(
-                            "shard {s}: element {e} local node {l} out of compact range"
+                            "shard {s}: element {e} local slot {l} out of compact range"
+                        ));
+                    };
+                    if g != global[a] {
+                        return Err(format!(
+                            "shard {s}: element {e} corner {a} maps to global {g} but mesh says {}",
+                            global[a]
                         ));
                     }
-                    if shard.global_nodes[l] != global[a] {
+                    if (shard.num_interior..nodes).contains(&l) {
                         return Err(format!(
-                            "shard {s}: element {e} corner {a} maps to global {} but mesh says {}",
-                            shard.global_nodes[l], global[a]
+                            "shard {s}: element {e} corner {a} writes boundary node {g} directly, not through a pair slot"
                         ));
+                    }
+                    if l >= nodes {
+                        let w = &mut writer[l - nodes];
+                        if *w != u32::MAX {
+                            return Err(format!(
+                                "shard {s}: pair slot {l} written by elements {} and {e}",
+                                *w
+                            ));
+                        }
+                        *w = e as u32;
                     }
                 }
             }
+            if let Some(k) = writer.iter().position(|&w| w == u32::MAX) {
+                return Err(format!("shard {s}: pair slot {} has no writer", nodes + k));
+            }
+            pair_elements.push(writer);
         }
         if let Some(e) = seen.iter().position(|&s| !s) {
             return Err(format!("element {e} belongs to no shard"));
+        }
+        // The replay: every pair slot once, each node's sources ascending
+        // by global element id.
+        let mut last_element: Vec<Option<u32>> = vec![None; nn];
+        for &(g, s, l) in &self.replay {
+            let (Some(shard), Some(writers)) = (
+                self.shards.get(s as usize),
+                pair_elements.get_mut(s as usize),
+            ) else {
+                return Err(format!("replay names shard {s} of {}", self.shards.len()));
+            };
+            let k = (l as usize).checked_sub(shard.global_nodes.len());
+            let Some(e) = k.and_then(|k| writers.get_mut(k)) else {
+                return Err(format!(
+                    "replay names slot {l} of shard {s}, not a pair slot"
+                ));
+            };
+            if *e == u32::MAX {
+                return Err(format!("replay names pair slot {l} of shard {s} twice"));
+            }
+            if shard.slot_node(l as usize) != Some(g) {
+                return Err(format!(
+                    "replay sums pair slot {l} of shard {s} into node {g}, not its own node"
+                ));
+            }
+            let last = &mut last_element[g as usize];
+            if last.is_some_and(|prev| prev >= *e) {
+                return Err(format!(
+                    "replay adds node {g}'s element {} after element {}",
+                    *e,
+                    last.unwrap_or_default()
+                ));
+            }
+            *last = Some(*e);
+            *e = u32::MAX;
+        }
+        for (s, writers) in pair_elements.iter().enumerate() {
+            if let Some(k) = writers.iter().position(|&e| e != u32::MAX) {
+                return Err(format!(
+                    "replay misses pair slot {} of shard {s}",
+                    self.shards[s].global_nodes.len() + k
+                ));
+            }
         }
         // Interior exclusivity: no element of shard t touches a node that
         // is interior to a different shard s.
@@ -566,15 +714,43 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), shard.num_local_nodes());
-            // local_conn round-trips through global_nodes.
+            // local_conn round-trips through the slots.
             for (i, &e) in shard.elements().iter().enumerate() {
                 let global = mesh.element(e as usize);
                 for a in 0..NODES_PER_TET {
                     let l = shard.local_conn()[i][a] as usize;
-                    assert_eq!(shard.global_nodes()[l], global[a]);
+                    assert_eq!(shard.slot_node(l), Some(global[a]));
                 }
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_permuted_replay_or_an_unsorted_element_list() {
+        let mesh = BoxMeshBuilder::new(4, 3, 3).jitter(0.1).seed(9).build();
+        let set = shard_set(&mesh, 3);
+        set.validate(&mesh).unwrap();
+
+        // Two sources of one node swapped: the replay no longer adds them
+        // in ascending element order.
+        let mut permuted = set.clone();
+        let i = permuted
+            .replay
+            .windows(2)
+            .position(|w| w[0].0 == w[1].0)
+            .expect("a boundary node with two sources");
+        permuted.replay.swap(i, i + 1);
+        let err = permuted.validate(&mesh).unwrap_err();
+        assert!(err.contains("after element"), "{err}");
+
+        // Two elements of shard 0 swapped with their connectivity rows: the
+        // maps stay consistent, but the list is no longer ascending.
+        let mut unsorted = set.clone();
+        let shard = &mut unsorted.shards[0];
+        shard.elements.swap(0, 1);
+        shard.local_conn.swap(0, 1);
+        let err = unsorted.validate(&mesh).unwrap_err();
+        assert!(err.contains("listed after"), "{err}");
     }
 
     #[test]
@@ -606,6 +782,7 @@ mod tests {
 
     #[test]
     fn boundary_blocks_are_sorted_for_linear_merging() {
+        // `boundary_slot` binary-searches the boundary block.
         let mesh = BoxMeshBuilder::new(4, 3, 3).jitter(0.15).seed(9).build();
         let set = shard_set(&mesh, 6);
         for shard in set.shards() {

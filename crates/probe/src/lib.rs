@@ -471,6 +471,15 @@ pub fn clear_last_dump() {
 mod tests {
     use super::*;
 
+    /// Held by every test here that records: `set_enabled` is
+    /// process-wide, so one test's disabled window must not land in the
+    /// middle of another's recording.
+    static RECORDING: Mutex<()> = Mutex::new(());
+
+    fn recording() -> MutexGuard<'static, ()> {
+        RECORDING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn tags_truncate_at_char_boundaries() {
         let t = Tag::new("short");
@@ -485,6 +494,7 @@ mod tests {
 
     #[test]
     fn rings_are_bounded_and_count_evictions() {
+        let _gate = recording();
         set_enabled(true);
         for i in 0..(RING_CAP + 7) {
             note_counter("overflow-test", i as u64 + 1);
@@ -501,6 +511,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing_new() {
+        let _gate = recording();
         note_counter("pre-disable", 1);
         let before = total_events();
         set_enabled(false);
@@ -516,6 +527,7 @@ mod tests {
         // This is the satellite fix's contract: the bounded warn channel
         // never loses messages silently. This test owns the process-wide
         // warn channel in this binary (no other test here warns).
+        let _gate = recording();
         telemetry::drain_warnings();
         for i in 0..300 {
             telemetry::warn(format!("flood {i}"));

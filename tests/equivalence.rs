@@ -86,7 +86,6 @@ fn parallel_strategies_agree_on_random_inputs() {
         let scale = reference.max_abs().max(1e-12);
         for strategy in [
             ParallelStrategy::colored(&mesh),
-            ParallelStrategy::partitioned(&mesh, parts),
             ParallelStrategy::sharded(&mesh, parts),
         ] {
             let rhs = assemble_parallel(Variant::Rspr, &input, &strategy);
@@ -128,7 +127,6 @@ fn all_strategies_match_serial_across_variants_and_worker_counts() {
             ParallelStrategy::auto(mesh),
         ];
         for workers in [1, 2, 8] {
-            strategies.push(ParallelStrategy::partitioned(mesh, workers));
             strategies.push(ParallelStrategy::sharded(mesh, workers));
         }
 
@@ -165,7 +163,6 @@ fn thread_cap_never_changes_the_result() {
     let scale = serial.max_abs().max(1e-12);
     let strategies = [
         ParallelStrategy::colored(&mesh),
-        ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
     ];
     for cap in [1, 2, 8] {
@@ -202,7 +199,6 @@ fn telemetry_on_or_off_never_changes_a_bit() {
 
     let strategies = [
         ParallelStrategy::colored(&mesh),
-        ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
     ];
     // Serial first, then every parallel strategy, telemetry off/on.
@@ -261,7 +257,6 @@ fn packed_execution_matches_scalar_across_variants_strategies_and_worker_counts(
 
     let strategies = [
         ParallelStrategy::colored(&mesh),
-        ParallelStrategy::partitioned(&mesh, 8),
         ParallelStrategy::sharded(&mesh, 8),
     ];
     for cap in [1, 2, 8] {
@@ -520,8 +515,12 @@ fn rhs_is_linear_in_body_force() {
 /// collapsed onto one element loop, P and RS at the commit before the
 /// kernels became lane-generic (where P × Packed still ran the scalar
 /// kernel). Scalar and packed execution were bitwise equal at both, so one
-/// digest pins both modes.
-const GOLDEN_RHS_BITS: [(&str, [u64; 5]); 8] = [
+/// digest pins both modes. The sharded rows are the serial row: the
+/// boundary replay sums every node in the serial loop's order. (Before it,
+/// they differed from serial at shard-boundary nodes only, and equalled
+/// the rows of the multi-part partitioned strategy that was deleted with
+/// it.)
+const GOLDEN_RHS_BITS: [(&str, [u64; 5]); 6] = [
     (
         "serial",
         [
@@ -543,43 +542,23 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 5]); 8] = [
         ],
     ),
     (
-        "partitioned/2",
-        [
-            0x16db_a2f3_6ea5_f131,
-            0x16db_a2f3_6ea5_f131,
-            0xf16f_b1ba_a714_a279,
-            0xf16f_b1ba_a714_a279,
-            0xf16f_b1ba_a714_a279,
-        ],
-    ),
-    (
-        "partitioned/3",
-        [
-            0x4735_3671_3716_d6d5,
-            0x4735_3671_3716_d6d5,
-            0xf4e3_33ef_b6d0_2295,
-            0xf4e3_33ef_b6d0_2295,
-            0xf4e3_33ef_b6d0_2295,
-        ],
-    ),
-    (
         "sharded/2",
         [
-            0x16db_a2f3_6ea5_f131,
-            0x16db_a2f3_6ea5_f131,
-            0xf16f_b1ba_a714_a279,
-            0xf16f_b1ba_a714_a279,
-            0xf16f_b1ba_a714_a279,
+            0x174d_34b1_05f4_4205,
+            0x174d_34b1_05f4_4205,
+            0xc64c_4c7b_c061_1160,
+            0xc64c_4c7b_c061_1160,
+            0xc64c_4c7b_c061_1160,
         ],
     ),
     (
         "sharded/3",
         [
-            0x4735_3671_3716_d6d5,
-            0x4735_3671_3716_d6d5,
-            0xf4e3_33ef_b6d0_2295,
-            0xf4e3_33ef_b6d0_2295,
-            0xf4e3_33ef_b6d0_2295,
+            0x174d_34b1_05f4_4205,
+            0x174d_34b1_05f4_4205,
+            0xc64c_4c7b_c061_1160,
+            0xc64c_4c7b_c061_1160,
+            0xc64c_4c7b_c061_1160,
         ],
     ),
     (
@@ -605,15 +584,11 @@ const GOLDEN_RHS_BITS: [(&str, [u64; 5]); 8] = [
 ];
 
 /// The row of `GOLDEN_RHS_BITS` a strategy must reproduce. `auto` has no
-/// digests of its own: it is held to the row of whatever it resolves to,
-/// and a one-part partition sums in the serial order.
+/// digests of its own: it is held to the row of whatever it resolves to.
 fn golden_row(strategy: &ParallelStrategy) -> String {
     match strategy {
+        ParallelStrategy::Serial => "serial".into(),
         ParallelStrategy::Colored(_) => "colored".into(),
-        ParallelStrategy::Partitioned(state) => match state.partition.num_parts() {
-            1 => "serial".into(),
-            parts => format!("partitioned/{parts}"),
-        },
         ParallelStrategy::Sharded(shards) => format!("sharded/{}", shards.num_shards()),
     }
 }
@@ -632,8 +607,6 @@ fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
 
     let strategies = [
         ParallelStrategy::colored(mesh),
-        ParallelStrategy::partitioned(mesh, 2),
-        ParallelStrategy::partitioned(mesh, 3),
         ParallelStrategy::sharded(mesh, 2),
         ParallelStrategy::sharded(mesh, 3),
     ];
@@ -710,7 +683,7 @@ fn auto_is_the_committed_tables_best_row_with_serial_as_the_floor() {
                 None => None,
             }
             .unwrap_or_else(|| panic!("no packed {} row at {threads} threads", auto.name()));
-            let best = ["serial", "colored", "partitioned", "sharded"]
+            let best = ["serial", "colored", "sharded"]
                 .iter()
                 .flat_map(|s| [(*s).to_string(), format!("{s}-packed")])
                 .filter_map(|s| db.melem_per_s(&s, variant, threads))
