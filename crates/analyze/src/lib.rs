@@ -3,7 +3,8 @@
 //! The instrumented kernels in `alya-core` don't just feed the performance
 //! models — their event streams, the modelled address-space layout, and
 //! the coloring infrastructure together make the paper's optimization
-//! claims *mechanically checkable*. This crate runs eleven passes:
+//! claims *mechanically checkable*. This crate runs ten passes, numbered
+//! 1–11 (pass 5 is retired):
 //!
 //! 1. **Contract checker** ([`contracts`]) — per variant, captures element
 //!    traces under **both** addressing conventions (`Layout::gpu` and
@@ -30,20 +31,21 @@
 //!    delivered (dual-sided counters), no self-sends, and each traced
 //!    slot list matches the exchange plan exactly once (no double
 //!    count). The same budget validates a committed `BENCH_comm.json`.
-//! 5. **Schedule contract** ([`sched`]) — replays each rank's
-//!    `alya-sched` pipeline trace from a live overlapped assembly:
-//!    every stage enqueued/started/retired exactly once and only after
-//!    its dependencies, no buffer read before its producer retired, and
-//!    the halo combine folds senders in ascending rank order — overlap
-//!    may reorder arrival, never the combine.
+//! 5. *Retired.* It replayed the trace of a stage scheduler the
+//!    distributed driver no longer has: each rank now runs its phases in
+//!    program order, pass 6 holds that order on the live spans, and the
+//!    ascending-sender combine is pinned by the `distributed/2` and
+//!    `distributed/4` rows of the equivalence suite's golden digests.
+//!    The number stays retired so the other passes keep theirs.
 //! 6. **Telemetry contract** ([`telemetry`]) — runs a distributed
 //!    assembly inside an `alya-telemetry` session and holds the emitted
 //!    report against the same closed forms: every counter equals its
 //!    kernel-contract rate × elements (live Table-I deviation is zero),
 //!    halo byte counters equal the exchange plan's budget, blocked-wait
 //!    matches the `CommReport` (single chokepoint, no double count),
-//!    span trees nest, every rank's trace carries all five pipeline
-//!    stage spans, and the chrome-trace export parses.
+//!    span trees nest, every rank's trace carries its five phase spans
+//!    in program order (so the halo sends are posted before the
+//!    interior is assembled), and the chrome-trace export parses.
 //! 7. **Static hot-path lints** (`alya-lint`) — lexes every workspace
 //!    source, builds a name-based call graph, computes the set of
 //!    functions reachable from `// alya:hot` roots by fixpoint, and
@@ -77,12 +79,13 @@
 //!     and the trace-derived [`alya_core::KernelContract`] equal to the
 //!     hand-maintained table field-for-field.
 //! 11. **Probe contract** ([`probe`]) — proves the always-on `alya-probe`
-//!     flight recorder is inert and useful: a pipelined distributed
-//!     assembly with the recorder on is **bitwise** identical to one with
-//!     it off (and actually recorded events), every per-thread ring stays
-//!     inside its fixed capacity, a seeded [`alya_core::HaloFault`] stall
-//!     leaves a black-box dump naming the stalled stage and the blocking
-//!     rank (with a parsing chrome-trace export), and the regression
+//!     flight recorder is inert and useful: a distributed assembly with
+//!     the recorder on is **bitwise** identical to one with it off (and
+//!     actually recorded events), every per-thread ring stays inside its
+//!     fixed capacity, a seeded [`alya_core::HaloFault`] returns a typed
+//!     stall and leaves a black-box dump naming the starved rank's open
+//!     `halo-drain` span and the blocking rank (with a parsing
+//!     chrome-trace export), and the regression
 //!     sentinel armed from the committed `BENCH_drivers.json` /
 //!     `BENCH_comm.json` baselines stays quiet.
 //!
@@ -101,7 +104,6 @@ pub mod contracts;
 pub mod form;
 pub mod probe;
 pub mod races;
-pub mod sched;
 pub mod serve;
 pub mod simd;
 pub mod sources;
@@ -116,7 +118,7 @@ use std::path::Path;
 /// properly; the invariants are count-independent).
 pub const AUDIT_SHARDS: usize = 8;
 
-/// Combined result of all eleven passes.
+/// Combined result of all passes.
 #[derive(Debug)]
 pub struct AuditReport {
     /// Kernel-contract violations (pass 1).
@@ -131,9 +133,6 @@ pub struct AuditReport {
     /// Comm-contract report of a fully-traced distributed assembly on the
     /// fixture mesh (pass 4).
     pub comm: comm::CommContractReport,
-    /// Schedule-contract report of an overlapped distributed assembly on
-    /// the fixture mesh (pass 5).
-    pub sched: sched::SchedContractReport,
     /// Telemetry-contract report of a distributed assembly run inside a
     /// telemetry session on the fixture mesh (pass 6).
     pub telemetry: telemetry::TelemetryContractReport,
@@ -167,7 +166,6 @@ impl AuditReport {
             && self.shards.is_valid()
             && self.source_violations.is_empty()
             && self.comm.is_clean()
-            && self.sched.is_clean()
             && self.telemetry.is_clean()
             && self.lint.is_clean()
             && self.simd.is_clean()
@@ -183,7 +181,6 @@ impl AuditReport {
             + usize::from(!self.shards.is_valid())
             + self.source_violations.len()
             + self.comm.violations.len()
-            + self.sched.violations.len()
             + self.telemetry.violations.len()
             + self.lint.violations.len()
             + self.simd.violations.len()
@@ -201,7 +198,6 @@ pub fn run_audit(workspace_root: Option<&Path>) -> AuditReport {
     let fx = Fixture::new();
     let input = fx.input();
     let (comm_report, _, _) = comm::check_distributed(&input, AUDIT_SHARDS);
-    let (sched_report, _, _) = sched::check_distributed_schedule(&input, AUDIT_SHARDS, true);
     let (telemetry_report, _, _) = telemetry::check_distributed_telemetry(&input, AUDIT_SHARDS);
     AuditReport {
         contract_violations: contracts::check_all(&input),
@@ -211,7 +207,6 @@ pub fn run_audit(workspace_root: Option<&Path>) -> AuditReport {
             .map(sources::check_workspace)
             .unwrap_or_default(),
         comm: comm_report,
-        sched: sched_report,
         telemetry: telemetry_report,
         lint: workspace_root
             .and_then(|r| alya_lint::check_workspace(r).ok())

@@ -5,18 +5,19 @@
 //! must stay bounded, and the post-mortem machinery must actually tell
 //! the story when something wedges. This pass holds all three claims:
 //!
-//! * **recorder transparency** — a pipelined distributed assembly runs
-//!   twice, recorder on then off, and the two RHS vectors must be
-//!   bitwise identical (`f64::to_bits`, not a tolerance) with identical
+//! * **recorder transparency** — a distributed assembly runs twice,
+//!   recorder on then off, and the two RHS vectors must be bitwise
+//!   identical (`f64::to_bits`, not a tolerance) with identical
 //!   comm accounting. The on-run must also have recorded real events —
 //!   a silently-dead recorder is a violation, not a pass;
 //! * **bounded retention** — after the on-run, no per-thread ring holds
 //!   more than [`alya_probe::RING_CAP`] events: the flight recorder
 //!   forgets, it never grows;
-//! * **black-box dump** — a seeded [`HaloFault`] trips the `alya-sched`
-//!   watchdog, and the automatic dump must name every stalled stage,
-//!   diagnose who was blocked on whom (`waiting on rank N`), and export
-//!   a chrome trace that parses;
+//! * **black-box dump** — a seeded [`HaloFault`] must come back as a
+//!   typed [`alya_core::Stalled`] naming the starved rank and the silent
+//!   peer, and the dump the starved rank leaves must find it in its open
+//!   `halo-drain` span, diagnose who was blocked on whom (`waiting on
+//!   rank N`), and export a chrome trace that parses;
 //! * **regression sentinel** — the committed `BENCH_drivers.json` /
 //!   `BENCH_comm.json` baselines, held against themselves and the
 //!   closed-form halo predictions, must keep the sentinel quiet. The
@@ -38,8 +39,9 @@ use alya_telemetry::export;
 /// count's spirit: enough ranks that every rank really exchanges halos).
 pub const PROBE_RANKS: usize = 4;
 
-/// Watchdog window for the seeded-stall dump check — long enough that a
-/// healthy exchange never trips it, short enough to keep the audit fast.
+/// Halo-drain deadline for the seeded-stall dump check — long enough that
+/// a healthy exchange never trips it, short enough to keep the audit
+/// fast.
 pub const STALL_WINDOW: Duration = Duration::from_millis(150);
 
 /// Variants the transparency check sweeps (one spilling, one
@@ -145,20 +147,20 @@ fn check_recorder(input: &AssemblyInput, report: &mut ProbeContractReport) {
     for variant in PROBE_VARIANTS {
         probe::set_enabled(true);
         let before = probe::total_events();
-        let on = driver.assemble_sched(variant, input, None);
+        let on = driver.try_assemble(variant, input, None);
         let recorded = probe::total_events() - before;
         probe::set_enabled(false);
-        let off = driver.assemble_sched(variant, input, None);
+        let off = driver.try_assemble(variant, input, None);
         probe::set_enabled(true);
-        let (Ok((a, ra, _)), Ok((b, rb, _))) = (on, off) else {
+        let (Ok((a, ra)), Ok((b, rb))) = (on, off) else {
             report.violations.push(format!(
-                "{variant}: fault-free pipelined assembly stalled during the recorder check"
+                "{variant}: fault-free distributed assembly stalled during the recorder check"
             ));
             continue;
         };
         if recorded == 0 {
             report.violations.push(format!(
-                "{variant}: the recorder-on pipelined assembly recorded no events — \
+                "{variant}: the recorder-on distributed assembly recorded no events — \
                  the flight recorder is dead"
             ));
         }
@@ -191,8 +193,9 @@ fn check_recorder(input: &AssemblyInput, report: &mut ProbeContractReport) {
     }
 }
 
-/// A seeded [`HaloFault`] must trip the watchdog *and* leave a black-box
-/// dump that names the stalled stage and the rank it waited on.
+/// A seeded [`HaloFault`] must return a typed stall naming the starved
+/// rank and the silent peer, *and* leave a black-box dump that finds the
+/// starved rank in `halo-drain` and names the rank it waited on.
 fn check_stall_dump(input: &AssemblyInput, report: &mut ProbeContractReport) {
     report.dump_checked = true;
     probe::set_enabled(true);
@@ -209,40 +212,27 @@ fn check_stall_dump(input: &AssemblyInput, report: &mut ProbeContractReport) {
         ));
         return;
     };
-    let Err(stall) = driver.assemble_sched(Variant::Rsp, input, Some(HaloFault { from, to }))
-    else {
+    let Err(stall) = driver.try_assemble(Variant::Rsp, input, Some(HaloFault { from, to })) else {
         report.violations.push(format!(
-            "withholding the rank {from}→{to} halo message did not trip the watchdog"
+            "withholding the rank {from}→{to} halo message did not stall the assembly"
         ));
         return;
     };
+    if (stall.rank, stall.peer) != (to, from) {
+        report.violations.push(format!(
+            "withholding the rank {from}→{to} halo message reported the wrong pair: {stall}"
+        ));
+    }
     let Some(dump) = probe::last_dump() else {
         report
             .violations
-            .push("the watchdog stall produced no black-box dump".into());
+            .push("the halo stall produced no black-box dump".into());
         return;
     };
-    // Every unretired stage is named somewhere in the dump (stages that
-    // never began only appear in the capture reason), and at least one —
-    // the drain the starved rank is actually sitting in — carries a full
-    // per-thread diagnosis line.
-    for stage in &stall.stalled {
-        if !dump.contains(stage) {
-            report.violations.push(format!(
-                "the black-box dump does not name stalled stage \"{stage}\""
-            ));
-        }
-    }
-    if !stall
-        .stalled
-        .iter()
-        .any(|s| dump.contains(&format!("stalled in \"{s}\"")))
-    {
-        report.violations.push(
-            "the black-box dump diagnosed no stalled stage — \
-             the open-stage narrative is missing"
-                .into(),
-        );
+    if !dump.contains(&format!("rank {to} stalled in \"halo-drain\"")) {
+        report.violations.push(format!(
+            "the black-box dump does not find rank {to} in its open halo-drain span"
+        ));
     }
     if !dump.contains(&format!("waiting on rank {from}")) {
         report.violations.push(format!(

@@ -15,21 +15,22 @@
 //!   both views, so any double-count shows up as a divergence here;
 //! * **span tree** — every parent link resolves to a recorded span on
 //!   the same thread whose interval encloses the child's;
-//! * **timeline** — each rank's trace process carries all five pipeline
-//!   stage spans, and (when the mesh is large enough to guarantee it)
-//!   the `halo-drain` span overlaps the `assemble-overlap` span in time
-//!   — the compute/exchange overlap, visible in the chrome export;
+//! * **timeline** — each rank's trace process carries all five phase
+//!   spans, and every rank span's phases run in program order, each
+//!   closing before the next opens — so `halo-post` closes before
+//!   `assemble-overlap` opens: the sends are out before the interior is
+//!   assembled, which is the compute/exchange overlap;
 //! * **export** — the chrome `trace_event` JSON actually parses.
 
 use alya_comm::CommReport;
 use alya_core::metrics;
 use alya_core::{AssemblyInput, DistributedDriver, Variant};
 use alya_telemetry::export::validate_json;
-use alya_telemetry::{Metric, Scope, SpanRecord, TelemetryReport};
+use alya_telemetry::{Metric, Scope, TelemetryReport};
 
-/// The five per-rank pipeline stages of the distributed driver, in
-/// creation order — pass 6 requires a span for each on every rank.
-pub const PIPELINE_STAGES: [&str; 5] = [
+/// The five phases of the distributed driver's rank body, in program
+/// order — pass 6 requires a span for each on every rank, in this order.
+pub const RANK_PHASES: [&str; 5] = [
     "assemble-pre",
     "halo-post",
     "assemble-overlap",
@@ -52,12 +53,6 @@ pub struct TelemetryExpectation {
     /// The run's [`CommReport::blocked_wait_s`], which the blocked-wait
     /// counter must reproduce.
     pub blocked_wait_s: f64,
-    /// Whether to demand a time overlap between `halo-drain` and
-    /// `assemble-overlap` spans. Overlap is structurally guaranteed only
-    /// when each rank's interior exceeds one assembly chunk, so small
-    /// fixtures check the stage spans exist without demanding the
-    /// intersection.
-    pub require_overlap_evidence: bool,
 }
 
 /// Outcome of checking one session's telemetry against the contracts.
@@ -193,33 +188,33 @@ pub fn check_report(
         }
     }
 
-    // Timeline: all five stage spans on every rank's trace process, and
-    // (when demanded) drain/compute overlap on at least one rank.
+    // Timeline: all five phase spans on every rank's trace process, and
+    // under each rank span the phases in program order.
     for rank in 0..exp.num_ranks {
         let pid = rank as u32 + 1;
-        for stage in PIPELINE_STAGES {
-            if !report.spans.iter().any(|s| s.pid == pid && s.name == stage) {
-                violations.push(format!("rank {rank} recorded no '{stage}' span"));
+        for phase in RANK_PHASES {
+            if !report.spans.iter().any(|s| s.pid == pid && s.name == phase) {
+                violations.push(format!("rank {rank} recorded no '{phase}' span"));
             }
         }
     }
-    if exp.require_overlap_evidence {
-        let overlapped = (0..exp.num_ranks).any(|rank| {
-            let pid = rank as u32 + 1;
-            let find = |name: &str| -> Option<&SpanRecord> {
-                report.spans.iter().find(|s| s.pid == pid && s.name == name)
-            };
-            match (find("assemble-overlap"), find("halo-drain")) {
-                (Some(a), Some(d)) => a.start_ns < d.end_ns && d.start_ns < a.end_ns,
-                _ => false,
+    for body in report.spans.iter().filter(|s| s.name.starts_with("rank-")) {
+        let mut phases: Vec<_> = report
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(body.id) && RANK_PHASES.contains(&s.name.as_str()))
+            .collect();
+        phases.sort_by_key(|s| (s.start_ns, s.id));
+        for w in phases.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let rank_of = |name: &str| RANK_PHASES.iter().position(|p| *p == name);
+            if rank_of(&a.name) >= rank_of(&b.name) || a.end_ns > b.start_ns {
+                violations.push(format!(
+                    "{} on trace process {}: '{}' does not close before '{}' opens — \
+                     the rank body left program order",
+                    body.name, body.pid, a.name, b.name
+                ));
             }
-        });
-        if !overlapped {
-            violations.push(
-                "no rank's halo-drain span overlaps its assemble-overlap span — \
-                 the pipeline ran back-to-back"
-                    .into(),
-            );
         }
     }
 
@@ -254,7 +249,7 @@ pub fn check_distributed_telemetry(
     let session = alya_telemetry::session();
     let (_, comm) = driver.assemble(variant, input);
     let report = session.finish();
-    let exp = expectation(&driver, variant, &comm, false);
+    let exp = expectation(&driver, variant, &comm);
     let checked = check_report(&report, &exp);
     (checked, exp, report)
 }
@@ -265,7 +260,6 @@ pub fn expectation(
     driver: &DistributedDriver,
     variant: Variant,
     comm: &CommReport,
-    require_overlap_evidence: bool,
 ) -> TelemetryExpectation {
     TelemetryExpectation {
         num_ranks: driver.num_ranks(),
@@ -277,7 +271,6 @@ pub fn expectation(
             .sum(),
         halo_bytes: driver.expected_halo_bytes() as u64,
         blocked_wait_s: comm.blocked_wait_s,
-        require_overlap_evidence,
     }
 }
 
@@ -335,7 +328,7 @@ mod tests {
             .spans
             .iter_mut()
             .find(|s| s.parent.is_some())
-            .expect("the rank pipeline records parented spans");
+            .expect("the rank body records parented spans");
         child.parent = Some(u64::MAX);
         let bad = check_report(&live, &exp);
         assert!(
@@ -358,6 +351,28 @@ mod tests {
             "{bad}"
         );
         exp.blocked_wait_s -= 0.5;
+        // Hold one rank's sends back past the start of its interior
+        // assembly: the phases leave program order.
+        let mut late = live.clone();
+        let post = late
+            .spans
+            .iter()
+            .position(|s| s.name == "halo-post")
+            .expect("every rank posts");
+        let body = late.spans[post].parent;
+        let interior = late
+            .spans
+            .iter()
+            .find(|s| s.name == "assemble-overlap" && s.parent == body)
+            .expect("every rank assembles its interior");
+        late.spans[post].end_ns = interior.start_ns + 1;
+        let bad = check_report(&late, &exp);
+        assert!(
+            bad.violations
+                .iter()
+                .any(|v| v.contains("'halo-post' does not close before 'assemble-overlap'")),
+            "{bad}"
+        );
         // Erase every combine span: the per-rank timeline is incomplete.
         live.spans.retain(|s| s.name != "combine");
         let bad = check_report(&live, &exp);

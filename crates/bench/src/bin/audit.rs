@@ -1,4 +1,4 @@
-//! The static-analysis audit: runs all eleven `alya-analyze` passes and
+//! The static-analysis audit: runs every `alya-analyze` pass and
 //! exits nonzero on any violation, so CI can gate on it.
 //!
 //! Usage:
@@ -13,8 +13,8 @@
 //! audit --seed-violation contract-registers  # forge register pressure
 //! audit --seed-violation shard-mismatch  # validate shards against wrong mesh
 //! audit --seed-violation comm-drop       # lose a halo message, expect catch
-//! audit --seed-violation overlap-stall   # withhold a halo send, expect the
-//!                                        # scheduler watchdog to fire
+//! audit --seed-violation overlap-stall   # withhold a halo send, expect a
+//!                                        # typed stall from the rank
 //! audit --seed-violation telemetry-skew  # skew a live counter off its
 //!                                        # contract rate, expect catch
 //! audit --seed-violation pack-divergence # skew the packed throughput rows
@@ -101,10 +101,6 @@ fn full_audit() -> ExitCode {
     println!("\ncomm contract audit");
     println!("===================");
     println!("  {}", report.comm);
-
-    println!("\nschedule contract audit");
-    println!("=======================");
-    println!("  {}", report.sched);
 
     println!("\ntelemetry contract audit");
     println!("========================");
@@ -232,7 +228,7 @@ fn list_modes() -> ExitCode {
     println!("  2  scatter races        coloring disjointness and shard-interior exclusivity");
     println!("  3  source lints         forbid(unsafe_code), unsafe file allowlist, lint opt-in");
     println!("  4  comm contract        dual-sided halo accounting against the exchange plan");
-    println!("  5  schedule contract    stage ordering, buffer hand-off, ascending-rank combine");
+    println!("  5  retired              (schedule contract of the removed stage scheduler)");
     println!("  6  telemetry contract   live counters against contract rates and halo budgets");
     println!(
         "  7  static hot-path      alloc/panic/hash/telemetry lints on the alya:hot-reachable"
@@ -280,7 +276,7 @@ const SEED_MODES: &[(&str, &str)] = &[
     ),
     (
         "overlap-stall",
-        "withhold a halo send; the pass-5 watchdog must fire",
+        "withhold a halo send; the rank must return a typed stall",
     ),
     (
         "telemetry-skew",
@@ -445,8 +441,9 @@ fn seeded(mode: &str) -> ExitCode {
         "overlap-stall" => {
             // Withhold one boundary message from an 8-rank overlapped
             // assembly — the signature of a lost send or a wedged peer.
-            // The victim's halo-drain stage can never retire, so the
-            // scheduler watchdog must fire instead of hanging forever.
+            // The victim's halo drain can never complete, so it must
+            // return a typed stall naming itself and the silent peer
+            // instead of hanging forever.
             let driver =
                 DistributedDriver::new(&fx.mesh, 8).stall_timeout(Duration::from_millis(250));
             let (from, to) = (0..8)
@@ -455,10 +452,10 @@ fn seeded(mode: &str) -> ExitCode {
                     Some((r as u32, send.0))
                 })
                 .expect("8-rank decomposition exchanges halo traffic");
-            match driver.assemble_sched(Variant::Rsp, &input, Some(HaloFault { from, to })) {
+            match driver.try_assemble(Variant::Rsp, &input, Some(HaloFault { from, to })) {
                 Err(stall) => {
                     println!("{stall}");
-                    stall.stalled.contains(&"halo-drain")
+                    (stall.rank, stall.peer) == (to, from)
                 }
                 Ok(_) => false,
             }

@@ -3,9 +3,9 @@
 //! case, emitted as `BENCH_comm.json` so the repo carries the
 //! communication trajectory next to the throughput one.
 //!
-//! Each rank count is timed twice — once with the compute/exchange
-//! overlap pipeline off (boundary-first but fully serial per rank) and
-//! once with it on (interior assembly overlapped with the halo drain).
+//! Each rank count is timed twice — once with compute/exchange overlap
+//! off (every element assembled before the sends are posted) and once
+//! with it on (sends posted after the boundary, before the interior).
 //! Wall-clock deltas between the two are noise on an oversubscribed
 //! host, so the report also carries the *blocked-wait* seconds each mode
 //! accumulated inside `recv` and derives the overlap win from those:
@@ -29,9 +29,8 @@
 //! ```
 //!
 //! Every timed configuration is first validated against the analyzer's
-//! comm contract ([`alya_analyze::comm::check_exchange`]) *and* the
-//! schedule contract ([`alya_analyze::sched::check_run`]) of a traced
-//! overlapped run, and the two modes must agree bitwise: the binary
+//! comm contract ([`alya_analyze::comm::check_exchange`]) on a traced
+//! run, and the two modes must agree bitwise: the binary
 //! refuses to emit a report whose live exchange diverges from the
 //! closed-form halo budget — `BENCH_comm.json` is evidence, not prose.
 
@@ -39,7 +38,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use alya_analyze::comm::check_exchange;
-use alya_analyze::sched::check_run;
 use alya_bench::case::Case;
 use alya_core::nut::compute_nu_t;
 use alya_core::{DistributedDriver, Variant};
@@ -188,16 +186,8 @@ fn main() {
             eprintln!("refusing to report a dishonest exchange: {contract}");
             std::process::exit(1);
         }
-        // Schedule-contract gate on the overlapped pipeline, plus the
-        // bitwise-equality gate between the two timed modes.
-        let (rhs_on, _, traces) = driver_on
-            .assemble_sched(Variant::Rsp, &input, None)
-            .expect("fault-free assembly does not stall");
-        let sched = check_run(driver_on.exchange_plan(), &traces, true);
-        if !sched.is_clean() {
-            eprintln!("refusing to report a dishonest schedule: {sched}");
-            std::process::exit(1);
-        }
+        // Bitwise-equality gate between the two timed modes.
+        let (rhs_on, _) = driver_on.assemble(Variant::Rsp, &input);
         let (rhs_off, _) = driver_off.assemble(Variant::Rsp, &input);
         assert_eq!(
             rhs_on.max_abs_diff(&rhs_off),

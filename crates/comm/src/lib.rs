@@ -9,8 +9,12 @@
 //! a message, exactly the discipline an `MPI_Isend`/`Irecv` port needs.
 //!
 //! * [`RankHandle`] — one rank's endpoint: nonblocking [`RankHandle::send`],
-//!   blocking [`RankHandle::recv_from`] / nonblocking
-//!   [`RankHandle::try_recv_from`] with out-of-order stashing;
+//!   blocking [`RankHandle::recv_from`] / bounded
+//!   [`RankHandle::recv_from_timeout`] with out-of-order stashing. Channels
+//!   are unbounded queues, so a message sent early waits in the
+//!   receiver's queue until the receiver asks for it — the distributed
+//!   driver posts its sends, assembles its interior, then receives, with
+//!   no polling in between;
 //! * [`NeighborExchange`] — the halo pattern: post all sends, then collect
 //!   exactly one message from each expected peer, returned **sorted by
 //!   sender rank** so downstream combines are deterministic;
@@ -310,19 +314,6 @@ impl<M: Payload> RankHandle<M> {
         );
     }
 
-    /// Nonblocking receive from `peer`: drains the channel into the stash
-    /// and returns the oldest stashed message from `peer`, if any.
-    // alya:hot
-    pub fn try_recv_from(&mut self, peer: u32) -> Option<M> {
-        while let Ok(pair) = self.rx.try_recv() {
-            // alya:allow(hot-alloc): the stash holds at most one in-flight
-            // message per peer rank; each append is taken back out by
-            // `take_stashed` within the same exchange.
-            self.stash.push(pair);
-        }
-        self.take_stashed(peer)
-    }
-
     /// Blocking receive of the next message from `peer`; messages from
     /// other ranks arriving in the meantime are stashed for their own
     /// receives. Panics after `RECV_TIMEOUT` — a missing message is a
@@ -340,9 +331,11 @@ impl<M: Payload> RankHandle<M> {
     }
 
     /// Bounded blocking receive from `peer`: waits up to `timeout`, then
-    /// returns `None` instead of panicking. The overlap drain stage uses
-    /// short slices of this so the scheduler watchdog — not this handle —
-    /// decides when a missing message becomes an error.
+    /// returns `None` instead of panicking. It also returns `None` at once
+    /// when every other rank has finished (the message can no longer
+    /// come), so a caller with a deadline learns of a missing message as
+    /// soon as it is certain. The distributed driver's halo drain runs on
+    /// this, turning `None` into a typed stall.
     pub fn recv_from_timeout(&mut self, peer: u32, timeout: Duration) -> Option<M> {
         self.recv_from_deadline(peer, timeout)
     }
@@ -357,8 +350,6 @@ impl<M: Payload> RankHandle<M> {
             let left = deadline.saturating_duration_since(Instant::now());
             match self.rx.recv_timeout(left) {
                 Ok((from, msg)) if from == peer => break Some(msg),
-                // alya:allow(hot-alloc): same bounded per-peer stash as
-                // `try_recv_from` — capacity amortizes across the run.
                 Ok(pair) => self.stash.push(pair),
                 // Disconnected means every other rank already finished:
                 // the message can no longer arrive, so waiting is futile.
@@ -426,9 +417,7 @@ impl NeighborExchange {
     }
 
     /// Posts every outgoing message immediately and returns an
-    /// [`ExchangeProgress`] to collect the incoming ones incrementally —
-    /// the split the overlap pipeline needs: sends go out before interior
-    /// assembly starts, receives drain while it runs.
+    /// [`ExchangeProgress`] to collect the incoming ones.
     pub fn post<M: Payload>(
         &self,
         handle: &mut RankHandle<M>,
@@ -445,13 +434,9 @@ impl NeighborExchange {
     }
 }
 
-/// Incremental receive side of one posted exchange round.
-///
-/// Collect with any mix of [`ExchangeProgress::poll`] (nonblocking),
-/// [`ExchangeProgress::wait_any`] (bounded blocking) and
-/// [`ExchangeProgress::block`]; arrival order does not matter because
-/// [`ExchangeProgress::into_sorted`] always hands the messages back
-/// sorted by sender rank — overlap cannot reorder the combine.
+/// Receive side of one posted exchange round: [`ExchangeProgress::block`]
+/// collects, and [`ExchangeProgress::into_sorted`] hands the messages
+/// back sorted by sender rank.
 #[derive(Debug)]
 pub struct ExchangeProgress<M> {
     /// Peers still owed a message, ascending.
@@ -471,48 +456,8 @@ impl<M: Payload> ExchangeProgress<M> {
         self.pending.is_empty()
     }
 
-    /// Nonblocking sweep: takes whatever already arrived from any pending
-    /// peer. Returns how many messages were collected.
-    // alya:hot
-    pub fn poll(&mut self, handle: &mut RankHandle<M>) -> usize {
-        let before = self.pending.len();
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = self.pending[i];
-            if let Some(m) = handle.try_recv_from(p) {
-                // alya:allow(hot-alloc): `got` is bounded by the neighbor
-                // count fixed at post time; capacity amortizes to zero
-                // after the first exchange of a run.
-                self.got.push((p, m));
-                self.pending.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        before - self.pending.len()
-    }
-
-    /// Bounded wait: blocks up to `timeout` for the lowest pending peer,
-    /// then sweeps the rest nonblockingly (the wait may have stashed
-    /// them). Returns how many messages were collected.
-    // alya:hot
-    pub fn wait_any(&mut self, handle: &mut RankHandle<M>, timeout: Duration) -> usize {
-        let Some(&first) = self.pending.first() else {
-            return 0;
-        };
-        let mut n = 0;
-        if let Some(m) = handle.recv_from_timeout(first, timeout) {
-            // alya:allow(hot-alloc): bounded by the neighbor count, same as
-            // the `poll` sweep above.
-            self.got.push((first, m));
-            self.pending.remove(0);
-            n = 1;
-        }
-        n + self.poll(handle)
-    }
-
     /// Blocks (panicking on `RECV_TIMEOUT`) until every pending peer
-    /// has delivered — the non-overlapped path.
+    /// has delivered.
     pub fn block(&mut self, handle: &mut RankHandle<M>) {
         let _sp = telemetry::span("comm-block");
         while let Some(&p) = self.pending.first() {
@@ -732,7 +677,7 @@ mod tests {
                 let m = h.recv_from(0);
                 assert_eq!(m.entries[0], (3, [4.0, 8.0, -4.0]));
                 // Nothing else may ever arrive.
-                assert!(h.try_recv_from(0).is_none());
+                assert!(h.recv_from_timeout(0, Duration::from_millis(20)).is_none());
             }
         });
         assert_eq!(run.report.self_send_attempts, 1);
@@ -785,7 +730,8 @@ mod tests {
     fn single_rank_runs_without_channels() {
         let run = Communicator::run(1, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
             assert_eq!(h.num_ranks(), 1);
-            assert!(h.try_recv_from(0).is_none());
+            // No sender exists, so the wait ends at once.
+            assert!(h.recv_from_timeout(0, RECV_TIMEOUT).is_none());
             r
         });
         assert_eq!(run.results, vec![0]);
@@ -795,33 +741,10 @@ mod tests {
 
     #[test]
     fn stashing_preserves_fifo_order_per_peer() {
-        let run = Communicator::run(2, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
-            if r == 0 {
-                for k in 0..4 {
-                    h.send(1, msg(k, f64::from(k)));
-                }
-                Vec::new()
-            } else {
-                // Receive out of band via try_recv first, then blocking.
-                let mut got = Vec::new();
-                while got.len() < 4 {
-                    match h.try_recv_from(0) {
-                        Some(m) => got.push(m.entries[0].0),
-                        None => got.push(h.recv_from(0).entries[0].0),
-                    }
-                }
-                got
-            }
-        });
-        assert_eq!(run.results[1], vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn try_recv_from_is_oldest_first_per_peer_with_interleaved_senders() {
-        // Ranks 0 and 1 each stream 5 messages to rank 2, which drains
-        // them with an interleaved mix of try_recv_from / recv_from
-        // calls. Per-peer FIFO order and zero loss must hold no matter
-        // how the two streams interleave on the shared inbox.
+        // Ranks 0 and 1 each stream 5 messages to rank 2, which waits for
+        // peer 1 first: whatever rank 0 delivered ahead of it goes through
+        // the stash. Per-peer FIFO order and zero loss must hold however
+        // the two streams interleave on the shared inbox.
         let run = Communicator::run(3, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
             if r < 2 {
                 for k in 0..5u32 {
@@ -829,26 +752,18 @@ mod tests {
                 }
                 return (Vec::new(), Vec::new());
             }
-            // Block for peer 1's first message: anything rank 0 delivered
-            // ahead of it is forced through the stash.
             let mut from1 = vec![h.recv_from(1).entries[0].0];
             let mut from0 = Vec::new();
             while from0.len() < 5 || from1.len() < 5 {
-                // Alternate nonblocking drains of both peers mid-stream.
                 if from0.len() < 5 {
-                    match h.try_recv_from(0) {
-                        Some(m) => from0.push(m.entries[0].0),
-                        None => from0.push(h.recv_from(0).entries[0].0),
-                    }
+                    from0.push(h.recv_from(0).entries[0].0);
                 }
                 if from1.len() < 5 {
-                    if let Some(m) = h.try_recv_from(1) {
-                        from1.push(m.entries[0].0);
-                    }
+                    from1.push(h.recv_from(1).entries[0].0);
                 }
             }
-            assert!(h.try_recv_from(0).is_none());
-            assert!(h.try_recv_from(1).is_none());
+            assert!(h.recv_from_timeout(0, Duration::ZERO).is_none());
+            assert!(h.recv_from_timeout(1, Duration::ZERO).is_none());
             (from0, from1)
         });
         let (from0, from1) = &run.results[2];
@@ -880,35 +795,6 @@ mod tests {
         let mut twin = run.report.clone();
         twin.blocked_wait_s = 0.0;
         assert_eq!(run.report, twin);
-    }
-
-    #[test]
-    fn posted_exchange_collected_by_polling_matches_the_blocking_run() {
-        let n = 5usize;
-        let run = Communicator::run(n, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
-            let peers: Vec<u32> = (0..n as u32).filter(|&p| p != r).collect();
-            let sends: Vec<_> = peers.iter().map(|&p| (p, msg(r, f64::from(r)))).collect();
-            let ex = NeighborExchange::new(peers.clone());
-            let mut progress = ex.post(h, sends);
-            // Mix nonblocking polls with bounded waits until complete.
-            let mut spins = 0u32;
-            while !progress.is_complete() {
-                if progress.poll(h) == 0 {
-                    progress.wait_any(h, Duration::from_millis(5));
-                }
-                spins += 1;
-                assert!(spins < 1_000_000, "exchange never completed");
-            }
-            assert_eq!(progress.wait_any(h, Duration::from_millis(1)), 0);
-            let got = progress.into_sorted();
-            let order: Vec<u32> = got.iter().map(|&(p, _)| p).collect();
-            assert_eq!(order, peers, "rank {r}: polled collect not sorted");
-            for (p, m) in &got {
-                assert_eq!(m.entries[0].1[0], f64::from(*p));
-            }
-        });
-        assert!(run.report.all_delivered());
-        assert_eq!(run.report.total_messages(), (n * (n - 1)) as u64);
     }
 
     #[test]

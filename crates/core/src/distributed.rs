@@ -1,70 +1,71 @@
-//! Rank-parallel distributed assembly over the `alya-comm` runtime,
-//! scheduled by an `alya-sched` stage pipeline.
+//! Rank-parallel distributed assembly over the `alya-comm` runtime.
 //!
 //! Where [`crate::drivers::ParallelStrategy::Sharded`] keeps all shards in
 //! one address space and replays the boundary in-process, the
 //! [`DistributedDriver`] runs **one rank per shard as its own OS thread
 //! with no shared mutable state**: each rank assembles its elements into a
 //! compact local buffer (the *same* element loop,
-//! `drivers::assemble_list`, and `CompactSink` as the sharded
+//! `drivers::assemble_list`, packed, and `CompactSink` as the sharded
 //! driver — per the paper, the per-rank kernel must not change when the
 //! code goes distributed), folds each boundary (element, corner) pair
 //! slot into its node's slot in slot order, then ships the contributions
 //! of interface nodes it does not own to the owning rank as a sparse
 //! sorted `(local_slot, value)` message ([`alya_comm::HaloMsg`]).
 //!
-//! ## The overlap pipeline
+//! ## The rank body
 //!
-//! Every rank runs one [`alya_sched::Pipeline`] of five stages:
+//! Every rank runs the same straight-line code, in program order — the
+//! plain MPI shape of `Isend` the boundary, compute the interior,
+//! `Waitall`. Each step is one telemetry span on the rank's trace row,
+//! inside the rank span `rank-overlap:<variant>` (`rank-serial:<variant>`
+//! with overlap off):
 //!
-//! ```text
-//! assemble-pre ──► halo-post ──► assemble-overlap ──┐
-//!                      │                            ├──► combine
-//!                      └────────► halo-drain ───────┘
-//! ```
+//! 1. `assemble-pre` — assemble the boundary elements (every element
+//!    touching an interface node);
+//! 2. `halo-post` — fold the pair slots and post one send per peer;
+//! 3. `assemble-overlap` — assemble the interior elements;
+//! 4. `halo-drain` — receive from each peer in ascending rank order
+//!    against one [`DistributedDriver::stall_timeout`] deadline, folding
+//!    each message as it arrives;
+//! 5. `combine` — write back the owned nodes.
 //!
-//! With overlap **on** (the default), `assemble-pre` covers only the
-//! *boundary* elements — the ones touching an interface node — so the
-//! halo sends go out as early as possible; `assemble-overlap` then chews
-//! through the interior bulk in chunks while `halo-drain` polls
-//! [`alya_comm::RankHandle::try_recv_from`] between chunks, switching to
-//! short parked waits once compute retires. With overlap **off**,
-//! `assemble-pre` covers *all* elements (still boundary-first) and the
-//! drain stage simply blocks. Either way a stall/deadlock surfaces as an
-//! [`alya_sched::Stall`] from the watchdog instead of a hang, and the
-//! run's [`SchedTrace`]s are what the analyzer's pass-5 schedule
-//! contract audits.
+//! Sends go out before the interior, and `alya-comm`'s channels are
+//! unbounded queues, so a peer's message waits in the receiver's queue
+//! while the receiver computes; that is the whole overlap. With overlap
+//! **off**, `assemble-pre` covers every element (still boundary-first)
+//! and `assemble-overlap` none. A message that never arrives surfaces as
+//! a typed [`Stalled`] error naming the starved rank and the silent peer,
+//! and the starved rank leaves a black-box dump (`alya_probe::capture`)
+//! while its `halo-drain` span is still open.
 //!
 //! ## Why overlap cannot change a bit
 //!
 //! Interior elements never touch boundary slots (an element writing a
 //! boundary node is by definition a boundary element), so the boundary
-//! slot values are final once `assemble-pre` retires — posting the sends
-//! before the interior bulk ships exactly the bytes the non-overlapped
-//! schedule would. Both modes assemble in the same boundary-first element
-//! order, and the combine folds incoming messages **in ascending sender
-//! rank order** ([`alya_comm::ExchangeProgress::into_sorted`]) whatever
-//! order they arrived in. The assembled RHS is therefore bitwise
-//! reproducible run-to-run *and* across overlap modes at any fixed rank
-//! count — only across *different* rank counts does the summation order
-//! legitimately differ (floating-point reassociation), which the
-//! equivalence suite bounds at 1e-12 against the serial reference.
+//! slot values are final once `assemble-pre` is done — posting the sends
+//! before the interior ships exactly the bytes the back-to-back schedule
+//! would. Both modes assemble in the same boundary-first element order,
+//! and the drain folds incoming messages **in ascending sender rank
+//! order** whatever order they arrived in. The assembled RHS is therefore
+//! bitwise reproducible run-to-run *and* across overlap modes at any
+//! fixed rank count — only across *different* rank counts does the
+//! summation order legitimately differ (floating-point reassociation),
+//! which the equivalence suite bounds at 1e-12 against the serial
+//! reference.
 //!
 //! Communication volume is closed-form:
 //! [`ShardSet::halo_send_slots`]` × `[`HALO_ENTRY_BYTES`] bytes per
 //! assembly — the number the analyzer's comm contract checks the live
 //! [`CommReport`] against.
 
-use std::time::Duration;
+use std::fmt;
+use std::time::{Duration, Instant};
 
 use alya_comm::HALO_ENTRY_BYTES;
-use alya_comm::{
-    CommReport, Communicator, ExchangeProgress, HaloMsg, NeighborExchange, RankHandle, RecordMode,
-};
+use alya_comm::{CommReport, Communicator, HaloMsg, RankHandle, RecordMode};
 use alya_fem::VectorField;
 use alya_mesh::{ExchangePlan, Partition, Shard, ShardSet, TetMesh};
 use alya_probe as probe;
-use alya_sched::{Pipeline, SchedTrace, StageStatus, Stall, Watchdog};
 use alya_telemetry as telemetry;
 
 use crate::drivers::{assemble_list, with_nut, workspace, CompactSink, ExecMode};
@@ -75,19 +76,9 @@ use crate::variant::Variant;
 /// One rank's owned output: `(global node, summed contribution)` pairs.
 type OwnedValues = Vec<(u32, [f64; 3])>;
 
-/// Elements a cooperative assembly stage processes per call — small
-/// enough that the drain stage gets to poll between chunks, large enough
-/// that scheduling overhead stays invisible next to the kernel work.
-const ASSEMBLY_CHUNK: usize = 256;
-
-/// How long one `halo-drain` parked wait lasts once compute has retired.
-/// Short slices keep the stage cooperative so the watchdog — not the
-/// comm layer — owns the stall decision.
-const DRAIN_SLICE: Duration = Duration::from_millis(1);
-
-/// A deliberately withheld halo message, for watchdog self-tests: rank
-/// `from` skips its send to rank `to`, so `to`'s drain stage can never
-/// complete and the scheduler watchdog must fire.
+/// A deliberately withheld halo message, for stall self-tests: rank
+/// `from` skips its send to rank `to`, so `to`'s drain can never complete
+/// and must return a [`Stalled`] error.
 #[derive(Debug, Clone, Copy)]
 pub struct HaloFault {
     /// The rank that withholds a send.
@@ -95,6 +86,31 @@ pub struct HaloFault {
     /// The rank robbed of its message.
     pub to: u32,
 }
+
+/// A rank's halo drain gave up on a peer: the message never arrived
+/// before the [`DistributedDriver::stall_timeout`] deadline, or every
+/// other rank had already finished without sending it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stalled {
+    /// The starved rank.
+    pub rank: u32,
+    /// The peer whose message never arrived.
+    pub peer: u32,
+    /// How long the rank had been draining when it gave up.
+    pub waited: Duration,
+}
+
+impl fmt::Display for Stalled {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "rank {} stalled in halo-drain after {:?}, waiting on rank {}",
+            self.rank, self.waited, self.peer
+        )
+    }
+}
+
+impl std::error::Error for Stalled {}
 
 /// Per-rank element order: boundary positions first, then interior, each
 /// ascending. Both overlap modes assemble in exactly this order.
@@ -116,43 +132,7 @@ pub struct DistributedDriver {
     splits: Vec<ElemSplit>,
     record: RecordMode,
     overlap: bool,
-    mode: ExecMode,
     stall_timeout: Duration,
-}
-
-/// Shared mutable state of one rank's pipeline run. Stages communicate
-/// only through this context and the recorded trace — there is nothing
-/// else to race on.
-struct RankCtx<'h> {
-    local: Vec<f64>,
-    ws_buf: Vec<f64>,
-    pre_done: usize,
-    rest_done: usize,
-    progress: Option<ExchangeProgress<HaloMsg>>,
-    handle: &'h mut RankHandle<HaloMsg>,
-    owned: OwnedValues,
-    /// Reusable pending-peer snapshot for the drain stage — allocated once
-    /// per rank, not once per poll.
-    drain_scratch: Vec<u32>,
-}
-
-/// One cooperative drain step: snapshot the pending peers into the reused
-/// scratch buffer, then poll (compute still running) or park for one slice
-/// (compute retired). Returns how many messages arrived.
-// alya:hot
-fn drain_step(
-    p: &mut ExchangeProgress<HaloMsg>,
-    handle: &mut RankHandle<HaloMsg>,
-    compute_retired: bool,
-    scratch: &mut Vec<u32>,
-) -> usize {
-    scratch.clear();
-    scratch.extend_from_slice(p.pending());
-    if compute_retired {
-        p.wait_any(handle, DRAIN_SLICE)
-    } else {
-        p.poll(handle)
-    }
 }
 
 /// Folds each pair slot into its boundary node's slot, in slot order. Pair
@@ -213,8 +193,7 @@ impl DistributedDriver {
             splits,
             record: RecordMode::Counters,
             overlap: true,
-            mode: ExecMode::Scalar,
-            stall_timeout: Watchdog::default().stall_timeout,
+            stall_timeout: Duration::from_secs(30),
         }
     }
 
@@ -238,35 +217,17 @@ impl DistributedDriver {
         self
     }
 
-    /// Sets the scheduler watchdog window (default 30 s): how long a
-    /// rank's pipeline may sit idle before the run aborts with a
-    /// [`Stall`].
+    /// Sets the halo-drain deadline (default 30 s): how long a rank may
+    /// wait for its peers' messages before the assembly fails with
+    /// [`Stalled`].
     pub fn stall_timeout(mut self, window: Duration) -> Self {
         self.stall_timeout = window;
-        self
-    }
-
-    /// Runs each rank's element loop in full packs
-    /// ([`crate::drivers::ExecMode::Packed`]); chunk remainders run one
-    /// element at a time. Element order, scatter order and therefore every
-    /// assembled bit are unchanged.
-    pub fn packed(mut self, on: bool) -> Self {
-        self.mode = if on {
-            ExecMode::Packed
-        } else {
-            ExecMode::Scalar
-        };
         self
     }
 
     /// Whether compute/exchange overlap is enabled.
     pub fn overlap_enabled(&self) -> bool {
         self.overlap
-    }
-
-    /// Whether the lane-packed execution path is enabled.
-    pub fn packed_enabled(&self) -> bool {
-        self.mode == ExecMode::Packed
     }
 
     /// Number of ranks.
@@ -297,28 +258,26 @@ impl DistributedDriver {
     /// *and* across overlap modes at this rank count.
     ///
     /// # Panics
-    /// If the scheduler watchdog fires (a halo message never arrived) —
-    /// use [`DistributedDriver::assemble_sched`] to handle that case.
+    /// If a halo message never arrived — use
+    /// [`DistributedDriver::try_assemble`] to handle that case.
     pub fn assemble(&self, variant: Variant, input: &AssemblyInput) -> (VectorField, CommReport) {
-        match self.assemble_sched(variant, input, None) {
-            Ok((rhs, report, _)) => (rhs, report),
+        match self.try_assemble(variant, input, None) {
+            Ok(out) => out,
             Err(stall) => panic!("distributed assembly stalled: {stall}"),
         }
     }
 
-    /// [`DistributedDriver::assemble`] with the scheduler surfaced: also
-    /// returns each rank's [`SchedTrace`] (rank order) for the pass-5
-    /// schedule contract, reports a watchdog [`Stall`] as an error
-    /// instead of panicking, and can inject a [`HaloFault`] so tests can
-    /// prove the watchdog fires.
-    pub fn assemble_sched(
+    /// [`DistributedDriver::assemble`] that reports a stalled halo drain
+    /// as an error instead of panicking, and can inject a [`HaloFault`]
+    /// so tests can prove the stall is caught. Several starved ranks
+    /// report the lowest one.
+    pub fn try_assemble(
         &self,
         variant: Variant,
         input: &AssemblyInput,
         fault: Option<HaloFault>,
-    ) -> Result<(VectorField, CommReport, Vec<SchedTrace>), Stall> {
+    ) -> Result<(VectorField, CommReport), Stalled> {
         with_nut(variant, input, |input| {
-            let nn = input.mesh.num_nodes();
             let run = Communicator::run(
                 self.num_ranks(),
                 self.record,
@@ -329,40 +288,18 @@ impl DistributedDriver {
             // Scatter the owned outputs: node ownership is a partition of
             // the mesh nodes, so every node is written exactly once and
             // rank order cannot matter.
-            let mut rhs = VectorField::zeros(nn);
-            let mut traces = Vec::with_capacity(self.num_ranks());
-            let mut stall = None;
-            for res in run.results {
-                match res {
-                    Ok((owned, trace)) => {
-                        for (g, v) in owned {
-                            rhs.add(g as usize, v);
-                        }
-                        traces.push(trace);
-                    }
-                    Err(s) => {
-                        if stall.is_none() {
-                            stall = Some(s);
-                        }
-                    }
+            let mut rhs = VectorField::zeros(input.mesh.num_nodes());
+            for owned in run.results {
+                for (g, v) in owned? {
+                    rhs.add(g as usize, v);
                 }
             }
-            match stall {
-                Some(s) => {
-                    // Black-box the whole fleet while the evidence is
-                    // fresh: every rank's ring still holds the events
-                    // leading up to the stall (the stalled rank's trail
-                    // of comm timeouts names the rank it waited on).
-                    probe::capture(&format!("watchdog stall: {s}"));
-                    Err(s)
-                }
-                None => Ok((rhs, run.report, traces)),
-            }
+            Ok((rhs, run.report))
         })
     }
 
-    /// The per-rank body: the five-stage pipeline described in the
-    /// module docs, run to completion under the stall watchdog.
+    /// The rank body described in the module docs: five phases, in
+    /// program order, each one span.
     fn rank_assemble(
         &self,
         variant: Variant,
@@ -370,9 +307,9 @@ impl DistributedDriver {
         r: u32,
         handle: &mut RankHandle<HaloMsg>,
         fault: Option<HaloFault>,
-    ) -> Result<(OwnedValues, SchedTrace), Stall> {
+    ) -> Result<OwnedValues, Stalled> {
         let shard = self.shards.shard(r as usize);
-        let sched = self.plan.rank(r as usize);
+        let plan = self.plan.rank(r as usize);
         let split = &self.splits[r as usize];
         let nl = shard.num_slots();
         // Overlap on: pre = boundary elements only, rest = interior.
@@ -383,152 +320,92 @@ impl DistributedDriver {
             split.order.len()
         };
         let (pre, rest) = split.order.split_at(cut);
-
-        let pipe_name = if self.overlap {
+        let body = if self.overlap {
             "rank-overlap"
         } else {
             "rank-serial"
         };
-        let mut pipe: Pipeline<'_, RankCtx<'_>> = Pipeline::new(pipe_name);
+        let _rank_span = telemetry::span(format!("{body}:{}", variant.name()));
 
-        // One cooperative chunk of either compute stage: the next
-        // `ASSEMBLY_CHUNK` shard positions of `order` through the shared
-        // element loop into the compact buffer — the sharded strategy's
-        // span, over this rank's boundary-first order.
-        let mode = self.mode;
-        let assemble_chunk = |order: &[u32], done: &mut usize, buf: &mut [f64], ws: &mut [f64]| {
-            let end = (*done + ASSEMBLY_CHUNK).min(order.len());
-            let span = &order[*done..end];
-            let mut sink = CompactSink::new(shard, input.mesh, buf);
-            let pos_at = |i| span[i] as usize;
-            assemble_list(variant, mode, input, span.len(), pos_at, ws, &mut sink);
-            *done = end;
-            if end == order.len() {
-                StageStatus::Done
-            } else {
-                StageStatus::Progress
-            }
+        let mut local = vec![0.0; 3 * nl];
+        let mut ws = workspace(variant);
+        // The sharded strategy's element loop over a run of this rank's
+        // boundary-first order, into the compact buffer.
+        let mut assemble = |positions: &[u32], local: &mut [f64]| {
+            let mut sink = CompactSink::new(shard, input.mesh, local);
+            let pos_at = |i| positions[i] as usize;
+            assemble_list(
+                variant,
+                ExecMode::Packed,
+                input,
+                positions.len(),
+                pos_at,
+                &mut ws,
+                &mut sink,
+            );
         };
 
-        let s_pre = pipe.stage("assemble-pre", &[], |c, _ctx| {
-            assemble_chunk(pre, &mut c.pre_done, &mut c.local, &mut c.ws_buf)
-        });
-        let b_pre = pipe.buffer("pre-acc", s_pre);
-
-        let s_post = pipe.stage("halo-post", &[s_pre], |c, ctx| {
+        {
+            let _sp = telemetry::span("assemble-pre");
+            assemble(pre, &mut local);
+        }
+        {
             // Pair slots are final here (interior elements never touch
             // them), so the folded node slots are the exact bytes the
             // back-to-back schedule would send.
-            ctx.buf_read(b_pre);
-            fold_pairs(&mut c.local, shard);
-            let sends: Vec<(u32, HaloMsg)> = sched
-                .sends
-                .iter()
-                .filter(|(to, _)| !matches!(fault, Some(f) if f.from == r && f.to == *to))
-                .map(|(to, list)| {
-                    let entries = list
-                        .iter()
-                        .map(|&(mine, theirs)| {
-                            let m = mine as usize;
-                            (theirs, [c.local[m], c.local[nl + m], c.local[2 * nl + m]])
-                        })
-                        .collect();
-                    (*to, HaloMsg { entries })
-                })
-                .collect();
-            ctx.note("posted", sends.len() as u64);
-            let exchange = NeighborExchange::new(sched.recv_peers.clone());
-            c.progress = Some(exchange.post(c.handle, sends));
-            StageStatus::Done
-        });
-
-        let s_rest = pipe.stage("assemble-overlap", &[s_post], |c, _ctx| {
-            assemble_chunk(rest, &mut c.rest_done, &mut c.local, &mut c.ws_buf)
-        });
-        let b_rest = pipe.buffer("overlap-acc", s_rest);
-
-        let s_drain = pipe.stage("halo-drain", &[s_post], move |c, ctx| {
-            // `halo-post` retires before this stage is scheduled (stage
-            // dependency); if the exchange is somehow absent, go idle and
-            // let the watchdog surface a stall instead of panicking mid-run.
-            let Some(p) = c.progress.as_mut() else {
-                return StageStatus::Idle;
-            };
-            if p.is_complete() {
-                return StageStatus::Done;
-            }
-            // While compute still runs, poll without blocking; once it
-            // retired, park in short slices so other rank threads get the
-            // core but the watchdog can still fire.
-            let n = drain_step(p, c.handle, ctx.retired(s_rest), &mut c.drain_scratch);
-            if n > 0 {
-                for &peer in &c.drain_scratch {
-                    if !p.pending().contains(&peer) {
-                        ctx.note("recv", u64::from(peer));
-                    }
+            let _sp = telemetry::span("halo-post");
+            fold_pairs(&mut local, shard);
+            for (to, list) in &plan.sends {
+                if matches!(fault, Some(f) if f.from == r && f.to == *to) {
+                    continue;
                 }
+                let entries = list
+                    .iter()
+                    .map(|&(mine, theirs)| {
+                        let m = mine as usize;
+                        (theirs, [local[m], local[nl + m], local[2 * nl + m]])
+                    })
+                    .collect();
+                handle.send(*to, HaloMsg { entries });
             }
-            if p.is_complete() {
-                StageStatus::Done
-            } else if n > 0 {
-                StageStatus::Progress
-            } else {
-                StageStatus::Idle
+        }
+        {
+            let _sp = telemetry::span("assemble-overlap");
+            assemble(rest, &mut local);
+        }
+        {
+            let _sp = telemetry::span("halo-drain");
+            let start = Instant::now();
+            let deadline = start + self.stall_timeout;
+            for &peer in &plan.recv_peers {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let Some(msg) = handle.recv_from_timeout(peer, left) else {
+                    let stall = Stalled {
+                        rank: r,
+                        peer,
+                        waited: start.elapsed(),
+                    };
+                    // Black-box the fleet while this rank's halo-drain
+                    // span is still open: the dump names it, and the
+                    // comm timeout just recorded names the silent peer.
+                    probe::capture(&format!("halo stall: {stall}"));
+                    return Err(stall);
+                };
+                fold_halo_msg(&mut local, nl, &msg);
             }
-        });
-        let b_in = pipe.buffer("halo-in", s_drain);
-
-        let _s_combine = pipe.stage("combine", &[s_rest, s_drain], |c, ctx| {
-            ctx.buf_read(b_pre);
-            ctx.buf_read(b_rest);
-            ctx.buf_read(b_in);
-            // Messages fold in ascending sender rank order whatever order
-            // they arrived in — the bitwise-reproducibility anchor. A
-            // missing exchange is a scheduler bug surfaced as a stall (the
-            // stage goes idle, the watchdog fires), not a panic.
-            let Some(exchange) = c.progress.take() else {
-                return StageStatus::Idle;
-            };
-            for (peer, msg) in exchange.into_sorted() {
-                ctx.note("combine", u64::from(peer));
-                fold_halo_msg(&mut c.local, nl, &msg);
-            }
-            // Owned writeback list: all interior nodes plus the boundary
-            // nodes this rank owns.
-            let ni = shard.num_interior();
-            c.owned.reserve(ni + sched.owned_boundary_slots.len());
-            for (l, &g) in shard.global_nodes()[..ni].iter().enumerate() {
-                c.owned
-                    .push((g, [c.local[l], c.local[nl + l], c.local[2 * nl + l]]));
-            }
-            for &slot in &sched.owned_boundary_slots {
-                let l = slot as usize;
-                let g = shard.global_nodes()[l];
-                c.owned
-                    .push((g, [c.local[l], c.local[nl + l], c.local[2 * nl + l]]));
-            }
-            StageStatus::Done
-        });
-
-        let mut ctx = RankCtx {
-            local: vec![0.0; 3 * nl],
-            ws_buf: workspace(variant),
-            pre_done: 0,
-            rest_done: 0,
-            progress: None,
-            handle,
-            owned: Vec::new(),
-            drain_scratch: Vec::new(),
-        };
-        // The whole pipeline run is one span on this rank's main trace
-        // row; the executor puts each stage on its own sub-row, so a
-        // chrome export shows halo-drain overlapping assemble-overlap.
-        let trace = {
-            let _sp = telemetry::span(format!("{}:{}", pipe_name, variant.name()));
-            pipe.run(&mut ctx, Watchdog::after(self.stall_timeout))?
-        };
+        }
+        let _sp = telemetry::span("combine");
+        // Owned writeback list: all interior nodes plus the boundary
+        // nodes this rank owns.
+        let ni = shard.num_interior();
+        let mut owned = Vec::with_capacity(ni + plan.owned_boundary_slots.len());
+        let slots = (0..ni as u32).chain(plan.owned_boundary_slots.iter().copied());
+        for l in slots.map(|l| l as usize) {
+            let g = shard.global_nodes()[l];
+            owned.push((g, [local[l], local[nl + l], local[2 * nl + l]]));
+        }
         metrics::tally_elements(variant, shard.elements().len() as u64);
-        Ok((ctx.owned, trace))
+        Ok(owned)
     }
 }
 
@@ -602,73 +479,67 @@ mod tests {
         let on = DistributedDriver::new(&mesh, 4);
         let off = DistributedDriver::new(&mesh, 4).overlap(false);
         assert!(on.overlap_enabled() && !off.overlap_enabled());
-        let (ra, _, ta) = on.assemble_sched(Variant::Rsp, &input, None).unwrap();
-        let (rb, _, tb) = off.assemble_sched(Variant::Rsp, &input, None).unwrap();
+        let session = telemetry::session();
+        let (ra, ca) = on.assemble(Variant::Rsp, &input);
+        let (rb, cb) = off.assemble(Variant::Rsp, &input);
+        let report = session.finish();
         assert_eq!(
             ra.max_abs_diff(&rb),
             0.0,
             "overlap changed the assembled bits"
         );
-        assert_eq!(ta.len(), 4);
-        assert_eq!(tb.len(), 4);
-        for (r, (a, b)) in ta.iter().zip(&tb).enumerate() {
-            assert_eq!(a.pipeline, "rank-overlap");
-            assert_eq!(b.pipeline, "rank-serial");
-            // Both modes combine in ascending sender order, and the order
-            // is exactly the plan's.
-            let expected: Vec<u64> = on
-                .exchange_plan()
-                .rank(r)
-                .recv_peers
-                .iter()
-                .map(|&p| u64::from(p))
-                .collect();
-            assert_eq!(a.notes("combine"), expected);
-            assert_eq!(b.notes("combine"), expected);
-        }
-    }
-
-    #[test]
-    fn packed_ranks_are_bitwise_identical_to_scalar_ranks() {
-        let mesh = BoxMeshBuilder::new(4, 3, 3).jitter(0.1).seed(17).build();
-        let (v, p, t) = setup(&mesh);
-        let input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
-        let scalar = DistributedDriver::new(&mesh, 4);
-        let lanes = DistributedDriver::new(&mesh, 4).packed(true);
-        assert!(!scalar.packed_enabled() && lanes.packed_enabled());
-        for variant in Variant::ALL {
-            let (a, ra) = scalar.assemble(variant, &input);
-            let (b, rb) = lanes.assemble(variant, &input);
-            assert_eq!(
-                a.max_abs_diff(&b),
-                0.0,
-                "{variant}: packed ranks changed the assembled bits"
-            );
-            // The halo traffic is a function of the decomposition alone.
-            assert_eq!(ra.total_bytes(), rb.total_bytes());
+        assert_eq!(ca, cb);
+        // Each rank's trace row carries one rank span per mode, and under
+        // each the five phases in program order, one closing before the
+        // next opens.
+        for pid in 1..=4 {
+            for body in ["rank-overlap:RSP", "rank-serial:RSP"] {
+                let spans: Vec<_> = report.spans_named(body).filter(|s| s.pid == pid).collect();
+                assert_eq!(spans.len(), 1, "rank {}: {body}", pid - 1);
+                let mut phases: Vec<_> = report
+                    .spans
+                    .iter()
+                    .filter(|s| s.parent == Some(spans[0].id))
+                    .collect();
+                phases.sort_by_key(|s| s.start_ns);
+                let names: Vec<&str> = phases.iter().map(|s| s.name.as_str()).collect();
+                assert_eq!(
+                    names,
+                    [
+                        "assemble-pre",
+                        "halo-post",
+                        "assemble-overlap",
+                        "halo-drain",
+                        "combine"
+                    ]
+                );
+                assert!(phases.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+            }
         }
     }
 
     #[test]
     fn a_withheld_halo_message_trips_the_watchdog() {
+        const WINDOW: Duration = Duration::from_millis(150);
         let mesh = BoxMeshBuilder::new(3, 3, 2).build();
         let (v, p, t) = setup(&mesh);
         let input = AssemblyInput::new(&mesh, &v, &p, &t);
-        let driver = DistributedDriver::new(&mesh, 4).stall_timeout(Duration::from_millis(150));
+        let driver = DistributedDriver::new(&mesh, 4).stall_timeout(WINDOW);
         // Pick a real channel so the withheld message is actually owed.
         let plan = driver.exchange_plan();
         let (from, to) = (0..4u32)
             .find_map(|r| plan.rank(r as usize).sends.first().map(|&(to, _)| (r, to)))
             .expect("a 4-rank decomposition always exchanges something");
+        let t0 = Instant::now();
         let err = driver
-            .assemble_sched(Variant::Rsp, &input, Some(HaloFault { from, to }))
+            .try_assemble(Variant::Rsp, &input, Some(HaloFault { from, to }))
             .unwrap_err();
-        assert_eq!(err.pipeline, "rank-overlap");
-        assert!(
-            err.stalled.contains(&"halo-drain"),
-            "the drain stage must be the one stalled: {err}"
-        );
-        assert!(err.waited >= Duration::from_millis(150));
+        let elapsed = t0.elapsed();
+        assert_eq!((err.rank, err.peer), (to, from), "{err}");
+        // The other ranks finish and hang up long before the window ends,
+        // so the error comes back at once rather than after a sleep.
+        assert!(err.waited <= elapsed);
+        assert!(elapsed < WINDOW + Duration::from_secs(2), "{elapsed:?}");
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod packs;
 pub mod variant;
 pub mod workspace;
 
-pub use distributed::{DistributedDriver, HaloFault};
+pub use distributed::{DistributedDriver, HaloFault, Stalled};
 pub use drivers::{
     assemble_parallel, assemble_parallel_into, assemble_parallel_with, assemble_serial,
     assemble_serial_into, assemble_serial_with, assemble_traced, ExecMode, ParallelStrategy,

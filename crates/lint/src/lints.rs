@@ -96,7 +96,7 @@ const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 
 /// Span-creating telemetry calls (per-element spans would swamp both the
 /// run and the trace; the batch-rate policy keeps them at driver scope).
-const SPAN_FNS: &[&str] = &["span", "record_span_raw"];
+const SPAN_FNS: &[&str] = &["span"];
 
 /// Scans one hot-reachable function body for hot-path violations.
 pub fn scan_hot_fn(file: &FileModel, fn_idx: usize, out: &mut Vec<Violation>) {
@@ -174,8 +174,7 @@ pub fn scan_hot_fn(file: &FileModel, fn_idx: usize, out: &mut Vec<Violation>) {
                 }
             }
         }
-        // Telemetry calls: bare or path `span(` / `record_span_raw(` /
-        // `tally_*(`.
+        // Telemetry calls: bare or path `span(` / `tally_*(`.
         if !after_dot && nt.is_some_and(|n| n.is_punct('(')) {
             if SPAN_FNS.contains(&t.text.as_str()) {
                 push(

@@ -208,11 +208,6 @@ impl CpuSpec {
         }
     }
 
-    /// Total cores on the node.
-    pub fn total_cores(&self) -> u32 {
-        self.cores_per_socket * self.sockets
-    }
-
     /// Peak FP64 rate of `n` cores at the turbo clock for `n` active cores.
     pub fn peak_fp64(&self, active_cores: u32) -> f64 {
         let per_cycle = (self.simd_lanes * self.fma_units * 2) as f64;
@@ -306,10 +301,5 @@ mod tests {
         assert_eq!(cpu.clock_for(40), 2.6e9);
         assert_eq!(cpu.clock_for(72), 2.6e9);
         assert_eq!(cpu.clock_for(100), 2.6e9);
-    }
-
-    #[test]
-    fn total_cores_is_node_size() {
-        assert_eq!(CpuSpec::icelake_8360y().total_cores(), 72);
     }
 }

@@ -28,7 +28,7 @@ pub struct ThreadLog {
 /// the warn-channel overflow count, ready to render or export.
 #[derive(Debug, Clone)]
 pub struct BlackBox {
-    /// Why the snapshot was taken (watchdog stall, fault, explicit...).
+    /// Why the snapshot was taken (halo stall, fault, explicit...).
     pub reason: String,
     /// Snapshot timestamp on the shared monotonic clock.
     pub at_ns: u64,
@@ -54,8 +54,6 @@ fn describe(ev: &Event) -> String {
             "span-end     {name} ({:.3} ms)",
             ms(ev.at_ns.saturating_sub(ev.a))
         ),
-        EventKind::StageBegin => format!("stage-begin  {name}"),
-        EventKind::StageEnd => format!("stage-end    {name}"),
         EventKind::CommPost => format!("comm-post    → rank {} ({} bytes)", ev.a, ev.b),
         EventKind::CommBlock => format!("comm-recv    ← rank {} after {:.3} ms", ev.a, ms(ev.b)),
         EventKind::CommTimeout => {
@@ -67,14 +65,14 @@ fn describe(ev: &Event) -> String {
     }
 }
 
-/// A thread's open stage (begun, never retired) — the "still in
-/// interior-assemble" half of the stall narrative.
-fn open_stage(log: &ThreadLog) -> Option<(&str, u64)> {
+/// A thread's spans still open at snapshot time (begun, never ended),
+/// outermost first, each with its start.
+fn open_spans(log: &ThreadLog) -> Vec<(&str, u64)> {
     let mut open: Vec<(&str, u64)> = Vec::new();
     for ev in &log.events {
         match ev.kind {
-            EventKind::StageBegin => open.push((ev.name.as_str(), ev.at_ns)),
-            EventKind::StageEnd => {
+            EventKind::SpanBegin => open.push((ev.name.as_str(), ev.at_ns)),
+            EventKind::SpanEnd => {
                 if let Some(pos) = open.iter().rposition(|(n, _)| *n == ev.name.as_str()) {
                     open.remove(pos);
                 }
@@ -82,7 +80,13 @@ fn open_stage(log: &ThreadLog) -> Option<(&str, u64)> {
             _ => {}
         }
     }
-    open.last().copied()
+    open
+}
+
+/// A thread's innermost open span — the phase it is stuck in, the
+/// "still in assemble-overlap" half of the stall narrative.
+fn open_phase(log: &ThreadLog) -> Option<(&str, u64)> {
+    open_spans(log).last().copied()
 }
 
 /// Trailing blocked time on one peer: sums the run of `CommTimeout`
@@ -103,10 +107,9 @@ fn trailing_timeout(log: &ThreadLog) -> Option<(u32, u64)> {
                     Some(_) => break,
                 }
             }
-            // Stage/span bookkeeping and warnings (the watchdog records
-            // one right after the last timeout slice) don't end the
-            // wait; any real progress (a receive, a post) does.
-            EventKind::StageBegin | EventKind::StageEnd | EventKind::Counter | EventKind::Warn => {
+            // Counters and warnings don't end the wait; any real
+            // progress (a span, a receive, a post) does.
+            EventKind::Counter | EventKind::Warn => {
                 if peer.is_some() {
                     break;
                 }
@@ -166,22 +169,22 @@ impl BlackBox {
         let _ = writeln!(out, "-- diagnosis --");
         let mut diagnosed = 0;
         for log in &self.threads {
-            let Some((stage, since)) = open_stage(log) else {
+            let Some((phase, since)) = open_phase(log) else {
                 continue;
             };
             diagnosed += 1;
             let _ = write!(
                 out,
-                "{} stalled in \"{stage}\" (open since t={:.3} ms)",
+                "{} stalled in \"{phase}\" (open since t={:.3} ms)",
                 log.label,
                 ms(since)
             );
             if let Some((peer, waited)) = trailing_timeout(log) {
                 let _ = write!(out, ", blocked {:.3} ms waiting on rank {peer}", ms(waited));
                 if let Some(peer_log) = self.threads.iter().find(|t| t.rank == Some(peer)) {
-                    match open_stage(peer_log) {
-                        Some((pstage, _)) => {
-                            let _ = write!(out, ", which was still in \"{pstage}\"");
+                    match open_phase(peer_log) {
+                        Some((pphase, _)) => {
+                            let _ = write!(out, ", which was still in \"{pphase}\"");
                         }
                         None => {
                             if let Some(last) = peer_log.events.last() {
@@ -199,7 +202,7 @@ impl BlackBox {
             let _ = writeln!(out);
         }
         if diagnosed == 0 {
-            let _ = writeln!(out, "no open stages — nothing was stuck at snapshot time");
+            let _ = writeln!(out, "no open spans — nothing was stuck at snapshot time");
         }
         out
     }
@@ -213,7 +216,6 @@ impl BlackBox {
         for (i, log) in self.threads.iter().enumerate() {
             let pid = log.rank.map_or(900 + i as u32, |r| r + 1);
             report.track_labels.push(((pid, 0), log.label.clone()));
-            let mut open: Vec<(&str, u64)> = Vec::new();
             for ev in &log.events {
                 let mut span = |name: String, start_ns: u64, end_ns: u64| {
                     report.spans.push(SpanRecord {
@@ -229,13 +231,6 @@ impl BlackBox {
                 };
                 match ev.kind {
                     EventKind::SpanEnd => span(ev.name.as_str().to_string(), ev.a, ev.at_ns),
-                    EventKind::StageBegin => open.push((ev.name.as_str(), ev.at_ns)),
-                    EventKind::StageEnd => {
-                        if let Some(pos) = open.iter().rposition(|(n, _)| *n == ev.name.as_str()) {
-                            let (name, start) = open.remove(pos);
-                            span(name.to_string(), start, ev.at_ns);
-                        }
-                    }
                     EventKind::CommBlock => span(
                         format!("wait rank {}", ev.a),
                         ev.at_ns.saturating_sub(ev.b),
@@ -249,9 +244,9 @@ impl BlackBox {
                     _ => {}
                 }
             }
-            // Stages still open at snapshot time render to the capture
+            // Spans still open at snapshot time render to the capture
             // edge, flagged as unfinished.
-            for (name, start) in open {
+            for (name, start) in open_spans(log) {
                 report.spans.push(SpanRecord {
                     id: next_id,
                     parent: None,
@@ -298,7 +293,10 @@ mod tests {
                     retired: false,
                     dropped: 0,
                     events: vec![
-                        ev(EventKind::StageBegin, "halo-drain", 10_000_000, 0, 0),
+                        ev(EventKind::SpanBegin, "rank-overlap:RSP", 1_000_000, 0, 0),
+                        ev(EventKind::SpanBegin, "assemble-pre", 1_000_000, 0, 0),
+                        ev(EventKind::SpanEnd, "assemble-pre", 9_000_000, 1_000_000, 0),
+                        ev(EventKind::SpanBegin, "halo-drain", 10_000_000, 0, 0),
                         ev(
                             EventKind::CommTimeout,
                             "halo-wait",
@@ -321,8 +319,8 @@ mod tests {
                     retired: false,
                     dropped: 0,
                     events: vec![ev(
-                        EventKind::StageBegin,
-                        "interior-assemble",
+                        EventKind::SpanBegin,
+                        "assemble-overlap",
                         9_000_000,
                         0,
                         0,
@@ -337,7 +335,9 @@ mod tests {
         let text = stalled_box().render();
         assert!(text.contains("rank 2 stalled in \"halo-drain\""), "{text}");
         assert!(text.contains("waiting on rank 0"), "{text}");
-        assert!(text.contains("still in \"interior-assemble\""), "{text}");
+        assert!(text.contains("still in \"assemble-overlap\""), "{text}");
+        // A span that ended is not where a thread is stuck.
+        assert!(!text.contains("stalled in \"assemble-pre\""), "{text}");
     }
 
     #[test]
@@ -345,6 +345,8 @@ mod tests {
         let json = stalled_box().chrome_trace();
         export::validate_json(&json).expect("dump trace parses");
         assert!(json.contains("halo-drain (unfinished)"));
+        assert!(json.contains("rank-overlap:RSP (unfinished)"));
+        assert!(!json.contains("assemble-pre (unfinished)"));
         assert!(json.contains("timeout rank 0"));
     }
 }

@@ -7,18 +7,18 @@
 //!
 //! * **Flight recorder** — every thread that touches the instrumented
 //!   runtime gets a bounded, pre-allocated ring buffer of recent events
-//!   (span begin/end, pipeline stage begin/end, comm post/block,
-//!   counter deltas, warnings), stamped on the same monotonic clock
+//!   (span begin/end, comm post/block, counter deltas, warnings), stamped on the same monotonic clock
 //!   `alya-telemetry` uses. Recording is allocation-free after the ring
 //!   is built (`alya:hot`-clean: fixed-slot writes behind an
 //!   uncontended per-thread mutex), and a relaxed atomic gate makes the
 //!   disabled path two loads. Rings of finished threads are retained
 //!   for post-mortems and recycled for new threads, so the registry is
 //!   bounded by the peak live thread count.
-//! * **Black-box dumps** ([`dump`]) — on a scheduler watchdog stall, an
-//!   injected `alya_core::HaloFault`, an analyzer violation, or an
-//!   explicit [`capture`], the last events of every thread are stitched
-//!   into a causally-ordered human-readable report plus a chrome-trace
+//! * **Black-box dumps** ([`dump`]) — on a stalled halo drain (a lost
+//!   message, or an injected `alya_core::HaloFault`), an analyzer
+//!   violation, or an explicit [`capture`], the last events of every
+//!   thread are stitched into a causally-ordered human-readable report —
+//!   each thread's open spans say where it is stuck — plus a chrome-trace
 //!   file reusing `telemetry::export`.
 //! * **Regression sentinel** ([`sentinel`]) — compares live
 //!   measurements (Melem/s, halo bytes, blocked-wait fractions) against
@@ -47,8 +47,8 @@ pub use dump::{BlackBox, ThreadLog};
 pub use sentinel::{Drift, Sentinel, ServiceSample};
 
 /// Events each per-thread ring retains; at 64 bytes per slot a ring is
-/// 128 KiB — deep enough to hold the full five-stage pipeline history
-/// of several assemblies, small enough to keep always-on.
+/// 128 KiB — deep enough to hold the full span history of a rank over
+/// several assemblies, small enough to keep always-on.
 pub const RING_CAP: usize = 2048;
 
 /// Inline label bytes per event (longer names are truncated at a char
@@ -93,11 +93,6 @@ pub enum EventKind {
     SpanBegin,
     /// A telemetry span completed; `a` = start ns on the shared clock.
     SpanEnd,
-    /// An `alya-sched` pipeline stage started executing (`a`/`b` unused).
-    StageBegin,
-    /// A pipeline stage retired (`a`/`b` unused; paired with the last
-    /// unmatched [`EventKind::StageBegin`] of the same name).
-    StageEnd,
     /// A halo message posted; `a` = destination rank, `b` = bytes.
     CommPost,
     /// A blocking receive returned a message; `a` = peer rank,
@@ -124,7 +119,7 @@ pub struct Event {
     pub at_ns: u64,
     /// Event class.
     pub kind: EventKind,
-    /// Inline label (span/stage/counter name, warn text, drift key).
+    /// Inline label (span/counter name, warn text, drift key).
     pub name: Tag,
     /// Kind-specific payload (see [`EventKind`]).
     pub a: u64,
@@ -350,16 +345,6 @@ fn format_u32(v: u32, out: &mut [u8]) -> usize {
     n
 }
 
-/// Records a pipeline stage starting on this thread.
-pub fn note_stage_begin(name: &'static str) {
-    record_event(EventKind::StageBegin, Tag::new(name), 0, 0);
-}
-
-/// Records a pipeline stage retiring on this thread.
-pub fn note_stage_end(name: &'static str) {
-    record_event(EventKind::StageEnd, Tag::new(name), 0, 0);
-}
-
 /// Records a halo message posted to `peer`.
 pub fn note_comm_post(peer: u32, bytes: u64) {
     record_event(
@@ -401,8 +386,8 @@ pub fn note_drift(key: &str, measured_permille: u64) {
     record_event(EventKind::Drift, Tag::new(key), measured_permille, 0);
 }
 
-/// The telemetry sink: forwards every span begin/end and warning into
-/// the calling thread's ring.
+/// The telemetry sink: forwards every span begin/end (in a telemetry
+/// session or not) and warning into the calling thread's ring.
 fn forward_telemetry_event(ev: &ProbeEvent<'_>) {
     match ev {
         ProbeEvent::SpanBegin { name, .. } => {
@@ -450,7 +435,8 @@ pub fn snapshot(reason: &str) -> BlackBox {
 
 /// Takes a snapshot, renders it, stores it as the process's last dump
 /// (readable via [`last_dump`]) and returns the rendered report. The
-/// distributed driver calls this automatically on a watchdog stall.
+/// distributed driver calls this from a starved rank, inside its open
+/// `halo-drain` span.
 pub fn capture(reason: &str) -> String {
     let text = snapshot(reason).render();
     *lock(&preg().last_dump) = Some(text.clone());
@@ -507,6 +493,26 @@ mod tests {
             .expect("this thread recorded");
         assert!(me.events.len() <= RING_CAP);
         assert!(me.dropped >= 7);
+    }
+
+    #[test]
+    fn spans_reach_the_ring_outside_a_telemetry_session() {
+        let _gate = recording();
+        init();
+        set_enabled(true);
+        assert!(!telemetry::active());
+        {
+            let _sp = telemetry::span("probe-only-span");
+        }
+        let bb = snapshot("span check");
+        let kinds: Vec<EventKind> = bb
+            .threads
+            .iter()
+            .flat_map(|t| t.events.iter())
+            .filter(|e| e.name.as_str() == "probe-only-span")
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(kinds, [EventKind::SpanBegin, EventKind::SpanEnd]);
     }
 
     #[test]

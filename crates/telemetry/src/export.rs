@@ -1,12 +1,9 @@
 //! Chrome `trace_event` export and a dependency-free JSON validator.
 //!
 //! The export follows the Trace Event Format's JSON-object flavour:
-//! `"M"` metadata events name each process (rank) and thread (stage
-//! row), then one complete `"X"` event per [`SpanRecord`] with
-//! microsecond `ts`/`dur`. The resulting file opens directly in
-//! `chrome://tracing` or Perfetto; overlapping spans on different `tid`
-//! rows of the same `pid` render as the compute/exchange overlap the
-//! pipelined scheduler is built to achieve.
+//! `"M"` metadata events name each process (rank) and thread, then one
+//! complete `"X"` event per [`SpanRecord`] with microsecond `ts`/`dur`.
+//! The resulting file opens directly in `chrome://tracing` or Perfetto.
 
 use std::fmt::Write as _;
 

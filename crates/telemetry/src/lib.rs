@@ -4,11 +4,12 @@
 //! loads/stores and flops per element, measured *while the code runs*.
 //! This crate gives the reproduction the same capability in-process: a
 //! lock-light span/counter layer every subsystem (drivers, comm runtime,
-//! stage scheduler, the serve session pool) reports into, sharing **one
-//! monotonic clock** and one metric taxonomy, with exporters that render
-//! a live Table-I-shaped profile ([`profile::TableOneProfile`]) and a
-//! Chrome `trace_event` JSON timeline ([`export::chrome_trace`]) that
-//! opens directly in `chrome://tracing` / Perfetto.
+//! the distributed rank body, the serve session pool) reports into,
+//! sharing **one monotonic clock** and one metric taxonomy, with
+//! exporters that render a live Table-I-shaped profile
+//! ([`profile::TableOneProfile`]) and a Chrome `trace_event` JSON
+//! timeline ([`export::chrome_trace`]) that opens directly in
+//! `chrome://tracing` / Perfetto.
 //!
 //! ## Design rules
 //!
@@ -407,15 +408,6 @@ pub fn counter_total(metric: Metric) -> u64 {
     })
 }
 
-/// Nanoseconds since the registry clock started; 0 when the calling
-/// thread is not in a live session (callers use it to skip work).
-pub fn stamp() -> u64 {
-    if !active() {
-        return 0;
-    }
-    now_ns()
-}
-
 /// Nanoseconds on the process-wide monotonic registry clock. This is the
 /// timeline every [`SpanRecord`] is stamped on; the probe flight recorder
 /// uses the same clock so black-box dumps and chrome traces align.
@@ -435,7 +427,7 @@ pub enum ProbeEvent<'a> {
         /// Open timestamp on the registry clock.
         at_ns: u64,
     },
-    /// A span completed (RAII drop or [`record_span_raw`]).
+    /// A span completed (its RAII guard dropped).
     SpanEnd {
         /// Span display name.
         name: &'a str,
@@ -493,13 +485,16 @@ pub struct SpanRecord {
 }
 
 /// An open RAII span: records itself (with its parent link) when dropped.
-/// Inert outside a live session.
+/// Outside a live session it records nothing here, but an installed probe
+/// sink still sees it open and close — the flight recorder's view of
+/// where each thread is.
 #[must_use = "a span measures the scope it lives in"]
 pub struct Span {
     inner: Option<OpenSpan>,
 }
 
 struct OpenSpan {
+    /// 0 for a span opened outside a session (probe sink only).
     id: u64,
     parent: Option<u64>,
     name: Cow<'static, str>,
@@ -508,16 +503,18 @@ struct OpenSpan {
 
 /// Opens a parent-linked RAII span on the calling thread's track.
 pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
-    if !active() {
+    let mut id = 0;
+    let mut parent = None;
+    if active() {
+        id = reg().next_span_id.fetch_add(1, Ordering::Relaxed) + 1;
+        TLS.with(|t| {
+            let mut t = t.borrow_mut();
+            parent = t.stack.last().copied();
+            t.stack.push(id);
+        });
+    } else if PROBE_SINK.get().is_none() {
         return Span { inner: None };
     }
-    let id = reg().next_span_id.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut parent = None;
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        parent = t.stack.last().copied();
-        t.stack.push(id);
-    });
     let name = name.into();
     let start_ns = now_ns();
     probe_forward(&ProbeEvent::SpanBegin {
@@ -545,6 +542,9 @@ impl Drop for Span {
             start_ns: open.start_ns,
             end_ns,
         });
+        if open.id == 0 {
+            return;
+        }
         with_shard(|shard, t| {
             // RAII discipline makes this a pop of our own id; a guard
             // outliving its parent is removed positionally.
@@ -562,35 +562,6 @@ impl Drop for Span {
             });
         });
     }
-}
-
-/// Records a completed span on an explicit sub-track of the calling
-/// thread's `pid`, from `start_ns` (a [`stamp`]) to now — how the stage
-/// scheduler puts each stage on its own trace row. Unparented; no-op
-/// outside a live session or when `start_ns` is 0.
-pub fn record_span_raw(name: impl Into<Cow<'static, str>>, tid: u32, start_ns: u64) {
-    if start_ns == 0 {
-        return;
-    }
-    let end_ns = now_ns();
-    let name = name.into();
-    probe_forward(&ProbeEvent::SpanEnd {
-        name: &name,
-        start_ns,
-        end_ns,
-    });
-    with_shard(|shard, t| {
-        let id = reg().next_span_id.fetch_add(1, Ordering::Relaxed) + 1;
-        lock(&shard.spans).push(SpanRecord {
-            id,
-            parent: None,
-            name: name.clone().into_owned(),
-            pid: t.pid,
-            tid,
-            start_ns,
-            end_ns,
-        });
-    });
 }
 
 /// Restores the thread's previous `pid` when dropped (see
@@ -624,22 +595,6 @@ pub fn set_thread_track(pid: u32, label: &str) -> TrackGuard {
         }
     });
     TrackGuard { prev_pid }
-}
-
-/// Labels sub-track `tid` of the calling thread's `pid` (e.g. one row per
-/// pipeline stage). No-op outside a session.
-pub fn set_track_label_here(tid: u32, label: &str) {
-    if !active() {
-        return;
-    }
-    TLS.with(|t| {
-        let t = t.borrow();
-        if let Some(s) = t.session.as_ref() {
-            lock(&s.labels)
-                .entry((t.pid, tid))
-                .or_insert_with(|| label.to_string());
-        }
-    });
 }
 
 /// Pushes a warning onto the registry's event channel (bounded; works
@@ -1012,25 +967,19 @@ mod tests {
     }
 
     #[test]
-    fn raii_spans_nest_and_raw_spans_land_on_their_tid() {
+    fn raii_spans_nest_under_their_parent() {
         let s = session();
         {
             let _outer = span("outer");
-            let start = stamp();
             {
                 let _inner = span("inner");
             }
-            record_span_raw("staged", 3, start);
         }
         let report = s.finish();
         let outer = report.spans_named("outer").next().expect("outer recorded");
         let inner = report.spans_named("inner").next().expect("inner recorded");
-        let staged = report.spans_named("staged").next().expect("raw recorded");
         assert_eq!(inner.parent, Some(outer.id));
         assert!(outer.start_ns <= inner.start_ns && inner.end_ns <= outer.end_ns);
-        assert_eq!(staged.tid, 3);
-        assert_eq!(staged.parent, None);
-        assert!(staged.start_ns >= outer.start_ns);
     }
 
     #[test]

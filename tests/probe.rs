@@ -1,9 +1,9 @@
 //! The always-on flight recorder is a pure observer: assembling with the
 //! recorder on is **bitwise** identical to assembling with it off, for
-//! every variant × strategy and for the pipelined distributed driver. A
-//! seeded halo fault must leave a black-box dump naming the stalled
-//! stage and the blocking rank, and the regression sentinel armed from
-//! the committed bench baselines must stay quiet.
+//! every variant × strategy and for the distributed driver. A seeded halo
+//! fault must return a typed stall and leave a black-box dump naming the
+//! starved rank's open phase and the blocking rank, and the regression
+//! sentinel armed from the committed bench baselines must stay quiet.
 //!
 //! The recorder's enabled gate and last-dump slot are process-global, so
 //! every test that toggles or reads them serializes on [`GATE`].
@@ -127,14 +127,14 @@ fn a_seeded_stall_leaves_a_dump_naming_stage_and_blocking_rank() {
         .find_map(|r| plan.rank(r as usize).sends.first().map(|&(to, _)| (r, to)))
         .expect("a 4-rank decomposition always exchanges something");
     let stall = driver
-        .assemble_sched(Variant::Rsp, &input, Some(HaloFault { from, to }))
+        .try_assemble(Variant::Rsp, &input, Some(HaloFault { from, to }))
         .unwrap_err();
-    assert!(stall.stalled.contains(&"halo-drain"));
+    assert_eq!((stall.rank, stall.peer), (to, from), "{stall}");
 
-    let dump = probe::last_dump().expect("the watchdog stall captured a black box");
+    let dump = probe::last_dump().expect("the halo stall captured a black box");
     assert!(
-        dump.contains("stalled in \"halo-drain\""),
-        "dump does not diagnose the drain stage:\n{dump}"
+        dump.contains(&format!("rank {to} stalled in \"halo-drain\"")),
+        "dump does not diagnose the drain phase:\n{dump}"
     );
     assert!(
         dump.contains(&format!("waiting on rank {from}")),

@@ -4,13 +4,15 @@
 //! the moment that reuse becomes *observable* in the numbers, pooling
 //! has broken the service contract. These tests pin the two ways reuse
 //! could leak: sequential slot recycling across *different* cases, and
-//! cross-tenant interleaving under concurrent admission.
+//! cross-tenant interleaving under concurrent admission. A served session
+//! is also held to the same digest whether its case steps serially (one
+//! thread) or sharded over two.
 
 use std::sync::Arc;
 use std::thread;
 
 use alya_analyze::serve::{check_report, FAIRNESS_BAND};
-use alya_core::Variant;
+use alya_core::{ParallelStrategy, Variant};
 use alya_mesh::BoxMeshBuilder;
 use alya_serve::{PoolConfig, Service, ServiceConfig, SessionSpec, SharedCase, WorkKind};
 use alya_solver::StepConfig;
@@ -178,4 +180,46 @@ fn only_a_stepping_session_builds_the_case_projection_matrix() {
         .expect("pool has room");
     svc.run_to_idle();
     assert!(case.parts.proj.get().is_some());
+}
+
+/// A served session does not depend on the thread cap it ran under. At
+/// cap 1, `auto` resolves a ≥ 4 096-element case to `serial`; at cap 2,
+/// to `sharded/2`, and the parallel step splits its assembly and pressure
+/// solve over two workers. One 3-step session through the service must
+/// digest the same either way.
+#[test]
+fn a_served_session_digests_the_same_at_thread_caps_1_and_2() {
+    use alya_machine::par;
+    if par::hardware_threads() < 2 {
+        eprintln!("skipped: one hardware thread, so cap 2 runs like cap 1");
+        return;
+    }
+    let mut cfg = StepConfig::default();
+    cfg.dt = 4e-4;
+    cfg.parallel = true;
+    let mut runs = Vec::new();
+    for cap in [1, 2] {
+        par::set_thread_cap(Some(cap));
+        let mesh = BoxMeshBuilder::new(9, 9, 9).jitter(0.1).seed(7).build();
+        assert!(mesh.num_elements() >= 4096);
+        let case = Arc::new(SharedCase::new(
+            "capped",
+            mesh,
+            cfg.clone(),
+            Variant::Rsp,
+            |p| [0.2 + 0.4 * p[2], 0.1 * (3.0 * p[0]).sin(), 0.0],
+        ));
+        let strategy = match &*case.parts.strategy {
+            ParallelStrategy::Sharded(shards) => format!("sharded/{}", shards.num_shards()),
+            other => other.name().to_string(),
+        };
+        runs.push((strategy, fresh_digest(&SessionSpec::new(case, 3))));
+    }
+    par::set_thread_cap(None);
+    assert_eq!(runs[0].0, "serial", "cap 1");
+    assert_eq!(runs[1].0, "sharded/2", "cap 2");
+    assert_eq!(
+        runs[0].1, runs[1].1,
+        "the sharded session left the serial session's bits"
+    );
 }
