@@ -39,13 +39,11 @@
 //!    The number stays retired so the other passes keep theirs.
 //! 6. **Telemetry contract** ([`telemetry`]) — runs a distributed
 //!    assembly inside an `alya-telemetry` session and holds the emitted
-//!    report against the same closed forms: every counter equals its
-//!    kernel-contract rate × elements (live Table-I deviation is zero),
-//!    halo byte counters equal the exchange plan's budget, blocked-wait
-//!    matches the `CommReport` (single chokepoint, no double count),
-//!    span trees nest, every rank's trace carries its five phase spans
-//!    in program order (so the halo sends are posted before the
-//!    interior is assembled), and the chrome-trace export parses.
+//!    report against the driver and the mesh: the element count equals
+//!    the mesh's (the Table-I view is contract × that count), span trees
+//!    nest, every rank's trace carries its five phase spans in program
+//!    order (so the halo sends are posted before the interior is
+//!    assembled), and the chrome-trace export parses.
 //! 7. **Static hot-path lints** (`alya-lint`) — lexes every workspace
 //!    source, builds a name-based call graph, computes the set of
 //!    functions reachable from `// alya:hot` roots by fixpoint, and

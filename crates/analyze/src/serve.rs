@@ -37,7 +37,6 @@ use alya_serve::{
     PoolConfig, ServeReport, Service, ServiceConfig, SessionSpec, SharedCase, WorkKind,
 };
 use alya_solver::StepConfig;
-use alya_telemetry::Metric;
 
 /// Widest acceptable weight-normalized work spread `(max−min)/mean` for
 /// equally-loaded tenants — beyond this, somebody starved.
@@ -175,7 +174,7 @@ pub fn check_report(report: &ServeReport) -> ServeContractReport {
             .filter(|o| o.tenant as usize == ti)
             .map(|o| u64::from(o.steps) * o.rhs_evals * o.elements)
             .sum();
-        let got = t.usage.total(Metric::ElementsAssembled);
+        let got = t.usage.total_elements();
         if got != expected {
             violations.push(format!(
                 "conservation: tenant '{}' telemetry counts {got} elements assembled, \
@@ -361,11 +360,9 @@ mod tests {
     fn tampered_reports_are_flagged() {
         let mut report = run_pool_scenario(false);
         // Forge a tenant's telemetry: conservation must object.
-        report.tenants[0].usage.set_counter(
-            alya_telemetry::Scope::GLOBAL,
-            Metric::ElementsAssembled,
-            7,
-        );
+        let sc = alya_core::metrics::scope(Variant::Rsp);
+        let forged = report.tenants[0].usage.elements(sc) + 7;
+        report.tenants[0].usage.set_elements(sc, forged);
         let checked = check_report(&report);
         assert!(checked
             .violations

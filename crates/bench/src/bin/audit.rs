@@ -15,8 +15,8 @@
 //! audit --seed-violation comm-drop       # lose a halo message, expect catch
 //! audit --seed-violation overlap-stall   # withhold a halo send, expect a
 //!                                        # typed stall from the rank
-//! audit --seed-violation telemetry-skew  # skew a live counter off its
-//!                                        # contract rate, expect catch
+//! audit --seed-violation telemetry-skew  # drop one element from the live
+//!                                        # element count, expect catch
 //! audit --seed-violation pack-divergence # skew the packed throughput rows
 //!                                        # below scalar, expect catch
 //! audit --seed-violation hot-alloc       # hot fn that allocates
@@ -48,7 +48,6 @@ use alya_core::{DistributedDriver, HaloFault, Variant};
 use alya_lint::{LintKind, SourceFile, UnsafeSanction};
 use alya_machine::Event;
 use alya_mesh::{ordering, Coloring, Partition, ShardSet};
-use alya_telemetry::Metric;
 
 fn full_audit() -> ExitCode {
     let root = sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
@@ -229,7 +228,7 @@ fn list_modes() -> ExitCode {
     println!("  3  source lints         forbid(unsafe_code), unsafe file allowlist, lint opt-in");
     println!("  4  comm contract        dual-sided halo accounting against the exchange plan");
     println!("  5  retired              (schedule contract of the removed stage scheduler)");
-    println!("  6  telemetry contract   live counters against contract rates and halo budgets");
+    println!("  6  telemetry contract   element count against the mesh, span tree, phase order");
     println!(
         "  7  static hot-path      alloc/panic/hash/telemetry lints on the alya:hot-reachable"
     );
@@ -280,7 +279,7 @@ const SEED_MODES: &[(&str, &str)] = &[
     ),
     (
         "telemetry-skew",
-        "skew a live counter; pass 6 must flag the drift",
+        "drop one element from the live count; pass 6 must flag it",
     ),
     (
         "pack-divergence",
@@ -461,18 +460,16 @@ fn seeded(mode: &str) -> ExitCode {
             }
         }
         "telemetry-skew" => {
-            // Shave one element's flops off a live counter — the drift a
-            // missed tally or a wrong contract rate would produce. The
-            // telemetry pass recomputes the closed forms independently
-            // and must flag the skew.
+            // Drop one element from the live count — the drift a missed
+            // tally would produce. The telemetry pass takes the element
+            // count from the mesh and must flag the skew.
             let (clean, exp, mut live) = telemetry::check_distributed_telemetry(&input, 8);
             if !clean.is_clean() {
                 eprintln!("fixture telemetry unexpectedly dirty: {clean}");
                 return ExitCode::FAILURE;
             }
             let sc = alya_core::metrics::scope(exp.variant);
-            let flops = live.counter(sc, Metric::Flops);
-            live.set_counter(sc, Metric::Flops, flops - exp.variant.contract().flops);
+            live.set_elements(sc, live.elements(sc) - 1);
             let report = telemetry::check_report(&live, &exp);
             println!("{report}");
             !report.is_clean()

@@ -9,10 +9,9 @@
 //! Wall-clock deltas between the two are noise on an oversubscribed
 //! host, so the report also carries the *blocked-wait* seconds each mode
 //! accumulated inside `recv` and derives the overlap win from those:
-//! `overlap_win = 1 − blocked_wait_on / blocked_wait_off`. The wait
-//! comes from the telemetry `BlockedWaitNs` counter — the same single
-//! accounting chokepoint every other consumer reads — not from summing
-//! report fields by hand.
+//! `overlap_win = 1 − blocked_wait_on / blocked_wait_off`. Each run's
+//! wait is the `CommReport::blocked_wait_s` that run returns, the one
+//! record of it.
 //!
 //! Usage:
 //!
@@ -42,7 +41,7 @@ use alya_bench::case::Case;
 use alya_core::nut::compute_nu_t;
 use alya_core::{DistributedDriver, Variant};
 use alya_machine::par;
-use alya_telemetry::{self as telemetry, Metric};
+use alya_telemetry as telemetry;
 
 const DEFAULT_ELEMS: usize = 100_000;
 const QUICK_ELEMS: usize = 8_000;
@@ -98,21 +97,17 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Warm-up once, then `samples` timed runs. Each run's blocked-wait
-/// seconds are read as a delta of the telemetry `BlockedWaitNs` counter
-/// — the single accounting chokepoint — so this binary cannot drift
-/// from what the analyzer's telemetry pass certifies. Returns
-/// (median, min, max, wait-median).
-fn time_runs(samples: usize, mut body: impl FnMut()) -> (f64, f64, f64, f64) {
+/// Warm-up once, then `samples` timed runs of `body`, which returns the
+/// run's blocked-wait seconds. Returns (median, min, max, wait-median).
+fn time_runs(samples: usize, mut body: impl FnMut() -> f64) -> (f64, f64, f64, f64) {
     body();
     let mut t = Vec::with_capacity(samples);
     let mut w = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let w0 = telemetry::counter_total(Metric::BlockedWaitNs);
         let t0 = Instant::now();
-        body();
+        let wait = body();
         t.push(t0.elapsed().as_secs_f64());
-        w.push((telemetry::counter_total(Metric::BlockedWaitNs) - w0) as f64 * 1e-9);
+        w.push(wait);
     }
     t.sort_by(f64::total_cmp);
     w.sort_by(f64::total_cmp);
@@ -153,8 +148,8 @@ fn main() {
     // Register the recorder's telemetry sink before the first span so
     // --probe-dump captures the whole sweep.
     alya_probe::init();
-    // The session stays open for the whole sweep: the blocked-wait
-    // numbers come from its counters, and --trace dumps its spans.
+    // The session stays open for the whole sweep; --trace dumps its
+    // spans.
     let session = telemetry::session();
 
     let case = Case::bolund(args.elems);
@@ -196,12 +191,14 @@ fn main() {
         );
 
         let (median, min, max, wait_off) = time_runs(args.samples, || {
-            let _ = driver_off.assemble(Variant::Rsp, &input);
+            driver_off.assemble(Variant::Rsp, &input).1.blocked_wait_s
         });
         let mut report = None;
         let (ov_median, ov_min, ov_max, wait_on) = time_runs(args.samples, || {
             let (_, r) = driver_on.assemble(Variant::Rsp, &input);
+            let wait = r.blocked_wait_s;
             report = Some(r);
+            wait
         });
         let report = report.expect("at least one timed run");
         let win = if wait_off > 0.0 {

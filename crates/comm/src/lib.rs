@@ -15,14 +15,13 @@
 //!   receiver's queue until the receiver asks for it — the distributed
 //!   driver posts its sends, assembles its interior, then receives, with
 //!   no polling in between;
-//! * [`NeighborExchange`] — the halo pattern: post all sends, then collect
-//!   exactly one message from each expected peer, returned **sorted by
-//!   sender rank** so downstream combines are deterministic;
 //! * [`CommReport`] — per-channel message/byte accounting (sender *and*
 //!   receiver side, so a dropped message is visible as a sent/received
-//!   mismatch) plus, under [`RecordMode::Full`], a per-message trace of
-//!   the slot ids exchanged — the evidence `alya-analyze`'s comm contract
-//!   checks against the closed-form halo-volume prediction.
+//!   mismatch), the seconds ranks spent blocked in a receive, and, under
+//!   [`RecordMode::Full`], a per-message trace of the slot ids exchanged —
+//!   the evidence `alya-analyze`'s comm contract checks against the
+//!   closed-form halo-volume prediction. It is the only record of halo
+//!   traffic and blocked wait; telemetry holds spans only.
 //!
 //! Rank threads are spawned through
 //! [`alya_machine::par::dedicated_threads`], which deliberately ignores
@@ -39,7 +38,6 @@ use std::time::{Duration, Instant};
 use alya_machine::par;
 use alya_probe as probe;
 use alya_telemetry as telemetry;
-use alya_telemetry::{Metric, Scope};
 
 /// How long a blocking receive waits before declaring the exchange dead
 /// (a missing message means a protocol bug, not a slow peer — every send
@@ -283,7 +281,6 @@ impl<M: Payload> RankHandle<M> {
         match tx.send((self.rank, msg)) {
             Ok(()) => {
                 self.stats.sent[to as usize].record(bytes);
-                telemetry::add(Scope::GLOBAL, Metric::HaloBytesPosted, bytes);
                 probe::note_comm_post(to, bytes);
                 true
             }
@@ -295,23 +292,7 @@ impl<M: Payload> RankHandle<M> {
     }
 
     fn account_received(&mut self, from: u32, msg: &M) {
-        let bytes = msg.payload_bytes() as u64;
-        self.stats.received[from as usize].record(bytes);
-        telemetry::add(Scope::GLOBAL, Metric::HaloBytesReceived, bytes);
-    }
-
-    /// The single blocked-wait accounting point: every nanosecond a rank
-    /// spends blocked in a receive flows through here, updating both the
-    /// per-rank [`CommReport`] field and the session's
-    /// [`Metric::BlockedWaitNs`] counter from one measurement — so the
-    /// two views can never double-count or disagree.
-    fn note_blocked(&mut self, waited: Duration) {
-        self.stats.blocked += waited;
-        telemetry::add(
-            Scope::GLOBAL,
-            Metric::BlockedWaitNs,
-            waited.as_nanos() as u64,
-        );
+        self.stats.received[from as usize].record(msg.payload_bytes() as u64);
     }
 
     /// Blocking receive of the next message from `peer`; messages from
@@ -357,7 +338,7 @@ impl<M: Payload> RankHandle<M> {
             }
         };
         let waited = start.elapsed();
-        self.note_blocked(waited);
+        self.stats.blocked += waited;
         probe::note_comm_block(peer, waited.as_nanos() as u64, got.is_some());
         if let Some(msg) = &got {
             self.account_received(peer, msg);
@@ -374,113 +355,6 @@ impl<M: Payload> RankHandle<M> {
 
     fn finish(self) -> RankStats {
         self.stats
-    }
-}
-
-/// The halo-exchange pattern: post every outgoing message, then collect
-/// exactly one message from each expected peer.
-///
-/// The result is **sorted ascending by sender rank** regardless of
-/// arrival order, so a combine that folds the messages in result order is
-/// deterministic — the property the distributed driver's bitwise
-/// reproducibility rests on.
-#[derive(Debug, Clone)]
-pub struct NeighborExchange {
-    recv_peers: Vec<u32>,
-}
-
-impl NeighborExchange {
-    /// An exchange expecting one message from each of `recv_peers`
-    /// (deduplicated, sorted).
-    pub fn new(mut recv_peers: Vec<u32>) -> Self {
-        recv_peers.sort_unstable();
-        recv_peers.dedup();
-        Self { recv_peers }
-    }
-
-    /// Ranks this exchange expects a message from (sorted).
-    pub fn recv_peers(&self) -> &[u32] {
-        &self.recv_peers
-    }
-
-    /// Runs one exchange round on `handle`: posts every `(to, msg)` in
-    /// `sends`, then blocks until one message from each expected peer has
-    /// arrived. Returns `(peer, message)` pairs sorted by peer rank.
-    pub fn run<M: Payload>(
-        &self,
-        handle: &mut RankHandle<M>,
-        sends: Vec<(u32, M)>,
-    ) -> Vec<(u32, M)> {
-        let mut progress = self.post(handle, sends);
-        progress.block(handle);
-        progress.into_sorted()
-    }
-
-    /// Posts every outgoing message immediately and returns an
-    /// [`ExchangeProgress`] to collect the incoming ones.
-    pub fn post<M: Payload>(
-        &self,
-        handle: &mut RankHandle<M>,
-        sends: Vec<(u32, M)>,
-    ) -> ExchangeProgress<M> {
-        let _sp = telemetry::span("comm-post");
-        for (to, msg) in sends {
-            handle.send(to, msg);
-        }
-        ExchangeProgress {
-            pending: self.recv_peers.clone(),
-            got: Vec::new(),
-        }
-    }
-}
-
-/// Receive side of one posted exchange round: [`ExchangeProgress::block`]
-/// collects, and [`ExchangeProgress::into_sorted`] hands the messages
-/// back sorted by sender rank.
-#[derive(Debug)]
-pub struct ExchangeProgress<M> {
-    /// Peers still owed a message, ascending.
-    pending: Vec<u32>,
-    /// Collected `(peer, message)` pairs, in arrival order.
-    got: Vec<(u32, M)>,
-}
-
-impl<M: Payload> ExchangeProgress<M> {
-    /// Peers still owed a message (sorted ascending).
-    pub fn pending(&self) -> &[u32] {
-        &self.pending
-    }
-
-    /// Whether every expected message has arrived.
-    pub fn is_complete(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Blocks (panicking on `RECV_TIMEOUT`) until every pending peer
-    /// has delivered.
-    pub fn block(&mut self, handle: &mut RankHandle<M>) {
-        let _sp = telemetry::span("comm-block");
-        while let Some(&p) = self.pending.first() {
-            let m = handle.recv_from(p);
-            self.got.push((p, m));
-            self.pending.remove(0);
-        }
-    }
-
-    /// Consumes the progress, returning `(peer, message)` pairs sorted by
-    /// sender rank.
-    ///
-    /// # Panics
-    /// If the exchange is incomplete — combining early would silently
-    /// drop contributions.
-    pub fn into_sorted(mut self) -> Vec<(u32, M)> {
-        assert!(
-            self.pending.is_empty(),
-            "exchange incomplete: still waiting on peers {:?}",
-            self.pending
-        );
-        self.got.sort_by_key(|&(p, _)| p);
-        self.got
     }
 }
 
@@ -643,27 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_exchange_returns_peers_sorted_whatever_the_arrival_order() {
-        let n = 6usize;
-        let run = Communicator::run(n, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
-            // All-to-all: every rank sends to every other.
-            let peers: Vec<u32> = (0..n as u32).filter(|&p| p != r).collect();
-            let sends = peers.iter().map(|&p| (p, msg(r, f64::from(r)))).collect();
-            let ex = NeighborExchange::new(peers.clone());
-            let got = ex.run(h, sends);
-            let order: Vec<u32> = got.iter().map(|&(p, _)| p).collect();
-            assert_eq!(order, peers, "rank {r}: results not sorted by peer");
-            for (p, m) in &got {
-                assert_eq!(m.entries[0].1[0], f64::from(*p));
-            }
-            got.len()
-        });
-        assert!(run.results.iter().all(|&k| k == n - 1));
-        assert_eq!(run.report.total_messages(), (n * (n - 1)) as u64);
-        assert!(run.report.all_delivered());
-    }
-
-    #[test]
     fn self_and_out_of_range_sends_are_recorded_not_delivered() {
         let run = Communicator::run(2, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
             if r == 0 {
@@ -697,9 +550,8 @@ mod tests {
                     },
                 );
             } else {
-                let ex = NeighborExchange::new(vec![1, 2]);
-                let got = ex.run(h, Vec::new());
-                assert_eq!(got.len(), 2);
+                assert_eq!(h.recv_from(1).entries.len(), 2);
+                assert_eq!(h.recv_from(2).entries.len(), 2);
             }
         });
         let mut traces = run.report.traces.clone();
@@ -716,8 +568,13 @@ mod tests {
         let go = || {
             Communicator::run(4, RecordMode::Full, |r, h: &mut RankHandle<HaloMsg>| {
                 let peers: Vec<u32> = (0..4).filter(|&p| p != r).collect();
-                let sends = peers.iter().map(|&p| (p, msg(r, 1.5))).collect();
-                NeighborExchange::new(peers).run(h, sends).len()
+                for &p in &peers {
+                    h.send(p, msg(r, 1.5));
+                }
+                peers
+                    .iter()
+                    .map(|&p| h.recv_from(p).entries[0].0)
+                    .collect::<Vec<_>>()
             })
         };
         let a = go();
@@ -798,12 +655,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exchange incomplete")]
-    fn combining_an_incomplete_exchange_panics() {
-        let progress: ExchangeProgress<HaloMsg> = ExchangeProgress {
-            pending: vec![3],
-            got: Vec::new(),
-        };
-        let _ = progress.into_sorted();
+    fn a_wait_that_succeeds_counts_at_least_the_senders_delay() {
+        // Rank 1 sleeps only once rank 0 is about to receive, so rank 0's
+        // successful receive blocks for at least the sleep.
+        let delay = Duration::from_millis(30);
+        let receiving = std::sync::atomic::AtomicBool::new(false);
+        let run = Communicator::run(2, RecordMode::Counters, |r, h: &mut RankHandle<HaloMsg>| {
+            if r == 0 {
+                receiving.store(true, std::sync::atomic::Ordering::Release);
+                assert_eq!(h.recv_from(1), msg(7, 1.0));
+            } else {
+                while !receiving.load(std::sync::atomic::Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(delay);
+                assert!(h.send(0, msg(7, 1.0)));
+            }
+        });
+        assert!(run.report.all_delivered());
+        assert!(
+            run.report.blocked_wait_s >= delay.as_secs_f64(),
+            "a {delay:?} wait recorded as {} s",
+            run.report.blocked_wait_s
+        );
     }
 }

@@ -15,9 +15,8 @@
 //! once at retirement.
 //!
 //! Per-tenant Table-I profiles come straight out of that usage report via
-//! [`alya_core::metrics::table_one`] — the same closed-form contract the
-//! analyzer's pass 6 audits globally, here scoped to one tenant's
-//! sessions.
+//! [`alya_core::metrics::table_one`]: each variant's kernel contract ×
+//! the elements that tenant's sessions assembled.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -652,7 +651,6 @@ mod tests {
     use alya_core::Variant;
     use alya_mesh::BoxMeshBuilder;
     use alya_solver::StepConfig;
-    use alya_telemetry::Metric;
 
     fn small_case(name: &str) -> Arc<SharedCase> {
         let mut cfg = StepConfig::default();
@@ -711,13 +709,9 @@ mod tests {
         assert_eq!(rep.tenants[ta as usize].steps, 3);
         assert_eq!(rep.tenants[tb as usize].steps, 2);
         // Per-tenant telemetry: ElementsAssembled == steps × rhs_evals × E.
-        let ea = rep.tenants[ta as usize]
-            .usage
-            .total(Metric::ElementsAssembled);
+        let ea = rep.tenants[ta as usize].usage.total_elements();
         assert_eq!(ea, 3 * case.rhs_evals(WorkKind::Step) * elems);
-        let eb = rep.tenants[tb as usize]
-            .usage
-            .total(Metric::ElementsAssembled);
+        let eb = rep.tenants[tb as usize].usage.total_elements();
         assert_eq!(eb, 2 * case.rhs_evals(WorkKind::Step) * elems);
         // Cold once per slot used; zero warm binds so far.
         assert_eq!(rep.cold_builds, 2);
@@ -809,7 +803,11 @@ mod tests {
         s.run_to_idle();
         let pa = s.tenant_profile(ta).unwrap();
         assert_eq!(pa.rows.len(), 1, "one variant assembled");
-        assert_eq!(pa.max_abs_deviation(), 0, "per-tenant Table-I contract");
+        assert_eq!(
+            pa.rows[0].elements,
+            case.rhs_evals(WorkKind::Step) * case.elements(),
+            "one step's assemblies"
+        );
         let pb = s.tenant_profile(1).unwrap();
         assert!(pb.rows.is_empty(), "idle tenant has an empty profile");
         assert!(s.tenant_profile(42).is_none());

@@ -57,11 +57,6 @@ pub trait LinOp: Sync {
     fn precond_diagonal_into(&self, out: &mut [f64]) {
         out.copy_from_slice(&self.precond_diagonal());
     }
-    /// Floating-point operations one [`Self::apply`] performs (1 FMA = 2),
-    /// used for telemetry accounting only. 0 = unknown.
-    fn apply_flops(&self) -> u64 {
-        0
-    }
 }
 
 impl LinOp for CsrMatrix {
@@ -93,11 +88,6 @@ impl LinOp for CsrMatrix {
             *o = self.get(r, r);
         }
     }
-
-    fn apply_flops(&self) -> u64 {
-        // One multiply + one add per stored nonzero.
-        2 * self.nnz() as u64
-    }
 }
 
 /// An SPD approximation of `A⁻¹` for the CG loop, shared by the members
@@ -111,11 +101,6 @@ pub trait Preconditioner: Sync {
     fn apply_rows(&self, r: &[f64], row0: usize, z: &mut [f64]) {
         debug_assert_eq!(row0, 0);
         self.apply(r, z);
-    }
-    /// Floating-point operations one [`Self::apply`] performs, used for
-    /// telemetry accounting only. 0 = unknown.
-    fn apply_flops(&self) -> u64 {
-        0
     }
 }
 
@@ -132,10 +117,6 @@ impl Preconditioner for DiagonalDivide<'_> {
         for ((z, r), d) in z.iter_mut().zip(r).zip(&self.0[row0..]) {
             *z = if d.abs() > 0.0 { r / d } else { *r };
         }
-    }
-
-    fn apply_flops(&self) -> u64 {
-        self.0.len() as u64
     }
 }
 
@@ -496,10 +477,8 @@ pub fn solve_cg_with(
 /// bit for bit at any member count. With more than one member, `m` must
 /// compute any range of rows alone, as `DiagonalDivide` does.
 ///
-/// Opens a `solve-cg` telemetry span and tallies the solve's flops into
-/// [`Scope::GLOBAL`](alya_telemetry::Scope::GLOBAL) — batch granularity,
-/// one add per solve — so solver steps inside serve sessions are
-/// accounted to the adopting tenant.
+/// Opens a `solve-cg` telemetry span, so solver steps inside serve
+/// sessions show on the adopting tenant's timeline.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pcg(
     a: &impl LinOp,
@@ -521,19 +500,6 @@ pub(crate) fn pcg(
     } = work;
     let team = &*members;
 
-    // Vector-op flops: norms, residual and `rz` of the setup (7n), then
-    // per iteration pap (2n) + x/r updates (4n) + residual (2n) + rz (2n)
-    // + p update (2n) = 12n; every iteration and the setup add one
-    // operator apply and one preconditioner apply.
-    let tally = |iters: usize| {
-        let (n, iters) = (n as u64, iters as u64);
-        telemetry::add(
-            telemetry::Scope::GLOBAL,
-            telemetry::Metric::Flops,
-            7 * n + 12 * n * iters + (iters + 1) * (a.apply_flops() + m.apply_flops()),
-        );
-    };
-
     block_dots(b, b, blocks);
     let tol = rel_tol * tree_sum(blocks).sqrt() + 1e-300;
     team.start(x);
@@ -542,7 +508,6 @@ pub(crate) fn pcg(
     par::with_team(team.rows.len(), job, |crew| {
         let round = || crew.round(|| job(0));
         let mut finish = |iterations, residual, converged| {
-            tally(iterations);
             team.finish(x);
             CgResult {
                 iterations,
@@ -685,14 +650,13 @@ mod tests {
     #[test]
     fn csr_linop_accounting_hooks() {
         let a = laplacian_1d(10);
-        assert_eq!(a.apply_flops(), 2 * a.nnz() as u64);
         let mut out = vec![0.0; 10];
         a.precond_diagonal_into(&mut out);
         assert_eq!(out, a.precond_diagonal());
     }
 
     #[test]
-    fn solve_inside_session_tallies_flops() {
+    fn solve_inside_session_records_one_span() {
         let a = laplacian_1d(50);
         let b = vec![1.0; 50];
         let mut x = vec![0.0; 50];
@@ -701,11 +665,6 @@ mod tests {
         let res = solve_cg(&a, &b, &mut x, 1e-10, 500);
         let report = s.finish();
         assert!(res.converged);
-        let flops = report.counter(alya_telemetry::Scope::GLOBAL, alya_telemetry::Metric::Flops);
-        let n = 50u64;
-        let expected =
-            8 * n + 13 * n * res.iterations as u64 + (res.iterations as u64 + 1) * a.apply_flops();
-        assert_eq!(flops, expected);
         assert_eq!(report.spans_named("solve-cg").count(), 1);
     }
 

@@ -404,16 +404,6 @@ impl crate::cg::LinOp for ProjectionOp<'_> {
     fn precond_diagonal_into(&self, out: &mut [f64]) {
         out.copy_from_slice(&self.diag);
     }
-
-    fn apply_flops(&self) -> u64 {
-        projection_flops(self.mesh)
-    }
-}
-
-/// Algebraic work of one `D M⁻¹ Dᵀ` apply (geometry excluded): Dᵀ
-/// (~30/elem) + M⁻¹ scale (6/node) + D (~30/elem).
-fn projection_flops(mesh: &TetMesh) -> u64 {
-    60 * mesh.num_elements() as u64 + 6 * mesh.num_nodes() as u64
 }
 
 #[cfg(test)]

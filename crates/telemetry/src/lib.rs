@@ -1,15 +1,16 @@
-//! # alya-telemetry — unified in-process spans and performance counters
+//! # alya-telemetry — in-process spans and element counters
 //!
-//! The paper's CPU analysis (Table I) is a LIKWID counter study:
-//! loads/stores and flops per element, measured *while the code runs*.
-//! This crate gives the reproduction the same capability in-process: a
-//! lock-light span/counter layer every subsystem (drivers, comm runtime,
-//! the distributed rank body, the serve session pool) reports into,
-//! sharing **one monotonic clock** and one metric taxonomy, with
-//! exporters that render a live Table-I-shaped profile
-//! ([`profile::TableOneProfile`]) and a Chrome `trace_event` JSON
-//! timeline ([`export::chrome_trace`]) that opens directly in
-//! `chrome://tracing` / Perfetto.
+//! Every subsystem (drivers, the distributed rank body, the solver, the
+//! serve session pool) reports into one lock-light layer sharing **one
+//! monotonic clock**: RAII spans, exported as a Chrome `trace_event`
+//! JSON timeline ([`export::chrome_trace`]) that opens directly in
+//! `chrome://tracing` / Perfetto, and one counter per kernel-variant
+//! [`Scope`]: the elements assembled. That count is all the counters
+//! record. The paper's Table I (loads, stores and flops per element,
+//! measured with LIKWID) is a view derived from it: `alya-core`'s
+//! `metrics::table_one` multiplies each variant's kernel contract by its
+//! element count into a [`profile::TableOneProfile`]. Halo bytes and
+//! blocked wait are recorded once, in `alya-comm`'s `CommReport`.
 //!
 //! ## Design rules
 //!
@@ -53,121 +54,22 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// The paper's metric taxonomy, one typed counter per entry.
-///
-/// Assembly metrics are tallied per kernel-variant [`Scope`] so a single
-/// session can profile several variants side by side; the comm metrics
-/// live in [`Scope::GLOBAL`] (halo traffic is a property of the
-/// decomposition, not the variant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Metric {
-    /// Elements assembled.
-    ElementsAssembled,
-    /// Floating-point operations (1 FMA = 2).
-    Flops,
-    /// Global loads of nodal/elemental inputs.
-    InputLoads,
-    /// Loads from the RHS region (read-modify-write scatter).
-    RhsLoads,
-    /// Stores to the RHS region (the final scatter).
-    RhsStores,
-    /// Loads from the staged intermediate workspace.
-    WsLoads,
-    /// Stores to the staged intermediate workspace.
-    WsStores,
-    /// Elements assembled by a variant that spills at the contract
-    /// register budget (RSP's residual-spill story).
-    SpillElements,
-    /// Halo payload bytes posted by senders.
-    HaloBytesPosted,
-    /// Halo payload bytes delivered to receivers.
-    HaloBytesReceived,
-    /// Nanoseconds spent blocked inside a comm receive — the single
-    /// accounting point all blocked-wait reporting derives from.
-    BlockedWaitNs,
-}
-
-/// Number of [`Metric`] entries.
-pub const NUM_METRICS: usize = 11;
-
-impl Metric {
-    /// Every metric, in declaration order.
-    pub const ALL: [Metric; NUM_METRICS] = [
-        Metric::ElementsAssembled,
-        Metric::Flops,
-        Metric::InputLoads,
-        Metric::RhsLoads,
-        Metric::RhsStores,
-        Metric::WsLoads,
-        Metric::WsStores,
-        Metric::SpillElements,
-        Metric::HaloBytesPosted,
-        Metric::HaloBytesReceived,
-        Metric::BlockedWaitNs,
-    ];
-
-    /// Stable snake-case name (report keys, JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::ElementsAssembled => "elements_assembled",
-            Metric::Flops => "flops",
-            Metric::InputLoads => "input_loads",
-            Metric::RhsLoads => "rhs_loads",
-            Metric::RhsStores => "rhs_stores",
-            Metric::WsLoads => "ws_loads",
-            Metric::WsStores => "ws_stores",
-            Metric::SpillElements => "spill_elements",
-            Metric::HaloBytesPosted => "halo_bytes_posted",
-            Metric::HaloBytesReceived => "halo_bytes_received",
-            Metric::BlockedWaitNs => "blocked_wait_ns",
-        }
-    }
-
-    /// Dense slot of this metric in a shard's counter row. An explicit
-    /// match (not a scan of `ALL`): this runs on every counter add, and a
-    /// match can neither panic nor cost O(`NUM_METRICS`).
-    fn index(self) -> usize {
-        match self {
-            Metric::ElementsAssembled => 0,
-            Metric::Flops => 1,
-            Metric::InputLoads => 2,
-            Metric::RhsLoads => 3,
-            Metric::RhsStores => 4,
-            Metric::WsLoads => 5,
-            Metric::WsStores => 6,
-            Metric::SpillElements => 7,
-            Metric::HaloBytesPosted => 8,
-            Metric::HaloBytesReceived => 9,
-            Metric::BlockedWaitNs => 10,
-        }
-    }
-}
-
-/// Counter attribution bucket: [`Scope::GLOBAL`] for cross-cutting
-/// metrics (comm traffic, blocked wait), one scope per kernel variant for
-/// the assembly metrics. `alya-core` owns the variant → scope mapping.
+/// Counter attribution bucket: one scope per kernel variant.
+/// `alya-core` owns the variant → scope mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Scope(u8);
 
-/// Number of scopes: the global one plus one per kernel variant.
-pub const NUM_SCOPES: usize = 6;
+/// Number of scopes: one per kernel variant.
+pub const NUM_SCOPES: usize = 5;
 
 impl Scope {
-    /// The cross-cutting scope (comm traffic, blocked wait).
-    pub const GLOBAL: Scope = Scope(0);
-
     /// The scope of kernel-variant `i` (presentation order).
     ///
     /// # Panics
-    /// If `i + 1 >= NUM_SCOPES`.
+    /// If `i >= NUM_SCOPES`.
     pub fn variant(i: usize) -> Scope {
-        assert!(i + 1 < NUM_SCOPES, "variant scope {i} out of range");
-        Scope(1 + i as u8)
-    }
-
-    /// All scopes, global first.
-    pub fn all() -> impl Iterator<Item = Scope> {
-        (0..NUM_SCOPES as u8).map(Scope)
+        assert!(i < NUM_SCOPES, "variant scope {i} out of range");
+        Scope(i as u8)
     }
 
     fn index(self) -> usize {
@@ -175,20 +77,18 @@ impl Scope {
     }
 }
 
-/// One thread's private accumulation: counters it alone writes (relaxed
-/// atomics — the atomicity is only for the merge read at session end) and
-/// the spans it completed.
+/// One thread's private accumulation: the elements it assembled per
+/// scope (relaxed atomics it alone writes — the atomicity is only for the
+/// merge read at session end) and the spans it completed.
 struct Shard {
-    counters: Vec<AtomicU64>,
+    elements: [AtomicU64; NUM_SCOPES],
     spans: Mutex<Vec<SpanRecord>>,
 }
 
 impl Shard {
     fn new() -> Self {
         Self {
-            counters: (0..NUM_SCOPES * NUM_METRICS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            elements: std::array::from_fn(|_| AtomicU64::new(0)),
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -372,40 +272,15 @@ fn with_shard(f: impl FnOnce(&Shard, &mut Tls)) {
     });
 }
 
-/// Adds `n` to a counter in the calling thread's shard. No-op outside a
-/// live session.
-pub fn add(scope: Scope, metric: Metric, n: u64) {
-    if n == 0 {
+/// Adds `elements` assembled elements to `scope` in the calling thread's
+/// shard. No-op outside a live session.
+pub fn add(scope: Scope, elements: u64) {
+    if elements == 0 {
         return;
     }
     with_shard(|s, _| {
-        s.counters[scope.index() * NUM_METRICS + metric.index()].fetch_add(n, Ordering::Relaxed);
+        s.elements[scope.index()].fetch_add(elements, Ordering::Relaxed);
     });
-}
-
-/// Live sum of `metric` across all scopes and shards of the session the
-/// calling thread adopted — the "what has accumulated so far" read
-/// benchmarks use for per-run deltas. Zero outside a session.
-pub fn counter_total(metric: Metric) -> u64 {
-    TLS.with(|t| {
-        let t = t.borrow();
-        let Some(s) = t.session.as_ref() else {
-            return 0;
-        };
-        if !s.live(t.session_id) {
-            return 0;
-        }
-        let mi = metric.index();
-        let total = lock(&s.shards)
-            .iter()
-            .map(|sh| {
-                (0..NUM_SCOPES)
-                    .map(|sc| sh.counters[sc * NUM_METRICS + mi].load(Ordering::Relaxed))
-                    .sum::<u64>()
-            })
-            .sum();
-        total
-    })
 }
 
 /// Nanoseconds on the process-wide monotonic registry clock. This is the
@@ -645,8 +520,8 @@ pub fn drain_warnings() -> Vec<String> {
 /// Everything one session collected, deterministically merged.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryReport {
-    /// Counter totals, indexed `[scope][metric]` (see accessors).
-    counters: Vec<u64>,
+    /// Elements assembled, per scope (see accessors).
+    elements: [u64; NUM_SCOPES],
     /// Completed spans, sorted by `(pid, tid, start_ns, id)`.
     pub spans: Vec<SpanRecord>,
     /// Warnings drained from the event channel.
@@ -656,38 +531,30 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Counter value of `metric` in `scope` (0 on an empty report).
-    pub fn counter(&self, scope: Scope, metric: Metric) -> u64 {
-        self.counters
-            .get(scope.index() * NUM_METRICS + metric.index())
-            .copied()
-            .unwrap_or(0)
+    /// Elements assembled in `scope` (0 on an empty report).
+    pub fn elements(&self, scope: Scope) -> u64 {
+        self.elements[scope.index()]
     }
 
-    /// Sum of `metric` across all scopes.
-    pub fn total(&self, metric: Metric) -> u64 {
-        Scope::all().map(|s| self.counter(s, metric)).sum()
+    /// Elements assembled across all scopes.
+    pub fn total_elements(&self) -> u64 {
+        self.elements.iter().sum()
     }
 
-    /// Overwrites a counter — the analyzer's seeded-violation self-tests
-    /// use this to forge a skew and prove the cross-check catches it.
-    pub fn set_counter(&mut self, scope: Scope, metric: Metric, value: u64) {
-        if self.counters.is_empty() {
-            self.counters = vec![0; NUM_SCOPES * NUM_METRICS];
-        }
-        self.counters[scope.index() * NUM_METRICS + metric.index()] = value;
+    /// Overwrites a scope's element count — the analyzer's
+    /// seeded-violation self-tests use this to forge a skew and prove the
+    /// cross-check catches it.
+    pub fn set_elements(&mut self, scope: Scope, value: u64) {
+        self.elements[scope.index()] = value;
     }
 
-    /// Merges `other` into `self`: counters by commutative sum, spans and
-    /// warnings appended (spans re-sorted into merge order), labels
-    /// united first-writer-wins. The serve layer uses this to accumulate
-    /// one report per tenant from many per-session windows.
+    /// Merges `other` into `self`: element counts by commutative sum,
+    /// spans and warnings appended (spans re-sorted into merge order),
+    /// labels united first-writer-wins. The serve layer uses this to
+    /// accumulate one report per tenant from many per-session windows.
     pub fn absorb(&mut self, other: &TelemetryReport) {
-        if self.counters.is_empty() {
-            self.counters = vec![0; NUM_SCOPES * NUM_METRICS];
-        }
-        for (i, v) in other.counters.iter().enumerate() {
-            self.counters[i] += v;
+        for (e, o) in self.elements.iter_mut().zip(other.elements) {
+            *e += o;
         }
         self.spans.extend(other.spans.iter().cloned());
         self.spans.sort_by_key(|s| (s.pid, s.tid, s.start_ns, s.id));
@@ -718,13 +585,13 @@ impl TelemetryReport {
 /// spans sort by `(pid, tid, start_ns, id)` — both independent of thread
 /// timing. The caller re-enables if the window continues.
 fn collect_state(state: &SessionState) -> TelemetryReport {
-    let mut counters = vec![0u64; NUM_SCOPES * NUM_METRICS];
+    let mut elements = [0u64; NUM_SCOPES];
     let mut spans = Vec::new();
     {
         let mut shards = lock(&state.shards);
         for shard in shards.iter() {
-            for (i, c) in shard.counters.iter().enumerate() {
-                counters[i] += c.load(Ordering::Acquire);
+            for (e, c) in elements.iter_mut().zip(&shard.elements) {
+                *e += c.load(Ordering::Acquire);
             }
             spans.append(&mut lock(&shard.spans));
         }
@@ -736,7 +603,7 @@ fn collect_state(state: &SessionState) -> TelemetryReport {
         .collect();
     state.next_tid.store(16, Ordering::Relaxed);
     TelemetryReport {
-        counters,
+        elements,
         spans,
         warnings: Vec::new(),
         track_labels,
@@ -912,58 +779,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metric_index_matches_declaration_order() {
-        // `index` is a hand-written match (the hot-path rule bans the
-        // `ALL.iter().position().expect()` scan it replaced); this pins it
-        // to the declaration order so the two can never drift apart.
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            assert_eq!(m.index(), i, "{m:?}");
-        }
-    }
-
-    #[test]
     fn counters_require_an_adopted_context_and_merge_across_threads() {
         let s = session();
-        add(Scope::GLOBAL, Metric::Flops, 5);
+        add(Scope::variant(0), 5);
         let ctx = current_context();
         std::thread::scope(|scope| {
             // A participating thread contributes ...
             scope.spawn(|| {
                 adopt_context(ctx);
-                add(Scope::GLOBAL, Metric::Flops, 7);
+                add(Scope::variant(0), 7);
             });
             // ... a non-participating one does not.
             scope.spawn(|| {
-                add(Scope::GLOBAL, Metric::Flops, 1000);
+                add(Scope::variant(0), 1000);
                 assert!(!active());
             });
         });
-        assert_eq!(counter_total(Metric::Flops), 12);
         let report = s.finish();
-        assert_eq!(report.counter(Scope::GLOBAL, Metric::Flops), 12);
-        assert_eq!(report.total(Metric::Flops), 12);
+        assert_eq!(report.elements(Scope::variant(0)), 12);
+        assert_eq!(report.total_elements(), 12);
         // Outside the window everything is inert.
-        add(Scope::GLOBAL, Metric::Flops, 9);
+        add(Scope::variant(0), 9);
         assert!(!active());
-        assert_eq!(counter_total(Metric::Flops), 0);
     }
 
     #[test]
     fn scoped_counters_do_not_bleed_between_scopes() {
         let s = session();
-        add(Scope::variant(0), Metric::ElementsAssembled, 3);
-        add(Scope::variant(4), Metric::ElementsAssembled, 4);
+        add(Scope::variant(0), 3);
+        add(Scope::variant(4), 4);
         let report = s.finish();
-        assert_eq!(
-            report.counter(Scope::variant(0), Metric::ElementsAssembled),
-            3
-        );
-        assert_eq!(
-            report.counter(Scope::variant(4), Metric::ElementsAssembled),
-            4
-        );
-        assert_eq!(report.counter(Scope::GLOBAL, Metric::ElementsAssembled), 0);
-        assert_eq!(report.total(Metric::ElementsAssembled), 7);
+        assert_eq!(report.elements(Scope::variant(0)), 3);
+        assert_eq!(report.elements(Scope::variant(4)), 4);
+        assert_eq!(report.elements(Scope::variant(2)), 0);
+        assert_eq!(report.total_elements(), 7);
     }
 
     #[test]
@@ -1019,14 +868,14 @@ mod tests {
     #[test]
     fn sessions_reset_state_between_windows() {
         let s1 = session();
-        add(Scope::GLOBAL, Metric::HaloBytesPosted, 42);
+        add(Scope::variant(2), 42);
         let _sp = span("first window");
         drop(_sp);
         let r1 = s1.finish();
-        assert_eq!(r1.counter(Scope::GLOBAL, Metric::HaloBytesPosted), 42);
+        assert_eq!(r1.elements(Scope::variant(2)), 42);
         let s2 = session();
         let r2 = s2.finish();
-        assert_eq!(r2.counter(Scope::GLOBAL, Metric::HaloBytesPosted), 0);
+        assert_eq!(r2.elements(Scope::variant(2)), 0);
         assert!(r2.spans.is_empty());
     }
 
@@ -1038,19 +887,19 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 adopt_context(ca);
-                add(Scope::variant(0), Metric::ElementsAssembled, 11);
+                add(Scope::variant(0), 11);
                 let _sp = span("window-a");
             });
             scope.spawn(|| {
                 adopt_context(cb);
-                add(Scope::variant(0), Metric::ElementsAssembled, 22);
+                add(Scope::variant(0), 22);
                 let _sp = span("window-b");
             });
         });
         let ra = a.finish();
         let rb = b.finish();
-        assert_eq!(ra.counter(Scope::variant(0), Metric::ElementsAssembled), 11);
-        assert_eq!(rb.counter(Scope::variant(0), Metric::ElementsAssembled), 22);
+        assert_eq!(ra.elements(Scope::variant(0)), 11);
+        assert_eq!(rb.elements(Scope::variant(0)), 22);
         assert_eq!(ra.spans_named("window-a").count(), 1);
         assert_eq!(ra.spans_named("window-b").count(), 0);
         assert_eq!(rb.spans_named("window-b").next().unwrap().pid, 3);
@@ -1061,62 +910,56 @@ mod tests {
         let mut s = scoped_session();
         let stale = s.context();
         s.adopt();
-        add(Scope::GLOBAL, Metric::Flops, 5);
+        add(Scope::variant(1), 5);
         let first = s.rotate();
-        assert_eq!(first.counter(Scope::GLOBAL, Metric::Flops), 5);
+        assert_eq!(first.elements(Scope::variant(1)), 5);
         // The pre-rotation context no longer lands anywhere ...
         adopt_context(stale);
         assert!(!active());
-        add(Scope::GLOBAL, Metric::Flops, 100);
+        add(Scope::variant(1), 100);
         // ... but the rotated window keeps collecting under its new id.
         s.adopt();
-        add(Scope::GLOBAL, Metric::Flops, 7);
+        add(Scope::variant(1), 7);
         let second = s.finish();
-        assert_eq!(second.counter(Scope::GLOBAL, Metric::Flops), 7);
+        assert_eq!(second.elements(Scope::variant(1)), 7);
     }
 
     #[test]
     fn readoption_of_the_same_window_keeps_the_shard() {
         let s = scoped_session();
         s.adopt();
-        add(Scope::GLOBAL, Metric::Flops, 1);
+        add(Scope::variant(3), 1);
         let tid_before = TLS.with(|t| t.borrow().tid);
         // Re-adopting the same session (as a pooled worker does every
         // batch) must keep the shard and tid, only moving the pid.
         adopt_context(s.context_on(9));
         let tid_after = TLS.with(|t| t.borrow().tid);
         assert_eq!(tid_before, tid_after);
-        add(Scope::GLOBAL, Metric::Flops, 2);
+        add(Scope::variant(3), 2);
         let r = s.finish();
-        assert_eq!(r.counter(Scope::GLOBAL, Metric::Flops), 3);
+        assert_eq!(r.elements(Scope::variant(3)), 3);
     }
 
     #[test]
     fn absorb_merges_reports_commutatively() {
         let a = scoped_session();
         a.adopt();
-        add(Scope::variant(1), Metric::ElementsAssembled, 10);
+        add(Scope::variant(1), 10);
         let _sp = span("in-a");
         drop(_sp);
         let ra = a.finish();
         let b = scoped_session();
         b.adopt();
-        add(Scope::variant(1), Metric::ElementsAssembled, 4);
-        add(Scope::GLOBAL, Metric::Flops, 6);
+        add(Scope::variant(1), 4);
+        add(Scope::variant(0), 6);
         let rb = b.finish();
         let mut merged = TelemetryReport::default();
         merged.absorb(&ra);
         merged.absorb(&rb);
-        assert_eq!(
-            merged.counter(Scope::variant(1), Metric::ElementsAssembled),
-            14
-        );
-        assert_eq!(merged.counter(Scope::GLOBAL, Metric::Flops), 6);
+        assert_eq!(merged.elements(Scope::variant(1)), 14);
+        assert_eq!(merged.elements(Scope::variant(0)), 6);
         assert_eq!(merged.spans_named("in-a").count(), 1);
         // An untouched default report reads as all-zero, not a panic.
-        assert_eq!(
-            TelemetryReport::default().counter(Scope::GLOBAL, Metric::Flops),
-            0
-        );
+        assert_eq!(TelemetryReport::default().total_elements(), 0);
     }
 }

@@ -183,13 +183,12 @@ fn thread_cap_never_changes_the_result() {
 /// Telemetry must be a pure observer: the RHS assembled inside a
 /// telemetry session is **bitwise** identical to the one assembled with
 /// telemetry off, for every variant × strategy × worker cap. Counters
-/// tally at closed-form contract rates and spans only read the clock, so
-/// not one floating-point operation is added or reordered — this test is
-/// the enforcement.
+/// only count elements and spans only read the clock, so not one
+/// floating-point operation is added or reordered — this test is the
+/// enforcement.
 #[test]
 fn telemetry_on_or_off_never_changes_a_bit() {
     use alya_machine::par;
-    use alya_telemetry::Metric;
     let mesh = BoxMeshBuilder::new(4, 4, 3).jitter(0.12).seed(41).build();
     let velocity = field_from_coeffs(&mesh, &[0.4, -0.2, 0.9, 0.3, -0.6, 0.1, 0.7, 0.2, -0.4]);
     let pressure = ScalarField::from_fn(&mesh, |p| p[0] - 0.3 * p[1] + p[2] * p[2]);
@@ -219,7 +218,7 @@ fn telemetry_on_or_off_never_changes_a_bit() {
             let observed = sweep(variant);
             let report = session.finish();
             // The session really was live and counting…
-            assert!(report.total(Metric::ElementsAssembled) > 0);
+            assert!(report.total_elements() > 0);
             // …and changed nothing.
             for (b, o) in baseline.iter().zip(&observed) {
                 assert_eq!(
@@ -335,14 +334,13 @@ fn packed_case() -> (alya_mesh::TetMesh, VectorField, ScalarField, ScalarField) 
 }
 
 /// The Table-I telemetry profile is invariant under the execution mode:
-/// counters tally at pack granularity through the same per-driver-call
-/// chokepoint the scalar path uses, so packed assembly reports exactly
-/// the scalar profile — same elements, same contract-rate counters, zero
-/// deviation — and telemetry still perturbs nothing.
+/// elements are counted at pack granularity through the same
+/// per-driver-call chokepoint the scalar path uses, so packed assembly
+/// reports exactly the scalar profile, and telemetry still perturbs
+/// nothing.
 #[test]
 fn table_one_profile_is_invariant_under_packed_execution() {
     use alya_core::metrics;
-    use alya_telemetry::Metric;
     let (mesh, velocity, pressure, temperature) = packed_case();
     let input = AssemblyInput::new(&mesh, &velocity, &pressure, &temperature)
         .props(ConstantProperties::AIR);
@@ -359,17 +357,19 @@ fn table_one_profile_is_invariant_under_packed_execution() {
         // Telemetry perturbed neither mode, and the modes agree bitwise.
         assert_eq!(packed.max_abs_diff(&scalar), 0.0, "{variant}");
         // Same elements tallied (pack granularity never double- or
-        // under-counts), identical exact Table-I profiles.
+        // under-counts), identical Table-I profiles.
         assert_eq!(
-            scalar_report.total(Metric::ElementsAssembled),
-            packed_report.total(Metric::ElementsAssembled),
+            scalar_report.total_elements(),
+            packed_report.total_elements(),
             "{variant}"
         );
-        assert!(scalar_report.total(Metric::ElementsAssembled) > 0);
+        assert_eq!(
+            scalar_report.total_elements(),
+            mesh.num_elements() as u64,
+            "{variant}"
+        );
         let sp = metrics::table_one(&scalar_report);
         let pp = metrics::table_one(&packed_report);
-        assert!(sp.is_exact(), "{variant} scalar profile: {sp}");
-        assert!(pp.is_exact(), "{variant} packed profile: {pp}");
         assert_eq!(
             sp.to_string(),
             pp.to_string(),
