@@ -1,6 +1,8 @@
 //! The run lines in the docs stay true: every `--bin X` and `--example X`
 //! that a document, CI step or hook names is a target the workspace
-//! builds, and `README.md` runs every bin and example there is.
+//! builds, and `README.md` runs every bin and example there is. And the
+//! one build configuration holds: `.cargo/config.toml`'s flags are in
+//! force, and `benchmark/` compiles the crates as the workspace does.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -104,5 +106,48 @@ fn the_readme_runs_every_bin_and_example() {
         missing.is_empty(),
         "README.md never runs:\n{}",
         missing.join("\n")
+    );
+}
+
+/// `.cargo/config.toml` targets x86-64-v3, so the packed Gauss loop runs
+/// as 256-bit ops. A `RUSTFLAGS` environment variable replaces the
+/// config's flags wholesale; this fails such a build instead of letting it
+/// lose the vector lanes quietly.
+#[test]
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+fn the_build_targets_x86_64_v3() {
+    assert!(
+        cfg!(target_feature = "avx2") && cfg!(target_feature = "fma"),
+        "built without AVX2 + FMA: is RUSTFLAGS set? It overrides .cargo/config.toml"
+    );
+}
+
+/// The `[profile.release]` lines of a manifest, comments and blanks
+/// dropped.
+fn release_profile(manifest: &str) -> Vec<String> {
+    let text = read(&root().join(manifest));
+    let mut lines = text.lines().map(str::trim);
+    lines.find(|&l| l == "[profile.release]");
+    lines
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn the_benchmark_builds_with_the_workspaces_release_profile() {
+    let workspace = release_profile("Cargo.toml");
+    assert!(!workspace.is_empty(), "Cargo.toml has no [profile.release]");
+    assert_eq!(release_profile("benchmark/Cargo.toml"), workspace);
+}
+
+#[test]
+fn the_benchmark_has_no_build_configuration_of_its_own() {
+    let own = root().join("benchmark/.cargo");
+    assert!(
+        !own.exists(),
+        "{} would override .cargo/config.toml",
+        own.display()
     );
 }

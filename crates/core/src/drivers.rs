@@ -33,6 +33,8 @@
 //! * [`assemble_traced`] / [`trace_element`] — the instrumented runs the
 //!   performance models replay.
 
+use std::borrow::Cow;
+
 use alya_fem::VectorField;
 use alya_machine::par;
 use alya_machine::{NoRecord, Recorder, TraceRecorder};
@@ -114,14 +116,55 @@ impl ExecMode {
     }
 }
 
-/// Span name of one driver call: `assemble:<driver>[-packed]:<variant>`,
-/// the suffix present exactly when packs run.
-fn span_name(driver: &str, variant: Variant, mode: ExecMode) -> String {
-    let suffix = match mode {
-        ExecMode::Packed => "-packed",
-        ExecMode::Scalar => "",
+/// The span names of one `assemble:<driver>[-packed]` prefix, one per
+/// variant in declaration ([`Variant::ALL`]) order.
+macro_rules! variant_spans {
+    ($prefix:literal) => {
+        [
+            concat!($prefix, ":B"),
+            concat!($prefix, ":P"),
+            concat!($prefix, ":RS"),
+            concat!($prefix, ":RSP"),
+            concat!($prefix, ":RSPR"),
+        ]
     };
-    format!("assemble:{driver}{suffix}:{}", variant.name())
+}
+
+/// Span name of one driver call: `assemble:<driver>[-packed]:<variant>`,
+/// `<driver>` the strategy's [`ParallelStrategy::name`] and the suffix
+/// present exactly when packs run. A table of literals, so naming the span
+/// allocates nothing.
+fn span_name(driver: &ParallelStrategy, variant: Variant, mode: ExecMode) -> &'static str {
+    use {ExecMode::*, ParallelStrategy::*};
+    let names = match (driver, mode) {
+        (Serial, Scalar) => variant_spans!("assemble:serial"),
+        (Serial, Packed) => variant_spans!("assemble:serial-packed"),
+        (Colored(_), Scalar) => variant_spans!("assemble:colored"),
+        (Colored(_), Packed) => variant_spans!("assemble:colored-packed"),
+        (Sharded(_), Scalar) => variant_spans!("assemble:sharded"),
+        (Sharded(_), Packed) => variant_spans!("assemble:sharded-packed"),
+    };
+    names[variant as usize]
+}
+
+/// Span names `shard:<s>` of the first shards, by index.
+const SHARD_SPANS: [&str; 64] = {
+    macro_rules! shard_spans {
+        ($($s:literal)*) => { [$(concat!("shard:", $s)),*] };
+    }
+    shard_spans!(
+        0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+        32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60
+        61 62 63
+    )
+};
+
+/// Span name of shard `s` of a sharded call, `shard:<s>`: a literal for
+/// the first 64 shards, formatted past them.
+fn shard_span(s: usize) -> Cow<'static, str> {
+    SHARD_SPANS
+        .get(s)
+        .map_or_else(|| format!("shard:{s}").into(), |&name| name.into())
 }
 
 /// A [`ScatterSink`] the element loop can point at one entry of its id
@@ -232,7 +275,7 @@ pub fn assemble_serial_into(
     rhs: &mut VectorField,
 ) {
     assert_eq!(rhs.num_nodes(), input.mesh.num_nodes(), "RHS size");
-    let _sp = telemetry::span(span_name("serial", variant, mode));
+    let _sp = telemetry::span(span_name(&ParallelStrategy::Serial, variant, mode));
     with_nut(variant, input, |input| {
         let ne = input.mesh.num_elements();
         metrics::tally_elements(variant, ne as u64);
@@ -653,7 +696,7 @@ pub fn assemble_parallel_into(
     // The colored and sharded arms store through a raw pointer at offsets
     // computed from `nn`.
     assert_eq!(rhs.num_nodes(), nn, "RHS size");
-    let _sp = telemetry::span(span_name(strategy.name(), variant, mode));
+    let _sp = telemetry::span(span_name(strategy, variant, mode));
     with_nut(variant, input, |input| {
         // Elements tallied once per call — never per pack or lane —
         // keeping the Table-I profile invariant across modes.
@@ -716,7 +759,7 @@ pub fn assemble_parallel_into(
                     shards.num_shards(),
                     || workspace(variant),
                     |ws_buf, s| {
-                        let _shard_sp = telemetry::span(format!("shard:{s}"));
+                        let _shard_sp = telemetry::span(shard_span(s));
                         let shard = shards.shard(s);
                         // Compact accumulation: O(nodes-in-shard), not O(nn).
                         let mut local = vec![0.0; 3 * shard.num_slots()];
@@ -761,6 +804,27 @@ mod tests {
     fn max_rel_diff(a: &VectorField, b: &VectorField) -> f64 {
         let scale = a.max_abs().max(1e-30);
         a.max_abs_diff(b) / scale
+    }
+
+    #[test]
+    fn span_names_are_the_formatted_text() {
+        let mesh = BoxMeshBuilder::new(2, 2, 2).build();
+        for strategy in [
+            ParallelStrategy::Serial,
+            ParallelStrategy::colored(&mesh),
+            ParallelStrategy::sharded(&mesh, 2),
+        ] {
+            for (mode, suffix) in [(ExecMode::Scalar, ""), (ExecMode::Packed, "-packed")] {
+                for variant in Variant::ALL {
+                    let driver = strategy.name();
+                    let text = format!("assemble:{driver}{suffix}:{}", variant.name());
+                    assert_eq!(span_name(&strategy, variant, mode), text);
+                }
+            }
+        }
+        for s in 0..SHARD_SPANS.len() + 2 {
+            assert_eq!(shard_span(s), format!("shard:{s}"));
+        }
     }
 
     #[test]

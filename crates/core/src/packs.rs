@@ -21,10 +21,10 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-/// Default pack width: 8 f64 lanes — one AVX-512 register, two AVX2
-/// registers. [`crate::drivers`] runs full packs at this width; the CPU
-/// machine model prices the speedup from the host's `simd_lanes` against
-/// it.
+/// Default pack width: 8 f64 lanes. The workspace builds for x86-64-v3
+/// (`.cargo/config.toml`), so a pack op is two 256-bit AVX2 ops.
+/// [`crate::drivers`] runs full packs at this width; the CPU machine model
+/// prices the speedup from the modelled core's `simd_lanes` against it.
 pub const DEFAULT_LANES: usize = 8;
 
 /// A value with one `f64` per lane: `f64` itself (one lane) or a [`Pack`].
