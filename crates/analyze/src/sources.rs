@@ -1,30 +1,43 @@
 //! Pass 3 — source lint gating.
 //!
-//! Walks the workspace sources and enforces the unsafety and lint policy
-//! mechanically:
+//! The compiler and clippy enforce the workspace's unsafety and
+//! hash-order policy; this pass holds their configuration in place and
+//! walks the sources for the one escape hatch:
 //!
-//! * every crate's `lib.rs` carries `#![forbid(unsafe_code)]` — except the
-//!   crates hosting sanctioned unsafe sites (today only `alya-core`, whose
+//! * the workspace `Cargo.toml` sets `unsafe_code = "deny"` and clippy's
+//!   `undocumented_unsafe_blocks`, and the root `clippy.toml` disallows
+//!   `HashMap`/`HashSet` and lets tests unwrap ([`REQUIRED`]). Clippy is
+//!   not part of `cargo test`, so a deleted entry would otherwise pass
+//!   unnoticed;
+//! * every member opts in with `[lints] workspace = true`, so those lints
+//!   cover every crate;
+//! * an attribute that lowers `unsafe_code` — `#[allow(unsafe_code)]` at
+//!   an `unsafe` site — appears in exactly the files of [`UNSAFE_FILES`],
+//!   tests, benches and examples included;
+//! * every crate's `lib.rs` carries `#![forbid(unsafe_code)]`, except the
+//!   crates holding one of those files (only `alya-core`, whose
 //!   `SharedRhs` scatter invariants the race detector and the shard
-//!   validator prove);
-//! * `unsafe` tokens appear only in files on the explicit
-//!   [`alya_lint::SANCTIONED_UNSAFE`] allowlist, which this pass shares
-//!   with the static analyzer (pass 7). The per-site `SAFETY:` linkage —
-//!   each site's comment naming its proving pass and allowlist marker —
-//!   is pass 7's job; this pass holds the coarser file-level line: no
-//!   unsafe outside the allowlisted files, anywhere, including tests and
-//!   benches;
-//! * the workspace `Cargo.toml` defines `[workspace.lints]` and every
-//!   member opts in with `[lints] workspace = true`, so clippy gating in
-//!   CI covers every crate.
-//!
-//! The token scan is `alya_lint::unsafe_ident_lines`, a real lexer: the
-//! word `unsafe` inside strings, chars, or comments does not count, so no
-//! file needs to be exempted from its own scan.
+//!   validator prove).
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// The files allowed to hold `#[allow(unsafe_code)]`: the shared-RHS
+/// scatter and the counting allocator of the allocation test.
+pub const UNSAFE_FILES: [&str; 2] = ["crates/core/src/drivers.rs", "tests/alloc.rs"];
+
+/// `(file, text)`: each file must contain its text.
+pub const REQUIRED: [(&str, &str); 8] = [
+    ("Cargo.toml", "[workspace.lints.rust]"),
+    ("Cargo.toml", "unsafe_code = \"deny\""),
+    ("Cargo.toml", "undocumented_unsafe_blocks = \"warn\""),
+    ("clippy.toml", "{ path = \"std::collections::HashMap\""),
+    ("clippy.toml", "{ path = \"std::collections::HashSet\""),
+    ("clippy.toml", "allow-unwrap-in-tests = true"),
+    ("clippy.toml", "allow-expect-in-tests = true"),
+    ("clippy.toml", "allow-panic-in-tests = true"),
+];
 
 /// One policy breach found in the sources.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,41 +77,57 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     out.sort();
 }
 
-/// Crate directory names (under `crates/`) that host sanctioned unsafe and
-/// therefore cannot carry `#![forbid(unsafe_code)]`.
-fn unsafe_crates(sanctioned: &BTreeSet<&'static str>) -> BTreeSet<&'static str> {
-    sanctioned
+/// Crate directory names (under `crates/`) that hold a file of
+/// [`UNSAFE_FILES`] and therefore cannot carry `#![forbid(unsafe_code)]`.
+fn unsafe_crates() -> BTreeSet<&'static str> {
+    UNSAFE_FILES
         .iter()
         .filter_map(|f| f.strip_prefix("crates/"))
         .filter_map(|f| f.split('/').next())
         .collect()
 }
 
+/// Lines (1-based) of `src` holding an attribute that lowers the
+/// `unsafe_code` lint. Only a line that starts with `#[` or `#![` counts,
+/// so the words in a comment or a string literal do not.
+pub fn unsafe_allow_lines(src: &str) -> Vec<usize> {
+    src.lines()
+        .enumerate()
+        .filter(|(_, l)| {
+            let l = l.trim_start();
+            (l.starts_with("#[") || l.starts_with("#!["))
+                && l.contains("unsafe_code")
+                && ["allow(", "expect(", "warn("].iter().any(|a| l.contains(a))
+        })
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
 /// Runs the whole source audit over a workspace root.
 pub fn check_workspace(root: &Path) -> Vec<SourceViolation> {
     let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    let sanctioned = alya_lint::sanctioned_files();
-    let exempt_crates = unsafe_crates(&sanctioned);
+    let exempt_crates = unsafe_crates();
 
-    // Workspace-level lint table.
-    match fs::read_to_string(root.join("Cargo.toml")) {
-        Ok(s) if s.contains("[workspace.lints.clippy]") || s.contains("[workspace.lints]") => {}
-        Ok(_) => out.push(SourceViolation {
-            file: "Cargo.toml".into(),
-            message: "workspace manifest lacks a [workspace.lints] table".into(),
-        }),
-        Err(e) => out.push(SourceViolation {
-            file: "Cargo.toml".into(),
-            message: format!("unreadable workspace manifest: {e}"),
-        }),
+    for (file, text) in REQUIRED {
+        match fs::read_to_string(root.join(file)) {
+            Ok(s) if s.contains(text) => {}
+            Ok(_) => out.push(SourceViolation {
+                file: file.into(),
+                message: format!("lacks `{text}`"),
+            }),
+            Err(e) => out.push(SourceViolation {
+                file: file.into(),
+                message: format!("unreadable: {e}"),
+            }),
+        }
     }
 
-    let Ok(entries) = fs::read_dir(&crates_dir) else {
-        return vec![SourceViolation {
+    let Ok(entries) = fs::read_dir(root.join("crates")) else {
+        out.push(SourceViolation {
             file: "crates/".into(),
             message: "workspace crates directory not found".into(),
-        }];
+        });
+        return out;
     };
     let mut crate_dirs: Vec<PathBuf> = entries
         .flatten()
@@ -107,6 +136,9 @@ pub fn check_workspace(root: &Path) -> Vec<SourceViolation> {
         .collect();
     crate_dirs.sort();
 
+    // Every source the workspace compiles: each crate's targets, and the
+    // top-level tests and examples the bench crate builds.
+    let mut files = Vec::new();
     for dir in &crate_dirs {
         let name = dir
             .file_name()
@@ -129,7 +161,8 @@ pub fn check_workspace(root: &Path) -> Vec<SourceViolation> {
             }),
         }
 
-        // forbid(unsafe_code) everywhere except crates on the allowlist.
+        // forbid(unsafe_code) everywhere but the crates holding an
+        // allowed site.
         let lib = dir.join("src/lib.rs");
         let lib_src = fs::read_to_string(&lib).unwrap_or_default();
         if exempt_crates.contains(name.as_str()) {
@@ -137,7 +170,7 @@ pub fn check_workspace(root: &Path) -> Vec<SourceViolation> {
                 out.push(SourceViolation {
                     file: rel(root, &lib),
                     message: format!(
-                        "crate hosts sanctioned unsafe sites; forbid(unsafe_code) in alya-{name} cannot compile — remove it or retire the allowlist entries"
+                        "crate holds allowed unsafe sites; forbid(unsafe_code) in alya-{name} cannot compile — remove it or the sites"
                     ),
                 });
             }
@@ -148,42 +181,36 @@ pub fn check_workspace(root: &Path) -> Vec<SourceViolation> {
             });
         }
 
-        // No unsafe tokens anywhere but the allowlisted files. The per-site
-        // count and SAFETY linkage inside those files is pass 7's job.
-        let mut files = Vec::new();
-        rust_files(&dir.join("src"), &mut files);
-        rust_files(&dir.join("tests"), &mut files);
-        rust_files(&dir.join("benches"), &mut files);
-        rust_files(&dir.join("examples"), &mut files);
-        for f in &files {
-            let path = rel(root, f);
-            if sanctioned.contains(path.as_str()) {
-                continue;
-            }
-            let src = fs::read_to_string(f).unwrap_or_default();
-            let lines = alya_lint::unsafe_ident_lines(&src);
-            if !lines.is_empty() {
-                out.push(SourceViolation {
-                    file: path,
-                    message: format!(
-                        "contains `unsafe` at line(s) {lines:?}; only allowlisted files may (see alya_lint::SANCTIONED_UNSAFE)"
-                    ),
-                });
-            }
+        for sub in ["src", "tests", "benches", "examples"] {
+            rust_files(&dir.join(sub), &mut files);
         }
     }
+    rust_files(&root.join("tests"), &mut files);
+    rust_files(&root.join("examples"), &mut files);
 
-    // Top-level integration tests are covered by the bench crate's targets
-    // but live outside crates/ — sweep them too.
-    let mut top = Vec::new();
-    rust_files(&root.join("tests"), &mut top);
-    for f in &top {
-        let src = fs::read_to_string(f).unwrap_or_default();
-        let lines = alya_lint::unsafe_ident_lines(&src);
-        if !lines.is_empty() {
+    // `#[allow(unsafe_code)]` in exactly the listed files.
+    let mut holders = BTreeSet::new();
+    for f in &files {
+        let lines = unsafe_allow_lines(&fs::read_to_string(f).unwrap_or_default());
+        if lines.is_empty() {
+            continue;
+        }
+        let path = rel(root, f);
+        if !UNSAFE_FILES.contains(&path.as_str()) {
             out.push(SourceViolation {
-                file: rel(root, f),
-                message: format!("contains `unsafe` at line(s) {lines:?}"),
+                file: path.clone(),
+                message: format!(
+                    "lowers the unsafe_code lint at line(s) {lines:?}; only the files of sources::UNSAFE_FILES may"
+                ),
+            });
+        }
+        holders.insert(path);
+    }
+    for file in UNSAFE_FILES {
+        if !holders.contains(file) {
+            out.push(SourceViolation {
+                file: file.into(),
+                message: "listed in sources::UNSAFE_FILES but holds no #[allow(unsafe_code)]: drop the entry".into(),
             });
         }
     }
@@ -216,19 +243,21 @@ mod tests {
 
     #[test]
     fn allowlist_derives_the_exempt_crate_set() {
-        let exempt = unsafe_crates(&alya_lint::sanctioned_files());
-        assert_eq!(exempt.into_iter().collect::<Vec<_>>(), vec!["core"]);
+        assert_eq!(
+            unsafe_crates().into_iter().collect::<Vec<_>>(),
+            vec!["core"]
+        );
     }
 
     #[test]
-    fn lexer_scan_ignores_strings_and_comments() {
-        assert!(alya_lint::unsafe_ident_lines("// unsafe in a comment\nlet x = 1;").is_empty());
-        assert!(alya_lint::unsafe_ident_lines("let s = \"unsafe\";").is_empty());
+    fn attribute_scan_ignores_strings_and_comments() {
+        assert!(unsafe_allow_lines("// #[allow(unsafe_code)]\nlet x = 1;").is_empty());
+        assert!(unsafe_allow_lines("let s = \"#[allow(unsafe_code)]\";").is_empty());
+        assert!(unsafe_allow_lines("#![forbid(unsafe_code)]\n#![deny(unsafe_code)]").is_empty());
         assert_eq!(
-            alya_lint::unsafe_ident_lines("unsafe impl Send for T {}\nunsafe impl Sync for T {}"),
-            vec![1, 2]
+            unsafe_allow_lines("#[allow(unsafe_code)]\nunsafe impl Send for T {}\n  #![allow(dead_code, unsafe_code)]"),
+            vec![1, 3]
         );
-        assert!(alya_lint::unsafe_ident_lines("#![forbid(unsafe_code)]").is_empty());
     }
 
     #[test]
@@ -238,6 +267,39 @@ mod tests {
         let _ = fs::create_dir_all(tmp.join("crates"));
         let violations = check_workspace(&tmp);
         assert!(violations.iter().any(|v| v.file == "Cargo.toml"));
+        assert!(violations.iter().any(|v| v.file == "clippy.toml"));
         let _ = fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn an_allow_outside_the_listed_files_is_reported() {
+        let tmp = std::env::temp_dir().join(format!("alya-analyze-stray-{}", std::process::id()));
+        let src = tmp.join("crates/x/src");
+        fs::create_dir_all(&src).expect("temp dir");
+        fs::write(
+            src.join("lib.rs"),
+            "#![forbid(unsafe_code)]\n#[allow(unsafe_code)]\nfn f() {}\n",
+        )
+        .expect("temp file");
+        let violations = check_workspace(&tmp);
+        let _ = fs::remove_dir_all(&tmp);
+        let stray: Vec<_> = violations
+            .iter()
+            .filter(|v| {
+                v.message
+                    .contains("lowers the unsafe_code lint at line(s) [2]")
+            })
+            .collect();
+        assert_eq!(stray.len(), 1, "{violations:#?}");
+        assert_eq!(stray[0].file, "crates/x/src/lib.rs");
+        // Both listed files are absent here, so both entries read stale.
+        for file in UNSAFE_FILES {
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.file == file && v.message.contains("drop the entry")),
+                "{file}: {violations:#?}"
+            );
+        }
     }
 }

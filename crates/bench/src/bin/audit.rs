@@ -6,8 +6,6 @@
 //! ```text
 //! audit                                  # full audit, exit 0 iff clean
 //! audit --list                           # print every pass and seed mode
-//! audit --lint                           # source passes only (3 and 7) —
-//!                                        # fast gate for pre-push hooks
 //! audit --seed-violation coloring        # corrupt a coloring, expect catch
 //! audit --seed-violation contract-store  # forge a global intermediate store
 //! audit --seed-violation contract-registers  # forge register pressure
@@ -19,10 +17,6 @@
 //!                                        # element count, expect catch
 //! audit --seed-violation pack-divergence # skew the packed throughput rows
 //!                                        # below scalar, expect catch
-//! audit --seed-violation hot-alloc       # hot fn that allocates
-//! audit --seed-violation hot-panic       # hot fn that may panic
-//! audit --seed-violation hash-iter       # hot fn over a HashMap
-//! audit --seed-violation missing-safety  # unsafe without SAFETY linkage
 //! audit --seed-violation slot-leak       # skip a warm-bind rewind; expect
 //!                                        # the pass-9 isolation check
 //! audit --seed-violation ir-contract-drift # perturb a derived contract;
@@ -34,9 +28,7 @@
 //!
 //! The `--seed-violation` modes are self-tests of the analyzer: they inject
 //! a known breach and exit 0 only if the analyzer *catches* it (and exit 2
-//! if the analyzer missed it — the worst outcome). The last four seed a
-//! virtual source file through the pass-7 engine (`alya_lint::analyze`), so
-//! they run in milliseconds with no fixture assembly.
+//! if the analyzer missed it — the worst outcome).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -45,7 +37,6 @@ use alya_analyze::{comm, contracts, form, probe, races, serve, simd, sources, te
 use alya_core::drivers::{trace_element, ThroughputDb};
 use alya_core::layout::{self, Layout};
 use alya_core::{DistributedDriver, HaloFault, Variant};
-use alya_lint::{LintKind, SourceFile, UnsafeSanction};
 use alya_machine::Event;
 use alya_mesh::{ordering, Coloring, Partition, ShardSet};
 
@@ -55,7 +46,7 @@ fn full_audit() -> ExitCode {
         Some(root)
     } else {
         eprintln!(
-            "note: sources not found at {}; skipping the lint pass",
+            "note: sources not found at {}; skipping the workspace-gated passes",
             root.display()
         );
         None
@@ -117,10 +108,6 @@ fn full_audit() -> ExitCode {
         }
     }
 
-    println!("\nstatic hot-path audit");
-    println!("=====================");
-    print_lint_report(&report.lint);
-
     println!("\nsimd contract audit");
     println!("===================");
     println!("  {}", report.simd);
@@ -158,81 +145,18 @@ fn full_audit() -> ExitCode {
     }
 }
 
-fn print_lint_report(lint: &alya_lint::LintReport) {
-    println!(
-        "  {} file(s) lexed, {} hot root(s), {} hot-reachable fn(s), {} allow(s) honored",
-        lint.files_scanned, lint.hot_roots, lint.reachable_fns, lint.allows_honored
-    );
-    match lint.violations.len() {
-        0 => println!("  PASS: hot paths are alloc-, panic-, and hash-free; unsafe fully linked"),
-        n => {
-            println!("  FAIL: {n} lint violation(s)");
-            for v in &lint.violations {
-                println!("    {v}");
-            }
-        }
-    }
-}
-
-/// The fast gate: only the two source passes (3 and 7), no fixture
-/// assembly. Suited to pre-push hooks — runs in well under a second.
-fn lint_only() -> ExitCode {
-    let root = sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-    if !root.join("crates").is_dir() {
-        eprintln!("sources not found at {}", root.display());
-        return ExitCode::FAILURE;
-    }
-
-    println!("source lint audit");
-    println!("=================");
-    let source_violations = sources::check_workspace(&root);
-    match source_violations.len() {
-        0 => println!("  PASS: unsafety and lint policy hold across the workspace"),
-        n => {
-            println!("  FAIL: {n} source violation(s)");
-            for v in &source_violations {
-                println!("    {v}");
-            }
-        }
-    }
-
-    println!("\nstatic hot-path audit");
-    println!("=====================");
-    let lint = match alya_lint::check_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("  could not load workspace sources: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print_lint_report(&lint);
-
-    if source_violations.is_empty() && lint.is_clean() {
-        println!("\nlint clean");
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "\nlint FAILED: {} violation(s)",
-            source_violations.len() + lint.violations.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
 /// Every pass and every seed mode, one per line — the audit's own table of
 /// contents, so the CI scripts and the docs cannot drift from the binary.
 fn list_modes() -> ExitCode {
     println!("passes:");
     println!("  1  kernel contracts     flops/traffic/workspace/register closed forms per variant");
     println!("  2  scatter races        coloring disjointness and shard-interior exclusivity");
-    println!("  3  source lints         forbid(unsafe_code), unsafe file allowlist, lint opt-in");
+    println!("  3  source lints         lint opt-in, forbid(unsafe_code), allow(unsafe_code) file");
+    println!("                          list, the rustc/clippy policy entries in the manifests");
     println!("  4  comm contract        dual-sided halo accounting against the exchange plan");
     println!("  5  retired              (schedule contract of the removed stage scheduler)");
     println!("  6  telemetry contract   element count against the mesh, span tree, phase order");
-    println!(
-        "  7  static hot-path      alloc/panic/hash/telemetry lints on the alya:hot-reachable"
-    );
-    println!("                          set, SAFETY linkage for sanctioned unsafe");
+    println!("  7  retired              (static hot-path lints: tests/alloc.rs, rustc, clippy)");
     println!("  8  simd contract        committed packed-vs-scalar bench rows beat scalar and");
     println!("                          agree with the CPU model's packed-speedup prediction");
     println!("  9  serve contract       pooled multi-tenant isolation, per-tenant conservation,");
@@ -285,16 +209,6 @@ const SEED_MODES: &[(&str, &str)] = &[
         "pack-divergence",
         "skew the packed bench rows below scalar; pass 8 must flag it",
     ),
-    ("hot-alloc", "hot fn that allocates; pass 7 must flag it"),
-    ("hot-panic", "hot fn that may panic; pass 7 must flag it"),
-    (
-        "hash-iter",
-        "hot fn iterating a HashMap; pass 7 must flag it",
-    ),
-    (
-        "missing-safety",
-        "unsafe block without SAFETY linkage; pass 7 must flag it",
-    ),
     (
         "slot-leak",
         "skip the warm-bind rewind on a reused slot; pass 9's isolation check must flag it",
@@ -309,60 +223,8 @@ const SEED_MODES: &[(&str, &str)] = &[
     ),
 ];
 
-/// Seeds one virtual source file through the pass-7 engine and checks that
-/// exactly the expected lint fires — no more, no less. Returns `None` for
-/// modes this function does not own.
-fn seeded_lint(mode: &str) -> Option<bool> {
-    let (text, sanctions, expect): (&str, &[UnsafeSanction], LintKind) = match mode {
-        "hot-alloc" => (
-            "// alya:hot\npub fn scatter(out: &mut Vec<f64>, v: f64) {\n    out.push(v);\n}\n",
-            &[],
-            LintKind::HotAlloc,
-        ),
-        "hot-panic" => (
-            "// alya:hot\npub fn gather(x: Option<f64>) -> f64 {\n    x.unwrap()\n}\n",
-            &[],
-            LintKind::HotPanic,
-        ),
-        "hash-iter" => (
-            "// alya:hot\npub fn combine(msgs: &[(u32, f64)], out: &mut [f64]) {\n    let mut acc = std::collections::HashMap::from_iter(msgs.iter().copied());\n    for (k, v) in acc.drain() {\n        out[k as usize] += v;\n    }\n}\n",
-            &[],
-            LintKind::HashIter,
-        ),
-        "missing-safety" => (
-            // A sanctioned site that lost its SAFETY comment: the linkage
-            // check must flag both the bare site and the now-unmatched
-            // allowlist marker.
-            "pub fn writeback(dst: *mut f64, v: f64) {\n    unsafe { *dst += v }\n}\n",
-            &[UnsafeSanction {
-                file: "crates/x/src/seeded.rs",
-                marker: "unsafe[seeded-writeback]",
-            }],
-            LintKind::MissingSafety,
-        ),
-        _ => return None,
-    };
-    let files = [SourceFile {
-        path: "crates/x/src/seeded.rs".into(),
-        text: text.into(),
-    }];
-    let report = alya_lint::analyze(&files, sanctions);
-    for v in &report.violations {
-        println!("{v}");
-    }
-    let fired = report.violations.iter().any(|v| v.lint == expect);
-    let only = report.violations.iter().all(|v| v.lint == expect);
-    if fired && !only {
-        eprintln!("seeded {mode} breach also fired unrelated lints — engine over-matches");
-    }
-    Some(fired && only)
-}
-
 /// Injects a known breach; exits 0 iff the analyzer catches it.
 fn seeded(mode: &str) -> ExitCode {
-    if let Some(caught) = seeded_lint(mode) {
-        return seed_verdict(mode, caught);
-    }
     let fx = Fixture::new();
     let input = fx.input();
     let caught = match mode {
@@ -596,10 +458,6 @@ fn seeded(mode: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    seed_verdict(mode, caught)
-}
-
-fn seed_verdict(mode: &str, caught: bool) -> ExitCode {
     if caught {
         println!("seeded {mode} violation caught — analyzer is alive");
         ExitCode::SUCCESS
@@ -614,7 +472,6 @@ fn main() -> ExitCode {
     match args.as_slice() {
         [] => full_audit(),
         [flag] if flag == "--list" => list_modes(),
-        [flag] if flag == "--lint" => lint_only(),
         [flag, mode] if flag == "--seed-violation" => {
             if SEED_MODES.iter().any(|(m, _)| m == mode) {
                 seeded(mode)
@@ -624,7 +481,7 @@ fn main() -> ExitCode {
             }
         }
         _ => {
-            eprintln!("usage: audit [--list | --lint | --seed-violation <mode>]");
+            eprintln!("usage: audit [--list | --seed-violation <mode>]");
             eprintln!("       run `audit --list` for every pass and seed mode");
             ExitCode::FAILURE
         }

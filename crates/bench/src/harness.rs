@@ -46,8 +46,6 @@ pub struct Bencher {
 
 impl Bencher {
     /// Runs `body` once to warm up, then `sample_size` timed times.
-    // alya:cold: measurement harness — shares the name `iter` with slice
-    // iteration in hot code but never runs inside an assembly loop.
     pub fn iter<T>(&mut self, mut body: impl FnMut() -> T) {
         let _ = body(); // warm-up, untimed
         for _ in 0..self.sample_size {

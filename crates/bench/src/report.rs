@@ -16,8 +16,6 @@ impl Table {
     }
 
     /// Appends a row (must match the header count).
-    // alya:cold: report formatting — shares the name `row` with CSR row
-    // access in hot code but only runs when rendering result tables.
     pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.headers.len(), "ragged table row");

@@ -33,29 +33,6 @@ fn seeded_violations_are_all_caught() {
 }
 
 #[test]
-fn seeded_lint_violations_fire_exactly_their_lint() {
-    for mode in ["hot-alloc", "hot-panic", "hash-iter", "missing-safety"] {
-        let out = audit(&["--seed-violation", mode]);
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            out.status.success(),
-            "seeded {mode} violation was not caught:\n{stdout}{stderr}"
-        );
-        assert!(stdout.contains("caught"), "{stdout}");
-        // Every printed finding carries the seeded lint's own tag — the
-        // engine neither missed the breach nor over-matched around it.
-        for line in stdout.lines().filter(|l| l.contains(": [")) {
-            assert!(line.contains(&format!("[{mode}]")), "{mode}: {stdout}");
-        }
-        assert!(
-            !stderr.contains("over-matches"),
-            "{mode} fired unrelated lints:\n{stdout}{stderr}"
-        );
-    }
-}
-
-#[test]
 fn list_names_every_pass_and_seed_mode() {
     let out = audit(&["--list"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -66,6 +43,9 @@ fn list_names_every_pass_and_seed_mode() {
             "pass {pass}: {stdout}"
         );
     }
+    for retired in ["5 ", "7 "] {
+        assert!(stdout.contains(&format!("  {retired} retired")), "{stdout}");
+    }
     for mode in [
         "coloring",
         "contract-store",
@@ -74,22 +54,9 @@ fn list_names_every_pass_and_seed_mode() {
         "comm-drop",
         "overlap-stall",
         "telemetry-skew",
-        "hot-alloc",
-        "hot-panic",
-        "hash-iter",
-        "missing-safety",
     ] {
         assert!(stdout.contains(mode), "mode {mode}: {stdout}");
     }
-}
-
-#[test]
-fn lint_fast_gate_is_clean_on_this_workspace() {
-    let out = audit(&["--lint"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "lint gate failed:\n{stdout}");
-    assert!(stdout.contains("lint clean"), "{stdout}");
-    assert!(stdout.contains("hot root(s)"), "{stdout}");
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! The run lines in the docs stay true: every `--bin X` and `--example X`
 //! that a document, CI step or hook names is a target the workspace
-//! builds, and `README.md` runs every bin and example there is. And the
+//! builds, every `--seed-violation X` is a mode `audit --list` prints, and
+//! `README.md` runs every bin and example there is. And the
 //! one build configuration holds: `.cargo/config.toml`'s flags are in
 //! force, and `benchmark/` compiles the crates as the workspace does.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// The files whose `--bin` / `--example` lines must name real targets.
 const DOCS: [&str; 5] = [
@@ -58,20 +60,27 @@ fn targets() -> BTreeSet<(&'static str, String)> {
     out
 }
 
+/// Every name that follows `flag` and a space in `text`.
+fn names_after(text: &str, flag: &str) -> BTreeSet<String> {
+    let flag = format!("{flag} ");
+    text.match_indices(&flag)
+        .map(|(at, _)| {
+            text[at + flag.len()..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+                .collect::<String>()
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
 /// Every `(kind, name)` that `text` runs through `--bin name` or
 /// `--example name`.
 fn named(text: &str) -> BTreeSet<(&'static str, String)> {
     let mut out = BTreeSet::new();
     for kind in ["bin", "example"] {
-        let flag = format!("--{kind} ");
-        for (at, _) in text.match_indices(&flag) {
-            let name: String = text[at + flag.len()..]
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
-                .collect();
-            if !name.is_empty() {
-                out.insert((kind, name));
-            }
+        for name in names_after(text, &format!("--{kind}")) {
+            out.insert((kind, name));
         }
     }
     out
@@ -91,6 +100,39 @@ fn every_bin_and_example_the_docs_run_exists() {
     assert!(
         stale.is_empty(),
         "run lines naming no target:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn every_seed_mode_the_docs_run_exists() {
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .arg("--list")
+        .output()
+        .expect("audit binary runs");
+    let list = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{list}");
+    let modes: BTreeSet<&str> = list
+        .lines()
+        .skip_while(|l| !l.starts_with("seed modes"))
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(
+        !modes.is_empty(),
+        "audit --list prints no seed modes:\n{list}"
+    );
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        for mode in names_after(&read(&root().join(doc)), "--seed-violation") {
+            if !modes.contains(mode.as_str()) {
+                stale.push(format!("{doc}: --seed-violation {mode}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "seed modes `audit --list` does not print:\n{}",
         stale.join("\n")
     );
 }

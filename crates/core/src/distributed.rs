@@ -152,7 +152,6 @@ fn fold_pairs(local: &mut [f64], shard: &Shard) {
 /// Folds one received halo message into the compact accumulation buffer.
 /// Callers fold in ascending sender rank order — the bitwise-
 /// reproducibility anchor.
-// alya:hot
 #[inline]
 fn fold_halo_msg(local: &mut [f64], nl: usize, msg: &HaloMsg) {
     for &(slot, v) in &msg.entries {

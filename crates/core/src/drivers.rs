@@ -56,7 +56,6 @@ pub const CPU_VECTOR_DIM: usize = 16;
 /// Dispatches one element to the variant's kernel: [`kernels::element`] at
 /// one lane.
 #[allow(clippy::too_many_arguments)]
-// alya:hot
 pub fn assemble_element<R: Recorder, S: ScatterSink>(
     variant: Variant,
     input: &AssemblyInput,
@@ -193,7 +192,6 @@ pub(crate) fn workspace(variant: Variant) -> Vec<f64> {
 /// Runs the `L` elements behind `keys` through `variant`'s kernel and
 /// scatters them in key order: lane 0 inside the kernel, the rest from the
 /// RHS it returns. Nothing is recorded here, so any `lay` will do.
-// alya:hot
 #[inline]
 fn assemble_keys<const L: usize, S: ListSink>(
     variant: Variant,
@@ -224,7 +222,6 @@ fn assemble_keys<const L: usize, S: ListSink>(
 /// exists once per list, here. Elements scatter in list order in both
 /// phases, which is what keeps the two modes bitwise equal under every
 /// sink.
-// alya:hot
 pub(crate) fn assemble_list<S: ListSink>(
     variant: Variant,
     mode: ExecMode,
@@ -420,9 +417,6 @@ impl ThroughputDb {
     /// Loads and parses a report file. A missing or unparseable file
     /// returns `None` *and* pushes a warning onto the telemetry event
     /// channel.
-    // alya:cold: an audit-time file read — the `.load(` calls in hot
-    // counter code are `AtomicU64::load`, which the name-based call graph
-    // cannot tell apart from this.
     pub fn load(path: &std::path::Path) -> Option<Self> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -533,23 +527,25 @@ struct SharedRhs {
     ptr: *mut f64,
     num_nodes: usize,
 }
-// SAFETY: unsafe[shared-rhs-send] — the raw pointer is only dereferenced
-// through the scatter disciplines proven race-free by analyzer pass 2
-// (races::check_coloring / races::check_shard_set); moving the handle to a
-// worker thread transfers no aliasing it doesn't already audit.
+// SAFETY: the raw pointer is only dereferenced through the scatter
+// disciplines proven race-free by analyzer pass 2 (races::check_coloring /
+// races::check_shard_set); moving the handle to a worker thread transfers
+// no aliasing it doesn't already audit.
+#[allow(unsafe_code)]
 unsafe impl Send for SharedRhs {}
-// SAFETY: unsafe[shared-rhs-sync] — shared references are only used for
-// writes to rows that analyzer pass 2 proves disjoint across concurrent
-// workers (one color class / one shard's interior at a time).
+// SAFETY: shared references are only used for writes to rows that
+// analyzer pass 2 proves disjoint across concurrent workers (one color
+// class / one shard's interior at a time).
+#[allow(unsafe_code)]
 unsafe impl Sync for SharedRhs {}
 
 struct ColoredSink<'a> {
     shared: &'a SharedRhs,
 }
 
-// alya:hot
 impl ScatterSink for ColoredSink<'_> {
     #[inline]
+    #[allow(unsafe_code)]
     fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _lay: &Layout, rec: &mut R) {
         rec.flop(1);
         debug_assert!(
@@ -558,12 +554,11 @@ impl ScatterSink for ColoredSink<'_> {
             self.shared.num_nodes
         );
         debug_assert!(d < 3, "scatter to component {d} of a 3-vector");
-        // SAFETY: unsafe[colored-scatter] — `d * num_nodes + n` is in bounds
-        // (asserted above against the allocation this pointer was taken
-        // from), and the coloring invariant documented on `SharedRhs` —
-        // proven per run by analyzer pass 2 (races::check_coloring) —
-        // guarantees no other thread touches node `n` during this color
-        // class.
+        // SAFETY: `d * num_nodes + n` is in bounds (asserted above against
+        // the allocation this pointer was taken from), and the coloring
+        // invariant documented on `SharedRhs` — proven per run by analyzer
+        // pass 2 (races::check_coloring) — guarantees no other thread
+        // touches node `n` during this color class.
         unsafe {
             let slot = self.shared.ptr.add(d * self.shared.num_nodes + n as usize);
             *slot += v;
@@ -607,7 +602,6 @@ impl<'a> CompactSink<'a> {
     }
 }
 
-// alya:hot
 impl ScatterSink for CompactSink<'_> {
     #[inline]
     fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, _lay: &Layout, rec: &mut R) {
@@ -616,15 +610,14 @@ impl ScatterSink for CompactSink<'_> {
             .gnodes
             .iter()
             .position(|&x| x == n)
-            // alya:allow(hot-panic): a miss means the kernel scattered to a
-            // node outside its own element — a contract breach pass 1 makes
-            // impossible; the branch is never taken on valid kernels.
+            // A miss means the kernel scattered to a node outside its own
+            // element — a contract breach pass 1 makes impossible; the
+            // branch is never taken on valid kernels.
             .expect("scatter to a node outside the element");
         self.buf[d * self.shard.num_slots() + self.lnodes[a] as usize] += v;
     }
 }
 
-// alya:hot
 impl ListSink for CompactSink<'_> {
     #[inline]
     fn element(&self, pos: usize) -> usize {
@@ -641,16 +634,16 @@ impl ListSink for CompactSink<'_> {
 /// to the nodes it owns exclusively (validated by the caller), so the
 /// store is race-free, and its elements are ascending, so the value is the
 /// serial loop's sum.
+#[allow(unsafe_code)]
 fn write_interior(shard: &Shard, local: &[f64], shared: &SharedRhs, nn: usize) {
     let nl = shard.num_slots();
     let ni = shard.num_interior();
     for (l, &g) in shard.global_nodes()[..ni].iter().enumerate() {
         for d in 0..3 {
-            // SAFETY: unsafe[sharded-writeback] — `g < nn` and `d < 3`
-            // (shard maps validated by analyzer pass 2,
-            // races::check_shard_set, and re-proven in debug builds by the
-            // callers), and interior exclusivity means no other thread
-            // writes node `g`.
+            // SAFETY: `g < nn` and `d < 3` (shard maps validated by
+            // analyzer pass 2, races::check_shard_set, and re-proven in
+            // debug builds by the callers), and interior exclusivity means
+            // no other thread writes node `g`.
             unsafe {
                 *shared.ptr.add(d * nn + g as usize) = local[d * nl + l];
             }

@@ -3,6 +3,7 @@
 //! The scattered, indirect nodal accesses are the irreducible memory
 //! traffic of FEM assembly — after all optimizations they are what remains
 //! (the paper's RSP/RSPR DRAM volume is almost exactly this gather/scatter).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use alya_fem::{ScalarField, VectorField};
 use alya_machine::Recorder;
@@ -38,7 +39,6 @@ impl<const L: usize> NodeIds for [[u32; 4]; L] {
 }
 
 /// Loads the four node ids of element `e`.
-// alya:hot
 #[inline]
 pub fn gather_conn<R: Recorder>(
     input: &AssemblyInput,
@@ -56,7 +56,6 @@ pub fn gather_conn<R: Recorder>(
 
 /// Loads the node ids of `L` elements. Like every access of a batch, the
 /// load is recorded once, at lane 0's addresses.
-// alya:hot
 #[inline]
 pub fn gather_conn_lanes<const L: usize, R: Recorder>(
     input: &AssemblyInput,
@@ -72,7 +71,6 @@ pub fn gather_conn_lanes<const L: usize, R: Recorder>(
 }
 
 /// Gathers the four node coordinates (12 loads): `out[a][d]`.
-// alya:hot
 #[inline]
 pub fn gather_coords<N: NodeIds, R: Recorder>(
     input: &AssemblyInput,
@@ -96,7 +94,6 @@ pub fn gather_coords<N: NodeIds, R: Recorder>(
 }
 
 /// Gathers the four nodal velocities (12 loads): `out[a][d]`.
-// alya:hot
 #[inline]
 pub fn gather_velocity<N: NodeIds, R: Recorder>(
     input: &AssemblyInput,
@@ -120,7 +117,6 @@ pub fn gather_velocity<N: NodeIds, R: Recorder>(
 }
 
 /// Gathers a nodal scalar field (4 loads): `out[a]`.
-// alya:hot
 #[inline]
 pub fn gather_scalar<N: NodeIds, R: Recorder>(
     field: &ScalarField,
@@ -156,7 +152,6 @@ pub struct DirectSink<'a> {
     pub rhs: &'a mut VectorField,
 }
 
-// alya:hot
 impl ScatterSink for DirectSink<'_> {
     #[inline]
     fn add<R: Recorder>(&mut self, n: u32, d: usize, v: f64, layout: &Layout, rec: &mut R) {
@@ -179,7 +174,6 @@ pub const fn rhs_slots_per_element() -> u64 {
 }
 
 /// Scatters a full elemental RHS (4 nodes × 3 components).
-// alya:hot
 #[inline]
 pub fn scatter_elemental<R: Recorder, S: ScatterSink>(
     sink: &mut S,
@@ -195,7 +189,6 @@ pub fn scatter_elemental<R: Recorder, S: ScatterSink>(
 /// node-major / component-minor. Scattering the lanes in ascending order
 /// accumulates the global RHS exactly as one-lane runs over the same
 /// elements in that order would.
-// alya:hot
 #[inline]
 pub fn scatter_nth<V: Lanes, R: Recorder, S: ScatterSink>(
     sink: &mut S,

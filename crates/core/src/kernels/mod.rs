@@ -24,6 +24,7 @@
 //! also scatters through the sink as the kernel runs (RSPR: node by
 //! node); the kernel returns all lanes' elemental RHS and the caller
 //! scatters lanes `1..L` in order.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod baseline;
 pub mod rs;
@@ -56,7 +57,6 @@ pub type ElemRhs<const L: usize> = [[Pack<L>; 3]; 4];
 /// workspace kernels, so a caller's constant `stride`/`lane` reach their
 /// slot indexing.
 #[allow(clippy::too_many_arguments)]
-// alya:hot
 #[inline(always)]
 pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     variant: Variant,

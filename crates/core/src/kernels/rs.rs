@@ -120,7 +120,6 @@ pub const fn input_loads_per_element() -> u64 {
 ///
 /// Inlined into its caller so the workspace placement the element loop
 /// passes (`stride = L`, `lane = 0`) folds into every slot index.
-// alya:hot
 #[inline(always)]
 pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,

@@ -18,7 +18,6 @@ use crate::layout::Layout;
 use crate::packs::Pack;
 
 /// Assembles `L` elements in lockstep the RSP way.
-// alya:hot
 pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,
     elems: &[usize; L],

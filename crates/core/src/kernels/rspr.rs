@@ -24,7 +24,6 @@ use crate::layout::Layout;
 use crate::packs::{Lanes, Pack};
 
 /// Assembles `L` elements in lockstep the RSPR way.
-// alya:hot
 pub fn element<const L: usize, R: Recorder, S: ScatterSink>(
     input: &AssemblyInput,
     elems: &[usize; L],

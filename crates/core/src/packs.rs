@@ -18,6 +18,7 @@
 //! [`crate::ops`], the workspace and the gathers serve a plain `f64`
 //! caller (the ν_t pass, the `alya-form` interpreter)
 //! and the lane kernels from one body.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 

@@ -10,7 +10,7 @@
 //! telemetry session are process-global, and sibling tests elsewhere lower
 //! the cap to 1 mid-run.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use alya_core::{assemble_parallel_with, AssemblyInput, ExecMode, ParallelStrategy, Variant};
 use alya_fem::{ScalarField, VectorField};
@@ -39,7 +39,7 @@ fn two_parts_of_an_owner_computes_assembly_run_on_two_threads() {
         .map(|s| s.tid)
         .next()
         .expect("the driver opens its span on the dispatching thread");
-    let threads: HashSet<u32> = report
+    let threads: BTreeSet<u32> = report
         .spans
         .iter()
         .filter(|s| s.name.starts_with("shard:"))

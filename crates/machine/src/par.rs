@@ -222,7 +222,6 @@ struct Barrier {
 /// Polls `word` until `ready` accepts its value, spinning
 /// [`SPINS_BEFORE_YIELD`] times and then yielding between polls. Returns
 /// the accepted value.
-// alya:hot
 fn wait_for(word: &AtomicUsize, ready: impl Fn(usize) -> bool) -> usize {
     let mut spins = 0;
     loop {
@@ -284,7 +283,6 @@ impl Team<'_> {
     /// # Panics
     ///
     /// If a helper's job panicked in this round.
-    // alya:hot
     pub fn round(&self, caller_job: impl FnOnce()) {
         // Only the caller writes `round`; helpers only read it.
         let round = self.barrier.round.load(Ordering::Relaxed) + 1;
@@ -298,7 +296,6 @@ impl Team<'_> {
     }
 }
 
-// alya:cold: reached once, on the way out of a team whose helper panicked.
 fn member_panicked() -> ! {
     panic!("a team member panicked");
 }

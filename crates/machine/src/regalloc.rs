@@ -14,7 +14,7 @@
 //! definitions) and local loads (at their uses) on compactly reused spill
 //! slots — exactly the traffic the cache models then observe.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::trace::Event;
 
@@ -63,7 +63,7 @@ impl RegisterAllocator {
     /// all updates, matching how a compiler treats a running sum).
     pub fn allocate(&self, events: &[Event]) -> RegAllocResult {
         // Pass 1: live intervals.
-        let mut intervals: HashMap<u32, Interval> = HashMap::new();
+        let mut intervals: BTreeMap<u32, Interval> = BTreeMap::new();
         for (pos, e) in events.iter().enumerate() {
             match *e {
                 Event::Def(v) | Event::Use(v) => {
@@ -84,7 +84,7 @@ impl RegisterAllocator {
         order.sort_unstable_by_key(|&(v, iv)| (iv.start, v));
 
         let mut active: Vec<(u32, Interval)> = Vec::new(); // register-resident
-        let mut spilled: HashMap<u32, u32> = HashMap::new(); // value -> slot
+        let mut spilled: BTreeMap<u32, u32> = BTreeMap::new(); // value -> slot
         let mut max_pressure = 0u32;
 
         // Spill-slot reuse: a slot frees when its value's interval ends.

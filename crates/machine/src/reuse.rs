@@ -12,7 +12,7 @@
 //! in these terms, "privatization removes the short-distance mass and
 //! specialization removes the long tail".
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::trace::Event;
 
@@ -42,7 +42,7 @@ pub fn analyze(events: &[Event], line_bytes: u64) -> ReuseHistogram {
         }
     }
     let n = accesses.len();
-    let mut last_seen: HashMap<u64, usize> = HashMap::new();
+    let mut last_seen: BTreeMap<u64, usize> = BTreeMap::new();
     // BIT (Fenwick) marking the positions of the most-recent access of
     // each line; prefix sums count distinct lines in a window.
     let mut bit = vec![0i64; n + 1];

@@ -132,9 +132,9 @@ impl TraceRecorder {
     }
 }
 
-// alya:cold: trace capture is instrumentation-only — production assembly
-// monomorphizes kernels with `NoRecord` (`R::ENABLED = false` folds every
-// recorder call to nothing), so these bodies never run on the hot path.
+// Trace capture is instrumentation-only: production assembly monomorphizes
+// kernels with `NoRecord` (`R::ENABLED = false` folds every recorder call
+// to nothing), so these bodies never run on the hot path.
 impl Recorder for TraceRecorder {
     const ENABLED: bool = true;
 
@@ -247,11 +247,11 @@ impl TraceCounts {
 ///   what collapses the baseline's memory parallelism in the paper
 ///   ("the short load/compute/store cycles offer little memory ILP").
 pub fn estimate_mlp(events: &[Event]) -> f64 {
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     let mut weighted = 0u64;
     let mut total = 0u64;
     let mut run = 0u64;
-    let mut stored: HashSet<u64> = HashSet::new();
+    let mut stored: BTreeSet<u64> = BTreeSet::new();
     // Local slots share the key space via a high tag bit.
     const LOCAL_TAG: u64 = 1 << 63;
     let flush = |run: &mut u64, weighted: &mut u64, total: &mut u64| {

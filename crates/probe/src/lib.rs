@@ -9,9 +9,9 @@
 //!   runtime gets a bounded, pre-allocated ring buffer of recent events
 //!   (span begin/end, comm post/block, counter deltas, warnings), stamped on the same monotonic clock
 //!   `alya-telemetry` uses. Recording is allocation-free after the ring
-//!   is built (`alya:hot`-clean: fixed-slot writes behind an
-//!   uncontended per-thread mutex), and a relaxed atomic gate makes the
-//!   disabled path two loads. Rings of finished threads are retained
+//!   is built (fixed-slot writes behind an uncontended per-thread
+//!   mutex), and a relaxed atomic gate makes the disabled path two
+//!   loads. Rings of finished threads are retained
 //!   for post-mortems and recycled for new threads, so the registry is
 //!   bounded by the peak live thread count.
 //! * **Black-box dumps** ([`dump`]) — on a stalled halo drain (a lost
@@ -180,8 +180,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-// alya:cold: one-time process init behind the OnceLock — the hot record
-// path only ever sees the already-initialized registry.
 fn fresh_registry() -> ProbeRegistry {
     telemetry::install_probe_sink(forward_telemetry_event);
     ProbeRegistry {
@@ -212,8 +210,6 @@ thread_local! {
 }
 
 /// Builds (or recycles) a ring for the calling thread and registers it.
-// alya:cold: runs once per thread lifetime; every later record call
-// takes the TLS fast path.
 fn init_ring() -> RingHandle {
     let label = std::thread::current()
         .name()

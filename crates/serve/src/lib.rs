@@ -23,9 +23,9 @@
 //!   *per tenant* ([`service::Service::tenant_profile`]).
 //!
 //! The index-recycling path (`acquire_index` / `release_index` / `offer` /
-//! `next_batch` / `finish_item`) is `// alya:hot`: the static analyzer
-//! (pass 7) proves it allocation- and panic-free, which is what makes the
-//! steady state — warm admit, step, release — zero-allocation.
+//! `next_batch` / `finish_item`) only writes into storage sized at
+//! construction, so a warm admit and release allocate nothing; the step
+//! itself allocates what `tests/alloc.rs` states.
 //!
 //! ```
 //! use alya_core::Variant;

@@ -15,8 +15,8 @@
 //! so every non-empty queue dispatches at least one item per visit and a
 //! round never spins. Rings are sized at tenant registration (a session
 //! occupies at most one queue entry at a time, so pool capacity bounds
-//! every ring); `offer` and `next_batch` are `// alya:hot` — index
-//! writes into pre-sized rings, no allocation, no panic path.
+//! every ring); `offer` and `next_batch` are index writes into pre-sized
+//! rings, no allocation.
 
 /// One schedulable unit: one step (or one assembly) of one session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,7 +87,6 @@ impl DrrScheduler {
     /// Enqueues one work item on its tenant's ring. A session has at most
     /// one item in flight, so the pre-sized ring cannot overflow
     /// (debug-asserted).
-    // alya:hot
     pub fn offer(&mut self, item: WorkItem) {
         debug_assert!((item.tenant as usize) < self.queues.len(), "unknown tenant");
         if item.cost > self.max_cost {
@@ -106,7 +105,6 @@ impl DrrScheduler {
     /// were written. Each queued session contributes at most one item per
     /// batch (it holds at most one queue entry), so a parallel executor
     /// never runs the same slot twice concurrently.
-    // alya:hot
     pub fn next_batch(&mut self, out: &mut [WorkItem]) -> usize {
         let nt = self.queues.len();
         if nt == 0 || out.is_empty() || self.queued == 0 {

@@ -455,7 +455,6 @@ impl Service {
 
     /// Post-item bookkeeping: charge the tenant, requeue the session if
     /// it has items left. Returns `true` when the session is finished.
-    // alya:hot
     fn finish_item(&self, item: WorkItem) -> bool {
         let done = {
             let slot = lock(self.pool.slot(item.slot));

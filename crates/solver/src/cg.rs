@@ -14,6 +14,7 @@
 //! sums are combined in a fixed pairwise tree (`par::tree_reduce`'s
 //! order). Which thread sums a block never enters the arithmetic, so every
 //! bit of a solve is a function of the system alone, at any member count.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -392,7 +393,6 @@ impl Members {
 /// `u · v` over one block, in four partial sums (entry `4k + l` into sum
 /// `l`) so the adds do not wait on each other, like a row of
 /// [`CsrMatrix::spmv_rows`].
-// alya:hot
 fn block_dot(u: &[f64], v: &[f64]) -> f64 {
     let (u4, v4) = (u.chunks_exact(4), v.chunks_exact(4));
     let mut tail = 0.0;
@@ -410,7 +410,6 @@ fn block_dot(u: &[f64], v: &[f64]) -> f64 {
 
 /// The block sums of `u · v` into `out`, one per [`BLOCK`] rows, for rows
 /// that start on a block edge.
-// alya:hot
 fn block_dots(u: &[f64], v: &[f64], out: &mut [f64]) {
     for ((u, v), o) in u.chunks(BLOCK).zip(v.chunks(BLOCK)).zip(out) {
         *o = block_dot(u, v);
@@ -420,7 +419,6 @@ fn block_dots(u: &[f64], v: &[f64], out: &mut [f64]) {
 /// Sums `v` in place by `par::tree_reduce`'s pairwise tree — adjacent
 /// pairs at each level, an odd last item carried up — so the result
 /// depends on `v.len()` and the values alone. 0 for an empty `v`.
-// alya:hot
 fn tree_sum(v: &mut [f64]) -> f64 {
     let mut len = v.len();
     while len > 1 {

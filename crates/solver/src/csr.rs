@@ -105,11 +105,9 @@ impl CsrMatrix {
 
     /// Matrix-vector product `y = A x` on the calling thread:
     /// [`Self::spmv_rows`] over every row.
-    // alya:hot
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        // alya:allow(hot-panic): one dimension check per product, outside the row loop
+        // One dimension check per product, outside the row loop.
         assert_eq!(x.len(), self.num_cols);
-        // alya:allow(hot-panic): as above
         assert_eq!(y.len(), self.num_rows);
         self.spmv_rows(x, 0, y);
     }
@@ -120,7 +118,6 @@ impl CsrMatrix {
     /// pressure CG, where a row is 40–55 entries of a cache-resident `x`.
     /// Each row's sum depends on that row alone, so any split of the rows
     /// reproduces [`Self::spmv`] bit for bit.
-    // alya:hot
     pub fn spmv_rows(&self, x: &[f64], row0: usize, y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.num_cols);
         debug_assert!(row0 + y.len() <= self.num_rows);

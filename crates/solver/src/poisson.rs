@@ -106,7 +106,6 @@ impl GeomTable {
     }
 
     /// [`weak_divergence`] into `b` (length `num_nodes`), bitwise equal.
-    // alya:hot
     pub fn weak_divergence_into(&self, mesh: &TetMesh, u: &VectorField, b: &mut [f64]) {
         debug_assert_eq!(self.elems.len(), mesh.num_elements());
         b.fill(0.0);
@@ -114,7 +113,6 @@ impl GeomTable {
     }
 
     /// [`weak_gradient_adjoint`] into `g`, bitwise equal.
-    // alya:hot
     pub fn weak_gradient_adjoint_into(&self, mesh: &TetMesh, p: &[f64], g: &mut VectorField) {
         debug_assert_eq!(self.elems.len(), mesh.num_elements());
         g.fill_zero();

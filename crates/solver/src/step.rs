@@ -403,7 +403,8 @@ impl<'m> FractionalStep<'m> {
         // an inconsistent component that CG amplifies without bound).
         // The sweeps run from the case's geometry table, the CG over its
         // assembled matrix (built here by the case's first step), all into
-        // solver-owned scratch: after the first step nothing is allocated.
+        // solver-owned scratch: after the first step they allocate nothing
+        // but a parallel solve's team threads (counted in tests/alloc.rs).
         let geom = &*self.parts.geom;
         let rhs_span = telemetry::span("pressure-rhs");
         let b = &mut self.div_scratch;

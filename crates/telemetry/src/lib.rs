@@ -137,8 +137,6 @@ const MAX_WARNINGS: usize = 256;
 impl Registry {
     /// Fresh empty registry. Runs exactly once per process, inside
     /// [`reg`]'s `OnceLock` initializer.
-    // alya:cold: one-time process init behind the OnceLock — hot counter
-    // adds only ever hit the already-initialized fast path.
     fn new() -> Self {
         Self {
             next_session: AtomicU64::new(0),
@@ -487,8 +485,8 @@ pub fn warn(message: impl Into<String>) {
     let r = reg();
     let mut w = lock(&r.warnings);
     if w.len() < MAX_WARNINGS {
-        // alya:allow(hot-alloc): bounded (MAX_WARNINGS) config-problem
-        // channel; warnings fire on rare setup errors, never per element.
+        // Bounded (MAX_WARNINGS) config-problem channel; warnings fire on
+        // rare setup errors, never per element.
         w.push(message);
     } else {
         r.warn_dropped.fetch_add(1, Ordering::Relaxed);
