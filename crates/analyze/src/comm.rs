@@ -24,7 +24,7 @@
 //! [`check_bench_comm`] applies the same budget to a committed
 //! `BENCH_comm.json`: it rebuilds the terrain case recorded in the file
 //! and verifies the reported halo bytes against the recomputed closed
-//! form — a stale or hand-edited bench report fails the audit.
+//! form — a stale or hand-edited bench report fails the pass.
 
 use alya_comm::{CommReport, HALO_ENTRY_BYTES};
 use alya_core::{AssemblyInput, DistributedDriver, Variant};

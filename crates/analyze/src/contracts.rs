@@ -115,8 +115,8 @@ fn expect(v: Variant, out: &mut Vec<Violation>, what: &str, got: u64, want: u64)
     }
 }
 
-/// Checks one recorded event stream against a contract. Pure — the audit
-/// binary's seeded-violation modes feed forged streams through here.
+/// Checks one recorded event stream against a contract. Pure — the
+/// tamper tests feed forged streams through here.
 pub fn check_trace(
     variant: Variant,
     contract: &KernelContract,
@@ -523,18 +523,6 @@ mod tests {
         rec.events.push(Event::Fma(1));
         let violations = check_trace(Variant::B, &Variant::B.contract(), &rec.events);
         assert!(violations.iter().any(|v| v.message.contains("fp-op")));
-    }
-
-    #[test]
-    fn cpu_layout_and_pack_traces_satisfy_the_contracts() {
-        let fx = Fixture::new();
-        let input = fx.input();
-        for v in Variant::ALL {
-            let cpu = check_variant_cpu(v, &input, &[0, 3]);
-            assert!(cpu.is_empty(), "{cpu:#?}");
-            let packs = check_variant_packs(v, &input, &[0]);
-            assert!(packs.is_empty(), "{packs:#?}");
-        }
     }
 
     #[test]

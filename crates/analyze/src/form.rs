@@ -15,9 +15,8 @@
 //! * **Output parity**: [`assemble_generated`]'s serial whole-mesh run
 //!   must be **bitwise** identical to [`assemble_serial`].
 //!
-//! The audit binary's `ir-contract-drift` seeded mode perturbs a derived
-//! contract and feeds it back through [`check_derived_contract`] to prove
-//! this pass actually bites.
+//! Its tamper test perturbs a derived contract and feeds it back through
+//! [`check_derived_contract`] to prove the parity check bites.
 
 use alya_core::drivers::{assemble_serial, trace_element, CPU_VECTOR_DIM};
 use alya_core::layout::Layout;
@@ -53,8 +52,7 @@ fn fail(v: Variant, out: &mut Vec<Violation>, message: String) {
 }
 
 /// Checks a derived contract field-for-field against the hand-maintained
-/// one. Pure — the audit binary's seeded `ir-contract-drift` mode feeds a
-/// perturbed derived contract through here.
+/// one. Pure, so a test can feed a perturbed derived contract through it.
 pub fn check_derived_contract(variant: Variant, derived: &KernelContract) -> Vec<Violation> {
     let hand = variant.contract();
     let mut out = Vec::new();
@@ -204,13 +202,5 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| v.message.contains("max_pressure")));
-    }
-
-    #[test]
-    fn matching_contract_passes() {
-        for v in Variant::ALL {
-            let derived = derive_contract(&derive(v));
-            assert!(check_derived_contract(v, &derived).is_empty());
-        }
     }
 }

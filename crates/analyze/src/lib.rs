@@ -79,25 +79,19 @@
 //!     serial whole-mesh run **bitwise** identical to `assemble_serial`,
 //!     and the trace-derived [`alya_core::KernelContract`] equal to the
 //!     hand-maintained table field-for-field.
-//! 11. **Probe contract** ([`probe`]) — proves the always-on `alya-probe`
-//!     flight recorder is inert and useful: a distributed assembly with
-//!     the recorder on is **bitwise** identical to one with it off (and
-//!     actually recorded events), every per-thread ring stays inside its
-//!     fixed capacity, a seeded [`alya_core::HaloFault`] returns a typed
-//!     stall and leaves a black-box dump naming the starved rank's open
-//!     `halo-drain` span and the blocking rank (with a parsing
-//!     chrome-trace export), and the regression
-//!     sentinel armed from the committed `BENCH_drivers.json` /
-//!     `BENCH_comm.json` baselines stays quiet.
+//! 11. **Probe contract** ([`probe`]) — arms the `alya-probe` regression
+//!     sentinel from the committed `BENCH_drivers.json` /
+//!     `BENCH_comm.json` baselines and holds it quiet on them. The
+//!     recorder's live half — bitwise transparency, bounded rings, and
+//!     the black-box dump a seeded [`alya_core::HaloFault`] leaves — is
+//!     the `probe` integration suite of `alya-bench`, which owns the
+//!     recorder's process-global state.
 //!
-//! Run all passes via the audit binary:
-//!
-//! ```text
-//! cargo run -p alya-bench --bin audit
-//! ```
-//!
-//! or programmatically with [`run_audit`]. The passes also run as ordinary
-//! `cargo test` tests of this crate.
+//! Each pass is a module of plain functions, and its checks run as named
+//! tests of this crate (`cargo test -p alya-analyze`): per pass, one test
+//! that the pass is clean on this workspace and at least one that tampers
+//! with the pass's input and requires it to object. DESIGN.md §8 lists
+//! each pass with its clean and tamper tests.
 #![forbid(unsafe_code)]
 
 pub mod comm;
@@ -111,114 +105,3 @@ pub mod sources;
 pub mod telemetry;
 
 pub use alya_form::fixture::Fixture;
-
-use std::path::Path;
-
-/// Shard count the audit proves the sharded-scatter invariants for (a
-/// several-way decomposition exercises interior/boundary classification
-/// properly; the invariants are count-independent).
-pub const AUDIT_SHARDS: usize = 8;
-
-/// Combined result of all passes.
-#[derive(Debug)]
-pub struct AuditReport {
-    /// Kernel-contract violations (pass 1).
-    pub contract_violations: Vec<contracts::Violation>,
-    /// Race report of the production coloring on the fixture mesh (pass 2).
-    pub races: races::RaceReport,
-    /// Shard-invariant report of the production shard set on the fixture
-    /// mesh (pass 2, sharded scatter).
-    pub shards: races::ShardReport,
-    /// Source-policy violations (pass 3); empty when no root was given.
-    pub source_violations: Vec<sources::SourceViolation>,
-    /// Comm-contract report of a fully-traced distributed assembly on the
-    /// fixture mesh (pass 4).
-    pub comm: comm::CommContractReport,
-    /// Telemetry-contract report of a distributed assembly run inside a
-    /// telemetry session on the fixture mesh (pass 6).
-    pub telemetry: telemetry::TelemetryContractReport,
-    /// SIMD-contract report over the committed packed-vs-scalar bench
-    /// measurements (pass 8); clean-skipped when no workspace root or no
-    /// `BENCH_drivers.json` was available.
-    pub simd: simd::SimdContractReport,
-    /// Serve isolation + fairness report of a live pooled multi-tenant
-    /// scenario, plus the committed `BENCH_serve.json` when a workspace
-    /// root carried one (pass 9).
-    pub serve: serve::ServeContractReport,
-    /// IR-derivation report: the handwritten kernels and contract table
-    /// held to the derived programs (pass 10).
-    pub form: form::FormReport,
-    /// Probe-contract report: recorder transparency, bounded retention,
-    /// seeded-stall black-box dump, and sentinel quietness over the
-    /// committed bench baselines (pass 11; the sentinel half is
-    /// clean-skipped without a workspace root).
-    pub probe: probe::ProbeContractReport,
-}
-
-impl AuditReport {
-    /// Whether every pass came back clean.
-    pub fn is_clean(&self) -> bool {
-        self.contract_violations.is_empty()
-            && self.races.is_race_free()
-            && self.shards.is_valid()
-            && self.source_violations.is_empty()
-            && self.comm.is_clean()
-            && self.telemetry.is_clean()
-            && self.simd.is_clean()
-            && self.serve.is_clean()
-            && self.form.is_clean()
-            && self.probe.is_clean()
-    }
-
-    /// Total violation count (a race counts once, a shard violation once).
-    pub fn num_violations(&self) -> usize {
-        self.contract_violations.len()
-            + usize::from(!self.races.is_race_free())
-            + usize::from(!self.shards.is_valid())
-            + self.source_violations.len()
-            + self.comm.violations.len()
-            + self.telemetry.violations.len()
-            + self.simd.violations.len()
-            + self.serve.violations.len()
-            + self.form.violations.len()
-            + self.probe.violations.len()
-    }
-}
-
-/// Runs all passes on the canonical fixture. `workspace_root` enables the
-/// workspace-gated passes (3, 8, 9's bench half and 11's sentinel
-/// half; pass it `None` when the sources aren't on disk, e.g. from an
-/// installed binary).
-pub fn run_audit(workspace_root: Option<&Path>) -> AuditReport {
-    let fx = Fixture::new();
-    let input = fx.input();
-    let (comm_report, _, _) = comm::check_distributed(&input, AUDIT_SHARDS);
-    let (telemetry_report, _, _) = telemetry::check_distributed_telemetry(&input, AUDIT_SHARDS);
-    AuditReport {
-        contract_violations: contracts::check_all(&input),
-        races: races::check_mesh(&fx.mesh),
-        shards: races::check_mesh_shards(&fx.mesh, AUDIT_SHARDS),
-        source_violations: workspace_root
-            .map(sources::check_workspace)
-            .unwrap_or_default(),
-        comm: comm_report,
-        telemetry: telemetry_report,
-        simd: simd::check_workspace_simd(workspace_root),
-        serve: serve::check_serve(workspace_root),
-        form: form::check_form(&input),
-        probe: probe::check_probe(&input, workspace_root),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn full_audit_of_this_workspace_is_clean() {
-        let root = sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-        let report = run_audit(Some(&root));
-        assert!(report.is_clean(), "{report:#?}");
-        assert_eq!(report.num_violations(), 0);
-    }
-}

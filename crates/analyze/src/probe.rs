@@ -1,57 +1,22 @@
-//! Pass 11 — the probe (flight recorder / black box / sentinel) checker.
+//! Pass 11 — the regression-sentinel checker.
 //!
-//! `alya-probe` is allowed to be always-on only because it is provably
-//! inert: recording must not change a single assembled bit, retention
-//! must stay bounded, and the post-mortem machinery must actually tell
-//! the story when something wedges. This pass holds all three claims:
+//! `alya-probe`'s [`probe::Sentinel`] flags a live value that drifts out
+//! of its band around a baseline. This pass arms one from the committed
+//! `BENCH_drivers.json` / `BENCH_comm.json`: every throughput row held
+//! against itself, every halo-byte measurement against its closed-form
+//! prediction, and each rank row's blocked-wait fraction against the
+//! committed overlap run. On the committed reports the sentinel must stay
+//! quiet; the same pair list with its throughputs halved must fire on
+//! exactly the halved rows.
 //!
-//! * **recorder transparency** — a distributed assembly runs twice,
-//!   recorder on then off, and the two RHS vectors must be bitwise
-//!   identical (`f64::to_bits`, not a tolerance) with identical
-//!   comm accounting. The on-run must also have recorded real events —
-//!   a silently-dead recorder is a violation, not a pass;
-//! * **bounded retention** — after the on-run, no per-thread ring holds
-//!   more than [`alya_probe::RING_CAP`] events: the flight recorder
-//!   forgets, it never grows;
-//! * **black-box dump** — a seeded [`HaloFault`] must come back as a
-//!   typed [`alya_core::Stalled`] naming the starved rank and the silent
-//!   peer, and the dump the starved rank leaves must find it in its open
-//!   `halo-drain` span, diagnose who was blocked on whom (`waiting on
-//!   rank N`), and export a chrome trace that parses;
-//! * **regression sentinel** — the committed `BENCH_drivers.json` /
-//!   `BENCH_comm.json` baselines, held against themselves and the
-//!   closed-form halo predictions, must keep the sentinel quiet. The
-//!   same pair list, skewed, drives `audit --seed-violation
-//!   perf-regression` to prove the sentinel fires.
-//!
-//! The sentinel half is workspace-gated like the other bench-auditing
-//! passes; the recorder and dump halves always run on the live fixture.
+//! The recorder itself — bitwise transparency, bounded rings, and the
+//! black-box dump of a seeded halo stall — is checked live by the `probe`
+//! integration suite of `alya-bench`, which serializes the recorder's
+//! process-global state.
 
 use std::path::Path;
-use std::sync::Mutex;
-use std::time::Duration;
 
-use alya_core::{AssemblyInput, DistributedDriver, HaloFault, Variant};
 use alya_probe as probe;
-use alya_telemetry::export;
-
-/// Rank count of the pass's distributed runs (matches the audit shard
-/// count's spirit: enough ranks that every rank really exchanges halos).
-pub const PROBE_RANKS: usize = 4;
-
-/// Halo-drain deadline for the seeded-stall dump check — long enough that
-/// a healthy exchange never trips it, short enough to keep the audit
-/// fast.
-pub const STALL_WINDOW: Duration = Duration::from_millis(150);
-
-/// Variants the transparency check sweeps (one spilling, one
-/// register-resident — the instrumented paths differ, the bits may not).
-pub const PROBE_VARIANTS: [Variant; 2] = [Variant::Rsp, Variant::Rspr];
-
-/// Serializes probe-global state (the enabled gate, the last-dump slot)
-/// across concurrent checks in one process: a parallel test run toggling
-/// the recorder off mid-stall-check would starve the dump of events.
-static PROBE_GATE: Mutex<()> = Mutex::new(());
 
 /// One `(key, baseline, live)` cell the sentinel audits.
 #[derive(Debug, Clone)]
@@ -64,18 +29,9 @@ pub struct SentinelPair {
     pub measured: f64,
 }
 
-/// Outcome of checking the probe contract.
+/// Outcome of checking the committed bench reports with the sentinel.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeContractReport {
-    /// Whether the recorder-transparency half ran.
-    pub recorder_checked: bool,
-    /// Variants whose on/off runs compared bitwise equal.
-    pub transparent_variants: usize,
-    /// Whether the seeded-stall dump half ran.
-    pub dump_checked: bool,
-    /// Whether the workspace-gated sentinel half ran (false: no
-    /// committed bench reports to audit).
-    pub sentinel_checked: bool,
     /// Baselines the sentinel was armed with.
     pub sentinel_baselines: usize,
     /// Every contract breach found (empty when clean).
@@ -83,169 +39,35 @@ pub struct ProbeContractReport {
 }
 
 impl ProbeContractReport {
-    /// Whether the probe honored its contract (the skipped sentinel
-    /// half is vacuously clean, like the other workspace-gated passes).
+    /// Whether the sentinel stayed armed and quiet.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 }
 
-impl std::fmt::Display for ProbeContractReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !self.is_clean() {
-            return write!(f, "PROBE VIOLATION: {}", self.violations.join("; "));
+/// Runs the pass: arms the sentinel from the reports committed at
+/// `workspace_root` and requires it armed and quiet.
+pub fn check_probe(workspace_root: &Path) -> ProbeContractReport {
+    let pairs = match sentinel_pairs_from_workspace(workspace_root) {
+        Ok(pairs) => pairs,
+        Err(e) => {
+            return ProbeContractReport {
+                sentinel_baselines: 0,
+                violations: vec![e],
+            }
         }
-        write!(
-            f,
-            "probe-clean: recorder bitwise-transparent over {} variant(s); \
-             seeded stall dumped and diagnosed",
-            self.transparent_variants
-        )?;
-        if self.sentinel_checked {
-            write!(
-                f,
-                "; sentinel quiet over {} committed baseline(s)",
-                self.sentinel_baselines
-            )
-        } else {
-            write!(f, "; sentinel skipped (no committed bench reports)")
-        }
-    }
-}
-
-/// Runs the full pass: transparency + retention + stall dump on the live
-/// fixture, sentinel quietness against the committed bench reports when
-/// `workspace_root` carries them.
-pub fn check_probe(input: &AssemblyInput, workspace_root: Option<&Path>) -> ProbeContractReport {
-    let _gate = PROBE_GATE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    probe::init();
-    let mut report = ProbeContractReport::default();
-    check_recorder(input, &mut report);
-    check_stall_dump(input, &mut report);
-    if let Some(pairs) = workspace_root.and_then(sentinel_pairs_from_workspace) {
-        report.sentinel_checked = true;
-        let (baselines, violations) = check_sentinel_pairs(&pairs);
-        report.sentinel_baselines = baselines;
-        if baselines == 0 {
-            report.violations.push(
-                "committed bench reports yielded no sentinel baselines — \
-                 the regression sentinel is unarmed"
-                    .into(),
-            );
-        }
-        report.violations.extend(violations);
-    }
-    report
-}
-
-/// Recorder on/off bitwise transparency + bounded ring retention.
-fn check_recorder(input: &AssemblyInput, report: &mut ProbeContractReport) {
-    report.recorder_checked = true;
-    let driver = DistributedDriver::new(input.mesh, PROBE_RANKS);
-    for variant in PROBE_VARIANTS {
-        probe::set_enabled(true);
-        let before = probe::total_events();
-        let on = driver.try_assemble(variant, input, None);
-        let recorded = probe::total_events() - before;
-        probe::set_enabled(false);
-        let off = driver.try_assemble(variant, input, None);
-        probe::set_enabled(true);
-        let (Ok((a, ra)), Ok((b, rb))) = (on, off) else {
-            report.violations.push(format!(
-                "{variant}: fault-free distributed assembly stalled during the recorder check"
-            ));
-            continue;
-        };
-        if recorded == 0 {
-            report.violations.push(format!(
-                "{variant}: the recorder-on distributed assembly recorded no events — \
-                 the flight recorder is dead"
-            ));
-        }
-        let (xs, ys) = (a.as_slice(), b.as_slice());
-        let bits_equal =
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.to_bits() == y.to_bits());
-        if !bits_equal {
-            report.violations.push(format!(
-                "{variant}: recorder on/off changed an RHS bit — recording is not observer-only"
-            ));
-        } else {
-            report.transparent_variants += 1;
-        }
-        if ra != rb {
-            report.violations.push(format!(
-                "{variant}: recorder on/off changed the comm accounting"
-            ));
-        }
-    }
-    for log in &probe::snapshot("pass-11 retention check").threads {
-        if log.events.len() > probe::RING_CAP {
-            report.violations.push(format!(
-                "thread '{}' retained {} events, past the {}-slot ring bound — \
-                 the recorder is growing, not forgetting",
-                log.label,
-                log.events.len(),
-                probe::RING_CAP
-            ));
-        }
-    }
-}
-
-/// A seeded [`HaloFault`] must return a typed stall naming the starved
-/// rank and the silent peer, *and* leave a black-box dump that finds the
-/// starved rank in `halo-drain` and names the rank it waited on.
-fn check_stall_dump(input: &AssemblyInput, report: &mut ProbeContractReport) {
-    report.dump_checked = true;
-    probe::set_enabled(true);
-    probe::clear_last_dump();
-    let driver = DistributedDriver::new(input.mesh, PROBE_RANKS).stall_timeout(STALL_WINDOW);
-    // Withhold a message that is really owed, so exactly one rank starves.
-    let plan = driver.exchange_plan();
-    let Some((from, to)) = (0..PROBE_RANKS as u32)
-        .find_map(|r| plan.rank(r as usize).sends.first().map(|&(to, _)| (r, to)))
-    else {
-        report.violations.push(format!(
-            "a {PROBE_RANKS}-rank decomposition of the fixture exchanges nothing — \
-             no channel to fault"
-        ));
-        return;
     };
-    let Err(stall) = driver.try_assemble(Variant::Rsp, input, Some(HaloFault { from, to })) else {
-        report.violations.push(format!(
-            "withholding the rank {from}→{to} halo message did not stall the assembly"
-        ));
-        return;
-    };
-    if (stall.rank, stall.peer) != (to, from) {
-        report.violations.push(format!(
-            "withholding the rank {from}→{to} halo message reported the wrong pair: {stall}"
-        ));
+    let (sentinel_baselines, mut violations) = check_sentinel_pairs(&pairs);
+    if sentinel_baselines == 0 {
+        violations.push(
+            "committed bench reports yielded no sentinel baselines — \
+             the regression sentinel is unarmed"
+                .into(),
+        );
     }
-    let Some(dump) = probe::last_dump() else {
-        report
-            .violations
-            .push("the halo stall produced no black-box dump".into());
-        return;
-    };
-    if !dump.contains(&format!("rank {to} stalled in \"halo-drain\"")) {
-        report.violations.push(format!(
-            "the black-box dump does not find rank {to} in its open halo-drain span"
-        ));
-    }
-    if !dump.contains(&format!("waiting on rank {from}")) {
-        report.violations.push(format!(
-            "the black-box dump does not blame rank {from}, \
-             whose halo message was withheld"
-        ));
-    }
-    // The machine-readable export of the same snapshot must parse.
-    let trace = probe::snapshot("pass-11 trace check").chrome_trace();
-    if let Err(e) = export::validate_json(&trace) {
-        report
-            .violations
-            .push(format!("the black-box chrome trace does not parse: {e}"));
+    ProbeContractReport {
+        sentinel_baselines,
+        violations,
     }
 }
 
@@ -254,15 +76,15 @@ fn check_stall_dump(input: &AssemblyInput, report: &mut ProbeContractReport) {
 /// by construction — the quietness the pass asserts), every halo-byte
 /// measurement held against its closed-form prediction, and each rank
 /// row's blocked-wait fraction held against the committed overlap run.
-/// `None` when neither report exists (pass skips, like pass 8).
-pub fn sentinel_pairs_from_workspace(root: &Path) -> Option<Vec<SentinelPair>> {
-    let drivers = std::fs::read_to_string(root.join("BENCH_drivers.json")).ok();
-    let comm = std::fs::read_to_string(root.join("BENCH_comm.json")).ok();
-    if drivers.is_none() && comm.is_none() {
-        return None;
-    }
+/// Fails naming the report that could not be read.
+pub fn sentinel_pairs_from_workspace(root: &Path) -> Result<Vec<SentinelPair>, String> {
+    let read = |name: &str| {
+        std::fs::read_to_string(root.join(name))
+            .map_err(|e| format!("{name} must be committed at {}: {e}", root.display()))
+    };
+    let (drivers, comm) = (read("BENCH_drivers.json")?, read("BENCH_comm.json")?);
     let mut pairs = Vec::new();
-    for obj in drivers.as_deref().unwrap_or_default().split('{').skip(1) {
+    for obj in drivers.split('{').skip(1) {
         let (Some(strategy), Some(threads), Some(melem)) = (
             str_field(obj, "strategy"),
             num_field(obj, "threads"),
@@ -277,7 +99,7 @@ pub fn sentinel_pairs_from_workspace(root: &Path) -> Option<Vec<SentinelPair>> {
             measured: melem,
         });
     }
-    for obj in comm.as_deref().unwrap_or_default().split('{').skip(1) {
+    for obj in comm.split('{').skip(1) {
         let (Some(ranks), Some(halo), Some(predicted)) = (
             num_field(obj, "ranks"),
             num_field(obj, "halo_bytes"),
@@ -306,13 +128,12 @@ pub fn sentinel_pairs_from_workspace(root: &Path) -> Option<Vec<SentinelPair>> {
             }
         }
     }
-    Some(pairs)
+    Ok(pairs)
 }
 
 /// Arms a [`probe::Sentinel`] with every pair's baseline, feeds it every
 /// pair's live value, and returns `(baselines, drift violations)`. Pure
-/// over its input — the `perf-regression` seeded audit skews the same
-/// pair list and re-runs this to prove the sentinel fires.
+/// over its input, so a test can skew a pair list and re-run it.
 pub fn check_sentinel_pairs(pairs: &[SentinelPair]) -> (usize, Vec<String>) {
     let mut sentinel = probe::Sentinel::new();
     for p in pairs {
@@ -361,21 +182,23 @@ mod tests {
         }
     }
 
+    fn committed_pairs() -> Vec<SentinelPair> {
+        let root = crate::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
+        sentinel_pairs_from_workspace(&root).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     #[test]
     fn committed_workspace_reports_arm_a_quiet_sentinel() {
         let root = crate::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-        let pairs = sentinel_pairs_from_workspace(&root)
-            .expect("the workspace commits BENCH_drivers.json and BENCH_comm.json");
+        let report = check_probe(&root);
+        assert!(report.is_clean(), "{report:?}");
         // Throughput rows, halo-byte rows, and blocked-wait fractions
         // all made it in.
-        assert!(pairs.iter().any(|p| p.key.starts_with("melem_per_s/")));
-        assert!(pairs.iter().any(|p| p.key.starts_with("halo_bytes/")));
-        assert!(pairs
-            .iter()
-            .any(|p| p.key.starts_with("blocked_wait_frac/")));
-        let (baselines, violations) = check_sentinel_pairs(&pairs);
-        assert_eq!(baselines, pairs.len());
-        assert!(violations.is_empty(), "{violations:?}");
+        let pairs = committed_pairs();
+        assert_eq!(report.sentinel_baselines, pairs.len());
+        for kind in ["melem_per_s/", "halo_bytes/", "blocked_wait_frac/"] {
+            assert!(pairs.iter().any(|p| p.key.starts_with(kind)), "{kind}");
+        }
     }
 
     #[test]
@@ -388,6 +211,26 @@ mod tests {
         assert_eq!(baselines, 2);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("melem_per_s/serial/RSPR/1t"));
+
+        // Halve every committed throughput — the drift a broken dispatch
+        // or a degraded machine would produce: each halved row fires, and
+        // nothing else does.
+        let mut skewed = committed_pairs();
+        let mut halved = 0;
+        for p in skewed
+            .iter_mut()
+            .filter(|p| p.key.starts_with("melem_per_s/"))
+        {
+            p.measured *= 0.5;
+            halved += 1;
+        }
+        let (_, drifts) = check_sentinel_pairs(&skewed);
+        assert!(halved > 0);
+        assert_eq!(drifts.len(), halved, "{drifts:?}");
+        assert!(
+            drifts.iter().all(|d| d.contains("melem_per_s/")),
+            "{drifts:?}"
+        );
     }
 
     #[test]

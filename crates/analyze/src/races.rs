@@ -128,10 +128,12 @@ pub fn check_mesh_shards(mesh: &TetMesh, shards: usize) -> ShardReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alya_mesh::{BoxMeshBuilder, Rng64};
+    use crate::Fixture;
+    use alya_mesh::{ordering, BoxMeshBuilder, Rng64};
 
     #[test]
     fn greedy_colorings_of_random_meshes_are_race_free() {
+        assert!(check_mesh(&Fixture::new().mesh).is_race_free());
         let mut rng = Rng64::new(0x4ACE01);
         for _ in 0..12 {
             let nx = rng.range_usize(1, 6);
@@ -168,6 +170,7 @@ mod tests {
 
     #[test]
     fn production_shard_sets_are_valid_and_mismatches_are_caught() {
+        assert!(check_mesh_shards(&Fixture::new().mesh, 8).is_valid());
         let mesh = BoxMeshBuilder::new(4, 3, 3).jitter(0.1).seed(5).build();
         for shards in [1, 2, 8] {
             let report = check_mesh_shards(&mesh, shards);
@@ -181,6 +184,12 @@ mod tests {
         let bad = check_shard_set(&other, &set);
         assert!(!bad.is_valid());
         assert!(bad.to_string().contains("SHARD VIOLATION"));
+        // So must a stale set that survived a Morton reorder of its own
+        // mesh: same counts, but the compact connectivity no longer
+        // matches.
+        let perm = ordering::element_permutation(&mesh, ordering::ElementOrder::Morton);
+        let reordered = ordering::reorder_elements(&mesh, &perm);
+        assert!(!check_shard_set(&reordered, &set).is_valid());
     }
 
     #[test]

@@ -20,11 +20,9 @@
 //!   speed, or a model that drifts away from what the code does, both
 //!   fall out of it.
 //!
-//! Like the source passes, this one is workspace-gated: no workspace root
-//! or no committed bench report means the pass reports clean-skipped (an
-//! installed binary cannot audit a file it does not have). A present
-//! report with no packed rows is a violation — the repo commits packed
-//! measurements, so their absence is a stale or regressed bench.
+//! A missing report, or one with no packed rows, is a violation — the
+//! repo commits packed measurements, so their absence is a stale or
+//! regressed bench.
 
 use std::path::Path;
 
@@ -77,8 +75,6 @@ impl SimdCell {
 /// Outcome of checking a bench report against the SIMD contract.
 #[derive(Debug, Clone, Default)]
 pub struct SimdContractReport {
-    /// Whether the pass ran at all (false: no root / no bench report).
-    pub checked: bool,
     /// Every packed-vs-scalar cell the report carried.
     pub cells: Vec<SimdCell>,
     /// Every contract breach found (empty when clean).
@@ -86,8 +82,7 @@ pub struct SimdContractReport {
 }
 
 impl SimdContractReport {
-    /// Whether the measurements honored the SIMD contract (a skipped pass
-    /// is vacuously clean, like the workspace-gated source passes).
+    /// Whether the measurements honored the SIMD contract.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
@@ -95,9 +90,6 @@ impl SimdContractReport {
 
 impl std::fmt::Display for SimdContractReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if !self.checked {
-            return write!(f, "simd-skipped: no committed bench report to audit");
-        }
         if self.is_clean() {
             write!(f, "simd-clean:")?;
             for c in &self.cells {
@@ -153,15 +145,14 @@ pub fn predicted_speedups(input: &AssemblyInput) -> Vec<(Variant, f64)> {
 }
 
 /// Predictions on the canonical audit fixture — what the workspace check
-/// and the seeded-violation audit both evaluate against.
+/// evaluates against.
 pub fn fixture_predictions() -> Vec<(Variant, f64)> {
     let fx = Fixture::new();
     predicted_speedups(&fx.input())
 }
 
-/// Checks a parsed bench report against `predictions`. Pure — the seeded
-/// audit mode skews a report and re-runs this to prove the checker
-/// catches divergence.
+/// Checks a parsed bench report against `predictions`. Pure, so a test
+/// can skew a report and re-run it.
 pub fn check_db(db: &ThroughputDb, predictions: &[(Variant, f64)]) -> SimdContractReport {
     let mut cells = Vec::new();
     let mut violations = Vec::new();
@@ -208,29 +199,17 @@ pub fn check_db(db: &ThroughputDb, predictions: &[(Variant, f64)]) -> SimdContra
                 .into(),
         );
     }
-    SimdContractReport {
-        checked: true,
-        cells,
-        violations,
-    }
+    SimdContractReport { cells, violations }
 }
 
 /// Runs the pass against the workspace's committed `BENCH_drivers.json`.
-/// `None`, or a root without the report, reports clean-skipped.
-pub fn check_workspace_simd(workspace_root: Option<&Path>) -> SimdContractReport {
-    let Some(root) = workspace_root else {
-        return SimdContractReport::default();
-    };
-    let path = root.join("BENCH_drivers.json");
-    if !path.is_file() {
-        return SimdContractReport::default();
-    }
+pub fn check_workspace_simd(workspace_root: &Path) -> SimdContractReport {
+    let path = workspace_root.join("BENCH_drivers.json");
     let Some(db) = ThroughputDb::load(&path) else {
         return SimdContractReport {
-            checked: true,
             cells: Vec::new(),
             violations: vec![format!(
-                "{} exists but holds no well-formed throughput rows",
+                "{} is missing or holds no well-formed throughput rows",
                 path.display()
             )],
         };
@@ -281,6 +260,35 @@ mod tests {
             report.violations.iter().any(|v| v.contains("regressed")),
             "{report}"
         );
+
+        // Skew every committed packed serial row to half its scalar row —
+        // a broken pack gather, or scalar fallback everywhere: every
+        // measured cell must be flagged as a packed regression.
+        let root = crate::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
+        let committed = ThroughputDb::load(&root.join("BENCH_drivers.json"))
+            .expect("BENCH_drivers.json is committed");
+        let row = |strategy: &str, v: Variant, melem: f64| {
+            format!(
+                "{{\"strategy\": \"{strategy}\", \"variant\": \"{v}\", \
+                 \"threads\": 1, \"melem_per_s\": {melem}}}"
+            )
+        };
+        let mut rows = Vec::new();
+        for v in Variant::ALL {
+            let scalar = committed.melem_per_s("serial", v.name(), 1);
+            let packed = committed.melem_per_s("serial-packed", v.name(), 1);
+            if let (Some(scalar), Some(_)) = (scalar, packed) {
+                rows.push(row("serial", v, scalar));
+                rows.push(row("serial-packed", v, 0.5 * scalar));
+            }
+        }
+        let cells = rows.len() / 2;
+        assert!(cells > 0, "no committed packed-vs-scalar pair");
+        let all: Vec<_> = Variant::ALL.into_iter().map(|v| (v, 4.0)).collect();
+        let report = check_db(&db(&format!("[{}]", rows.join(","))), &all);
+        assert_eq!(report.cells.len(), cells, "{report}");
+        let regressed = report.violations.iter().filter(|v| v.contains("regressed"));
+        assert_eq!(regressed.count(), cells, "{report}");
     }
 
     #[test]
@@ -312,23 +320,9 @@ mod tests {
     }
 
     #[test]
-    fn the_pass_is_workspace_gated() {
-        let skipped = check_workspace_simd(None);
-        assert!(!skipped.checked);
-        assert!(skipped.is_clean());
-        let missing = std::env::temp_dir().join("alya-simd-no-bench-3b71");
-        std::fs::create_dir_all(&missing).unwrap();
-        let skipped = check_workspace_simd(Some(&missing));
-        assert!(!skipped.checked);
-        assert!(skipped.is_clean());
-        let _ = std::fs::remove_dir_all(&missing);
-    }
-
-    #[test]
     fn the_committed_bench_report_honors_the_simd_contract() {
         let root = crate::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-        let report = check_workspace_simd(Some(&root));
-        assert!(report.checked, "workspace bench report missing");
+        let report = check_workspace_simd(&root);
         assert!(report.is_clean(), "{report}");
         assert!(!report.cells.is_empty());
     }

@@ -220,6 +220,7 @@ mod tests {
         for ranks in [1, 4, 8] {
             let (report, exp, live) = check_distributed_telemetry(&input, ranks);
             assert!(report.is_clean(), "{ranks} ranks: {report}");
+            assert_eq!(exp.elements, fx.mesh.num_elements() as u64);
             assert_eq!(report.observed_elements, exp.elements);
             assert!(report.spans_checked > 0);
             // The Table-I view renders the checked variant's count.

@@ -1,16 +1,18 @@
 //! The run lines in the docs stay true: every `--bin X` and `--example X`
 //! that a document, CI step or hook names is a target the workspace
-//! builds, every `--seed-violation X` is a mode `audit --list` prints, and
-//! `README.md` runs every bin and example there is. And the
-//! one build configuration holds: `.cargo/config.toml`'s flags are in
-//! force, and `benchmark/` compiles the crates as the workspace does.
+//! builds, every `cargo test` filter there names a test that exists (a
+//! filter matching nothing exits 0, so a renamed test would silently turn
+//! a run line into a no-op), and `README.md` runs every bin and example
+//! there is. And the one build configuration holds: `.cargo/config.toml`'s
+//! flags are in force, and `benchmark/` compiles the crates as the
+//! workspace does.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-/// The files whose `--bin` / `--example` lines must name real targets.
+/// The files whose `--bin`, `--example` and `cargo test` lines must name
+/// real targets.
 const DOCS: [&str; 5] = [
     "README.md",
     "DESIGN.md",
@@ -28,16 +30,20 @@ fn read(path: &Path) -> String {
 }
 
 /// Every `(kind, name)` target of the workspace's member crates: `bin`s
-/// from `src/bin/*.rs` and `[[bin]]`, `example`s from `[[example]]`.
+/// from `src/bin/*.rs` and `[[bin]]`, `test`s from `tests/*.rs` and
+/// `[[test]]`, `example`s from `[[example]]`.
 fn targets() -> BTreeSet<(&'static str, String)> {
     let mut out = BTreeSet::new();
     let crates = fs::read_dir(root().join("crates")).expect("crates/ lists");
     for krate in crates.map(|e| e.expect("crates/ entry").path()) {
-        if let Ok(bins) = fs::read_dir(krate.join("src/bin")) {
-            for bin in bins.map(|e| e.expect("src/bin entry").path()) {
-                if bin.extension().is_some_and(|x| x == "rs") {
-                    let stem = bin.file_stem().expect("a file name").to_string_lossy();
-                    out.insert(("bin", stem.into_owned()));
+        for (kind, dir) in [("bin", "src/bin"), ("test", "tests")] {
+            let Ok(files) = fs::read_dir(krate.join(dir)) else {
+                continue;
+            };
+            for file in files.map(|e| e.expect("a dir entry").path()) {
+                if file.extension().is_some_and(|x| x == "rs") {
+                    let stem = file.file_stem().expect("a file name").to_string_lossy();
+                    out.insert((kind, stem.into_owned()));
                 }
             }
         }
@@ -45,6 +51,7 @@ fn targets() -> BTreeSet<(&'static str, String)> {
         for line in read(&krate.join("Cargo.toml")).lines().map(str::trim) {
             match line {
                 "[[bin]]" => section = "bin",
+                "[[test]]" => section = "test",
                 "[[example]]" => section = "example",
                 _ if line.starts_with('[') => section = "",
                 _ => {
@@ -104,35 +111,85 @@ fn every_bin_and_example_the_docs_run_exists() {
     );
 }
 
-#[test]
-fn every_seed_mode_the_docs_run_exists() {
-    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
-        .arg("--list")
-        .output()
-        .expect("audit binary runs");
-    let list = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{list}");
-    let modes: BTreeSet<&str> = list
-        .lines()
-        .skip_while(|l| !l.starts_with("seed modes"))
-        .skip(1)
-        .filter_map(|l| l.split_whitespace().next())
-        .collect();
-    assert!(
-        !modes.is_empty(),
-        "audit --list prints no seed modes:\n{list}"
-    );
-    let mut stale = Vec::new();
-    for doc in DOCS {
-        for mode in names_after(&read(&root().join(doc)), "--seed-violation") {
-            if !modes.contains(mode.as_str()) {
-                stale.push(format!("{doc}: --seed-violation {mode}"));
+/// Every `fn` name in the `.rs` files under `dir`.
+fn fn_names(dir: &Path, out: &mut BTreeSet<String>) {
+    for path in fs::read_dir(dir)
+        .expect("a source dir lists")
+        .map(|e| e.expect("an entry").path())
+    {
+        if path.is_dir() {
+            fn_names(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let src = read(&path);
+            for (at, _) in src.match_indices("fn ") {
+                let name: String = src[at + 3..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                out.insert(name);
             }
         }
     }
+}
+
+/// `(--test target, filter)` of every `cargo test` run in `text`. A run
+/// ends at the end of its line, an inline-code backtick or a shell `#`,
+/// `;`, `&&` or `|`; cargo's `--` ends the part that can hold a filter.
+fn test_runs(text: &str) -> Vec<(Option<String>, Option<String>)> {
+    text.match_indices("cargo test")
+        .map(|(at, run)| {
+            let line = text[at + run.len()..].lines().next().unwrap_or_default();
+            let line = line
+                .split(['`', '#', ';', '&', '|'])
+                .next()
+                .unwrap_or_default();
+            let mut words = line.split_whitespace();
+            let (mut target, mut filter) = (None, None);
+            while let Some(word) = words.next() {
+                match word {
+                    "--" => break,
+                    "--test" => target = words.next().map(str::to_owned),
+                    "-p" | "--package" | "--manifest-path" | "--features" | "-j" => {
+                        words.next();
+                    }
+                    _ if word.starts_with('-') => {}
+                    _ => {
+                        filter = Some(word.to_owned());
+                        break;
+                    }
+                }
+            }
+            (target, filter)
+        })
+        .collect()
+}
+
+#[test]
+fn every_test_filter_the_docs_run_exists() {
+    let targets = targets();
+    let mut fns = BTreeSet::new();
+    fn_names(&root().join("crates"), &mut fns);
+    fn_names(&root().join("tests"), &mut fns);
+    let mut stale = Vec::new();
+    let mut runs = 0;
+    for doc in DOCS {
+        for (target, filter) in test_runs(&read(&root().join(doc))) {
+            runs += 1;
+            if let Some(target) = target.filter(|t| !targets.contains(&("test", t.clone()))) {
+                stale.push(format!("{doc}: --test {target} is no test target"));
+            }
+            if let Some(filter) = filter {
+                let last = filter.rsplit("::").next().unwrap_or_default();
+                if last.is_empty() || !fns.iter().any(|f| f.starts_with(last)) {
+                    stale.push(format!("{doc}: filter {filter} matches no fn"));
+                }
+            }
+        }
+    }
+    assert!(runs > 0, "no `cargo test` run lines found");
     assert!(
         stale.is_empty(),
-        "seed modes `audit --list` does not print:\n{}",
+        "`cargo test` run lines that run nothing:\n{}",
         stale.join("\n")
     );
 }
@@ -142,6 +199,7 @@ fn the_readme_runs_every_bin_and_example() {
     let readme = named(&read(&root().join("README.md")));
     let missing: Vec<String> = targets()
         .difference(&readme)
+        .filter(|(kind, _)| *kind != "test")
         .map(|(kind, name)| format!("--{kind} {name}"))
         .collect();
     assert!(

@@ -5,8 +5,8 @@
 //! consecutive elements that share nodes reuse cache lines. Structured
 //! generators emit a reasonably local order; this module provides
 //! space-filling-curve reordering (better locality), random shuffling
-//! (worst case), and the permutation plumbing. The audit's
-//! `shard-mismatch` seed and the shard tests reorder a mesh by Morton; the
+//! (worst case), and the permutation plumbing. Analyzer pass 2's shard
+//! tamper test and the shard tests reorder a mesh by Morton; the
 //! mesh property tests take every order as an input.
 
 use crate::tet::TetMesh;

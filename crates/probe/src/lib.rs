@@ -25,11 +25,10 @@
 //!   committed `BENCH_*.json` baselines and closed-form predictions,
 //!   emitting structured [`sentinel::Drift`]s outside a configurable
 //!   band. Analyzer pass 11 proves the sentinel is silent on the
-//!   committed baselines and fires on a seeded skew
-//!   (`audit --seed-violation perf-regression`).
+//!   committed baselines and fires on exactly the rows of a halved copy.
 //!
-//! The recorder is on by default ("always-on"): pass 11 and the
-//! equivalence suite pin recorder-on bitwise identical to recorder-off,
+//! The recorder is on by default ("always-on"): the probe and
+//! equivalence suites pin recorder-on bitwise identical to recorder-off,
 //! so there is no accuracy reason to turn it off.
 #![forbid(unsafe_code)]
 
@@ -257,7 +256,7 @@ pub fn init() {
 }
 
 /// Turns the flight recorder on or off process-wide. It is **on** by
-/// default; pass 11 pins recorder-on bitwise identical to recorder-off,
+/// default; the probe suite pins recorder-on bitwise identical to recorder-off,
 /// so disabling is for overhead experiments, not correctness.
 pub fn set_enabled(on: bool) {
     preg().enabled.store(on, Ordering::Relaxed);

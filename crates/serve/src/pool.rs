@@ -38,7 +38,7 @@ pub struct PoolConfig {
     /// Audit-only fault injection: a released slot keeps its solver state
     /// and a warm re-admission skips the rewind — the exact slot-leak the
     /// analyzer's pass 9 isolation check must catch. Never set outside
-    /// `audit --seed-violation slot-leak`.
+    /// that pass's slot-leak tamper test.
     #[doc(hidden)]
     pub leak_slot_state_for_audit: bool,
 }

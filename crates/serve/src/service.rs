@@ -351,7 +351,7 @@ impl Service {
                 .is_some_and(|c| Arc::ptr_eq(c, &spec.case));
         if warm {
             self.pool.note_warm_bind();
-            // The audit's seeded slot-leak skips exactly this rewind.
+            // Pass 9's slot-leak tamper test skips exactly this rewind.
             if !self.pool.leak_for_audit() {
                 if let Some(solver) = slot.solver.as_mut() {
                     solver.reset(&spec.case.init_velocity);

@@ -850,11 +850,15 @@ mod tests {
 
     #[test]
     fn warnings_flow_with_or_without_a_session() {
-        // Standalone channel (no session).
-        drain_warnings();
-        warn("standalone problem");
-        let w = drain_warnings();
-        assert_eq!(w, vec!["standalone problem".to_string()]);
+        // Standalone channel (no session), under the session lock so a
+        // concurrent test's `session()` cannot clear it in between.
+        {
+            let _no_session = lock(&reg().session_lock);
+            drain_warnings();
+            warn("standalone problem");
+            let w = drain_warnings();
+            assert_eq!(w, vec!["standalone problem".to_string()]);
+        }
         // Session drains the channel into its report.
         let s = session();
         warn("in-session problem");

@@ -4,10 +4,8 @@
 //! process-wide thread cap — and whether compute/exchange overlap is on
 //! or off — honors the analyzer's comm contract on random meshes, and the
 //! committed `BENCH_comm.json` matches the recomputed closed-form halo
-//! budget and records a real overlap win. An overlapped run inside a
-//! telemetry session must also emit a contract-exact Table-I profile and
-//! a trace in which every rank's halo sends are posted before its
-//! interior is assembled.
+//! budget and records a real overlap win. (The telemetry an overlapped run
+//! emits is analyzer pass 6, `alya_analyze::telemetry`.)
 
 use alya_analyze::comm::{check_bench_comm, check_distributed};
 use alya_core::{assemble_serial, AssemblyInput, DistributedDriver, Variant};
@@ -121,48 +119,6 @@ fn communication_volume_scales_with_interface_not_volume() {
     };
     let (s, l) = (per_elem(&small), per_elem(&large));
     assert!(l < 0.75 * s, "surface-to-volume not visible: {s} vs {l}");
-}
-
-/// The acceptance run: a 4-rank overlapped assembly on a mesh with a
-/// large interior on every rank, run inside a telemetry session. The
-/// Table-I view must count every mesh element once, the chrome-trace
-/// export must parse, and the analyzer's telemetry pass must certify the
-/// lot — including the program order of each rank's phases: `halo-post`
-/// closes before `assemble-overlap` opens, the overlap made visible.
-#[test]
-fn overlapped_run_emits_contract_exact_telemetry_and_posts_before_the_interior() {
-    use alya_analyze::telemetry::{check_report, expectation};
-    use alya_core::metrics;
-    use alya_telemetry::export::validate_json;
-
-    // 15×15×13 boxes → 17550 tets: >4k interior elements per rank.
-    let mesh = BoxMeshBuilder::new(15, 15, 13)
-        .jitter(0.05)
-        .seed(11)
-        .build();
-    let (v, p, t) = fields(&mesh);
-    let input = AssemblyInput::new(&mesh, &v, &p, &t).props(ConstantProperties::AIR);
-    let driver = DistributedDriver::new(&mesh, 4);
-    assert!(driver.overlap_enabled());
-
-    let session = alya_telemetry::session();
-    let _ = driver.assemble(Variant::Rsp, &input);
-    let report = session.finish();
-
-    // Table-I view: one RSP row over every mesh element.
-    let profile = metrics::table_one(&report);
-    assert_eq!(profile.rows.len(), 1, "{profile}");
-    assert_eq!(profile.rows[0].elements, mesh.num_elements() as u64);
-
-    // The chrome export is well-formed trace_event JSON.
-    validate_json(&report.chrome_trace()).expect("chrome trace parses");
-
-    // Pass 6 certifies the element count, span nesting and the phase
-    // order: sends posted before the interior assembles.
-    let exp = expectation(&driver, Variant::Rsp);
-    let checked = check_report(&report, &exp);
-    assert!(checked.is_clean(), "{checked}");
-    assert_eq!(checked.observed_elements, mesh.num_elements() as u64);
 }
 
 #[test]
