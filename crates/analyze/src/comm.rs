@@ -30,6 +30,8 @@ use alya_comm::{CommReport, HALO_ENTRY_BYTES};
 use alya_core::{AssemblyInput, DistributedDriver, Variant};
 use alya_mesh::{ExchangePlan, Partition, ShardSet, TerrainMeshBuilder};
 
+use crate::bench::BenchFile;
+
 /// Outcome of checking one live exchange against the comm contract.
 #[derive(Debug, Clone)]
 pub struct CommContractReport {
@@ -264,21 +266,21 @@ impl std::fmt::Display for BenchCommReport {
     }
 }
 
-/// Validates a `BENCH_comm.json` document: rebuilds the recorded terrain
+/// Validates a `BENCH_comm.json` report: rebuilds the recorded terrain
 /// case, recomputes the closed-form halo volume per rank count, and
 /// compares it against the reported bytes and message counts.
-pub fn check_bench_comm(json: &str) -> BenchCommReport {
+pub fn check_bench_comm(bench: &BenchFile) -> BenchCommReport {
     let mut violations = Vec::new();
     let mut rows_checked = 0;
 
-    let Some(target) = top_num(json, "target_elems") else {
+    let Some(target) = bench.top_num("target_elems") else {
         return BenchCommReport {
             rows_checked,
             violations: vec!["no \"target_elems\" field — cannot rebuild the case".into()],
         };
     };
     let mesh = TerrainMeshBuilder::with_approx_elements(target as usize).build();
-    if let Some(ne) = top_num(json, "elements") {
+    if let Some(ne) = bench.top_num("elements") {
         if ne as usize != mesh.num_elements() {
             violations.push(format!(
                 "recorded {} elements but the generator now yields {} — the bench predates the mesh",
@@ -288,14 +290,14 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
         }
     }
 
-    for obj in json.split('{').skip(1) {
-        let Some(ranks) = row_num(obj, "ranks") else {
+    for row in bench.rows() {
+        let Some(ranks) = row.num("ranks") else {
             continue;
         };
         let (Some(halo), Some(predicted), Some(messages)) = (
-            row_num(obj, "halo_bytes"),
-            row_num(obj, "predicted_halo_bytes"),
-            row_num(obj, "messages"),
+            row.num("halo_bytes"),
+            row.num("predicted_halo_bytes"),
+            row.num("messages"),
         ) else {
             violations.push(format!(
                 "row at ranks={ranks} is missing halo accounting fields"
@@ -328,10 +330,10 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
         // Overlap accounting: the row must carry both schedules' timings
         // and a win consistent with its own blocked-wait measurements.
         let (Some(overlap_median), Some(wait_off), Some(wait_on), Some(win)) = (
-            row_num(obj, "overlap_median_s"),
-            row_num(obj, "blocked_wait_off_s"),
-            row_num(obj, "blocked_wait_on_s"),
-            row_num(obj, "overlap_win"),
+            row.num("overlap_median_s"),
+            row.num("blocked_wait_off_s"),
+            row.num("blocked_wait_on_s"),
+            row.num("overlap_win"),
         ) else {
             violations.push(format!(
                 "row at ranks={ranks} is missing overlap accounting fields"
@@ -369,22 +371,6 @@ pub fn check_bench_comm(json: &str) -> BenchCommReport {
         rows_checked,
         violations,
     }
-}
-
-/// First `"key": number` in the document (top-level fields precede rows).
-fn top_num(json: &str, key: &str) -> Option<f64> {
-    row_num(json, key)
-}
-
-/// `"key": number` within one scanned object fragment.
-fn row_num(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -479,21 +465,24 @@ mod tests {
             mesh.num_elements(),
             rows.trim_end_matches(',')
         );
-        let ok = check_bench_comm(&honest);
+        let check =
+            |doc: &str| check_bench_comm(&BenchFile::parse("BENCH_comm.json", doc).unwrap());
+        let ok = check(&honest);
         assert!(ok.is_clean(), "{ok}");
         assert_eq!(ok.rows_checked, 3);
 
         let forged = honest.replace("\"halo_bytes\": ", "\"halo_bytes\": 1");
-        let bad = check_bench_comm(&forged);
+        let bad = check(&forged);
         assert!(!bad.is_clean());
-        assert!(check_bench_comm("{}").violations.len() == 1);
+        let untargeted = honest.replace("\"target_elems\"", "\"target\"");
+        assert_eq!(check(&untargeted).violations.len(), 1);
 
         // An overlap win the row's own waits don't support is caught too.
         let forged = honest.replace(
             "\"blocked_wait_on_s\": 0.0005",
             "\"blocked_wait_on_s\": 0.002",
         );
-        let bad = check_bench_comm(&forged);
+        let bad = check(&forged);
         assert!(
             bad.violations.iter().any(|v| v.contains("overlap_win")),
             "{bad}"

@@ -3,8 +3,8 @@
 //! The instrumented kernels in `alya-core` don't just feed the performance
 //! models — their event streams, the modelled address-space layout, and
 //! the coloring infrastructure together make the paper's optimization
-//! claims *mechanically checkable*. This crate runs nine passes, numbered
-//! 1–11 (passes 5 and 7 are retired):
+//! claims *mechanically checkable*. This crate runs eight passes, numbered
+//! 1–10 (passes 5 and 7 are retired):
 //!
 //! 1. **Contract checker** ([`contracts`]) — per variant, captures element
 //!    traces under **both** addressing conventions (`Layout::gpu` and
@@ -79,13 +79,14 @@
 //!     serial whole-mesh run **bitwise** identical to `assemble_serial`,
 //!     and the trace-derived [`alya_core::KernelContract`] equal to the
 //!     hand-maintained table field-for-field.
-//! 11. **Probe contract** ([`probe`]) — arms the `alya-probe` regression
-//!     sentinel from the committed `BENCH_drivers.json` /
-//!     `BENCH_comm.json` baselines and holds it quiet on them. The
-//!     recorder's live half — bitwise transparency, bounded rings, and
-//!     the black-box dump a seeded [`alya_core::HaloFault`] leaves — is
-//!     the `probe` integration suite of `alya-bench`, which owns the
-//!     recorder's process-global state.
+//!
+//! Number 11 is retired too: it held the committed throughputs to
+//! themselves through a drift sentinel, and its one real comparison —
+//! halo bytes against the closed-form prediction — is pass 4's.
+//!
+//! The committed `BENCH_*.json` reports that passes 4, 8 and 9 check are
+//! read by one reader, [`bench::BenchFile`]: a missing or malformed file
+//! is an error naming it, which the passes report as a violation.
 //!
 //! Each pass is a module of plain functions, and its checks run as named
 //! tests of this crate (`cargo test -p alya-analyze`): per pass, one test
@@ -94,10 +95,10 @@
 //! each pass with its clean and tamper tests.
 #![forbid(unsafe_code)]
 
+pub mod bench;
 pub mod comm;
 pub mod contracts;
 pub mod form;
-pub mod probe;
 pub mod races;
 pub mod serve;
 pub mod simd;

@@ -208,12 +208,18 @@ mod tests {
             let victim = rng.range_usize(0, mesh.num_elements());
             let neighbour = graph.neighbors_of(victim)[0] as usize;
             color_of[victim] = color_of[neighbour];
+            let class = color_of[victim];
             let bad = Coloring::from_color_assignment(color_of);
             let report = check_coloring(&mesh, &bad);
-            assert!(
-                !report.is_race_free(),
-                "swap of element {victim} undetected"
-            );
+            let c = report
+                .conflict
+                .unwrap_or_else(|| panic!("swap of element {victim} undetected"));
+            // The witness names the class the victim joined and a node
+            // both of its elements really contain.
+            assert_eq!(c.color, class);
+            let conn = mesh.connectivity();
+            assert!(conn[c.first as usize].contains(&c.node));
+            assert!(conn[c.second as usize].contains(&c.node));
         }
     }
 }

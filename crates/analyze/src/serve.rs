@@ -38,6 +38,8 @@ use alya_serve::{
 };
 use alya_solver::StepConfig;
 
+use crate::bench::{BenchFile, Row};
+
 /// Widest acceptable weight-normalized work spread `(max−min)/mean` for
 /// equally-loaded tenants — beyond this, somebody starved.
 pub const FAIRNESS_BAND: f64 = 0.25;
@@ -242,36 +244,26 @@ pub fn check_report(report: &ServeReport) -> ServeContractReport {
     }
 }
 
-fn num_field(row: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = row.find(&pat)? + pat.len();
-    let rest = row[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Checks the serialized serve bench rows (the contents of
-/// `BENCH_serve.json`) against the service acceptance floor. Pure.
-pub fn check_bench_rows(text: &str) -> ServeContractReport {
+/// Checks the rows of a `BENCH_serve.json` report against the service
+/// acceptance floor. Pure.
+pub fn check_bench_rows(rows: &[Row]) -> ServeContractReport {
     let mut violations = Vec::new();
     let mut levels = Vec::new();
-    for row in text.split('{').filter(|r| r.contains("\"sessions\"")) {
-        let Some(sessions) = num_field(row, "sessions") else {
+    for row in rows {
+        let Some(sessions) = row.num("sessions") else {
             continue;
         };
         let sessions = sessions as u64;
         levels.push(sessions);
-        let p50 = num_field(row, "p50_step_ms").unwrap_or(f64::NAN);
-        let p99 = num_field(row, "p99_step_ms").unwrap_or(f64::NAN);
+        let p50 = row.num("p50_step_ms").unwrap_or(f64::NAN);
+        let p99 = row.num("p99_step_ms").unwrap_or(f64::NAN);
         if !(p50 > 0.0 && p99 > 0.0 && p50 <= p99) {
             violations.push(format!(
                 "bench: level {sessions} latency quantiles disordered or missing \
                  (p50 {p50} ms, p99 {p99} ms)"
             ));
         }
-        match num_field(row, "cold_builds_steady") {
+        match row.num("cold_builds_steady") {
             Some(c) => {
                 if c != 0.0 {
                     violations.push(format!(
@@ -284,7 +276,7 @@ pub fn check_bench_rows(text: &str) -> ServeContractReport {
                 "bench: level {sessions} does not report steady-state cold builds"
             )),
         }
-        if let Some(spread) = num_field(row, "fairness_spread") {
+        if let Some(spread) = row.num("fairness_spread") {
             if spread > FAIRNESS_BAND {
                 violations.push(format!(
                     "bench: level {sessions} fairness spread {spread:.3} exceeds the \
@@ -292,7 +284,7 @@ pub fn check_bench_rows(text: &str) -> ServeContractReport {
                 ));
             }
         }
-        if !num_field(row, "sessions_per_s").is_some_and(|s| s > 0.0) {
+        if !row.num("sessions_per_s").is_some_and(|s| s > 0.0) {
             violations.push(format!("bench: level {sessions} reports no throughput"));
         }
     }
@@ -316,16 +308,13 @@ pub fn check_bench_rows(text: &str) -> ServeContractReport {
 /// `BENCH_serve.json` at `workspace_root` (a missing one is a violation).
 pub fn check_serve(workspace_root: &Path) -> ServeContractReport {
     let mut report = check_report(&run_pool_scenario(false));
-    let path = workspace_root.join("BENCH_serve.json");
-    match std::fs::read_to_string(&path) {
-        Ok(text) => {
-            let bench = check_bench_rows(&text);
+    match BenchFile::read(&workspace_root.join("BENCH_serve.json")) {
+        Ok(bench) => {
+            let bench = check_bench_rows(bench.rows());
             report.bench_levels = bench.bench_levels;
             report.violations.extend(bench.violations);
         }
-        Err(e) => report
-            .violations
-            .push(format!("bench: cannot read {}: {e}", path.display())),
+        Err(e) => report.violations.push(format!("bench: {e}")),
     }
     report
 }
@@ -380,39 +369,42 @@ mod tests {
         let good = r#"{"bench":"serve","rows":[
             {"sessions": 1, "sessions_per_s": 10.0, "p50_step_ms": 0.5, "p99_step_ms": 0.9, "fairness_spread": 0.0, "cold_builds_steady": 0},
             {"sessions": 512, "sessions_per_s": 100.0, "p50_step_ms": 0.6, "p99_step_ms": 2.0, "fairness_spread": 0.05, "cold_builds_steady": 0}]}"#;
-        let report = check_bench_rows(good);
+        let check =
+            |doc: &str| check_bench_rows(BenchFile::parse("BENCH_serve.json", doc).unwrap().rows());
+        let report = check(good);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.bench_levels, vec![1, 512]);
 
         // Too few sessions at the top level.
         let shallow = good.replace("\"sessions\": 512", "\"sessions\": 64");
-        assert!(check_bench_rows(&shallow)
+        assert!(check(&shallow)
             .violations
             .iter()
             .any(|v| v.contains("floor")));
 
         // Steady-state cold builds: the pool is not pooling.
         let colder = good.replace("\"cold_builds_steady\": 0}]", "\"cold_builds_steady\": 3}]");
-        assert!(check_bench_rows(&colder)
+        assert!(check(&colder)
             .violations
             .iter()
             .any(|v| v.contains("cold builds")));
 
         // Disordered quantiles.
         let weird = good.replace("\"p99_step_ms\": 2.0", "\"p99_step_ms\": 0.1");
-        assert!(check_bench_rows(&weird)
+        assert!(check(&weird)
             .violations
             .iter()
             .any(|v| v.contains("disordered")));
 
         // Unfair split.
         let unfair = good.replace("\"fairness_spread\": 0.05", "\"fairness_spread\": 0.9");
-        assert!(check_bench_rows(&unfair)
+        assert!(check(&unfair)
             .violations
             .iter()
             .any(|v| v.contains("fairness")));
 
-        assert!(!check_bench_rows("[]").is_clean());
+        // Rows that carry no level measure nothing.
+        assert!(!check(r#"{"rows": [{"tenants": 4}]}"#).is_clean());
     }
 
     #[test]

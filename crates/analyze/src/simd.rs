@@ -26,13 +26,14 @@
 
 use std::path::Path;
 
-use alya_core::drivers::{trace_element, ThroughputDb, CPU_VECTOR_DIM};
+use alya_core::drivers::{trace_element, CPU_VECTOR_DIM};
 use alya_core::layout::Layout;
 use alya_core::{AssemblyInput, Variant, DEFAULT_LANES};
 use alya_machine::cpu::CpuModel;
 use alya_machine::spec::CpuSpec;
 use alya_machine::RegisterAllocator;
 
+use crate::bench::{BenchFile, Row};
 use crate::Fixture;
 
 /// Lower bound of measured/predicted packed speedup. The model charges
@@ -151,16 +152,30 @@ pub fn fixture_predictions() -> Vec<(Variant, f64)> {
     predicted_speedups(&fx.input())
 }
 
-/// Checks a parsed bench report against `predictions`. Pure, so a test
-/// can skew a report and re-run it.
-pub fn check_db(db: &ThroughputDb, predictions: &[(Variant, f64)]) -> SimdContractReport {
+/// Measured Melem/s of one exact `(strategy, variant, threads)` cell of
+/// `BENCH_drivers.json` rows (max over duplicate rows); `None` when no row
+/// matches. The match is exact: no nearest-thread fallback.
+pub fn melem_per_s(rows: &[Row], strategy: &str, variant: &str, threads: usize) -> Option<f64> {
+    rows.iter()
+        .filter(|r| {
+            r.str("strategy") == Some(strategy)
+                && r.str("variant") == Some(variant)
+                && r.num("threads") == Some(threads as f64)
+        })
+        .filter_map(|r| r.num("melem_per_s"))
+        .max_by(f64::total_cmp)
+}
+
+/// Checks `BENCH_drivers.json` rows against `predictions`. Pure, so a
+/// test can skew the rows and re-run it.
+pub fn check_rows(rows: &[Row], predictions: &[(Variant, f64)]) -> SimdContractReport {
     let mut cells = Vec::new();
     let mut violations = Vec::new();
     for &(variant, predicted) in predictions {
         let name = variant.name();
         let (Some(scalar), Some(packed)) = (
-            db.melem_per_s("serial", name, 1),
-            db.melem_per_s("serial-packed", name, 1),
+            melem_per_s(rows, "serial", name, 1),
+            melem_per_s(rows, "serial-packed", name, 1),
         ) else {
             continue;
         };
@@ -202,27 +217,25 @@ pub fn check_db(db: &ThroughputDb, predictions: &[(Variant, f64)]) -> SimdContra
     SimdContractReport { cells, violations }
 }
 
-/// Runs the pass against the workspace's committed `BENCH_drivers.json`.
+/// Runs the pass against the workspace's committed `BENCH_drivers.json`;
+/// a file the reader rejects is the one violation.
 pub fn check_workspace_simd(workspace_root: &Path) -> SimdContractReport {
-    let path = workspace_root.join("BENCH_drivers.json");
-    let Some(db) = ThroughputDb::load(&path) else {
-        return SimdContractReport {
+    match BenchFile::read(&workspace_root.join("BENCH_drivers.json")) {
+        Ok(bench) => check_rows(bench.rows(), &fixture_predictions()),
+        Err(e) => SimdContractReport {
             cells: Vec::new(),
-            violations: vec![format!(
-                "{} is missing or holds no well-formed throughput rows",
-                path.display()
-            )],
-        };
-    };
-    check_db(&db, &fixture_predictions())
+            violations: vec![e],
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn db(rows: &str) -> ThroughputDb {
-        ThroughputDb::parse(rows).expect("well-formed rows")
+    fn db(rows: &str) -> BenchFile {
+        let doc = format!("{{\"results\": {rows}}}");
+        BenchFile::parse("fixture", &doc).expect("well-formed rows")
     }
 
     #[test]
@@ -243,7 +256,7 @@ mod tests {
         let healthy = db(r#"[
             {"strategy": "serial", "variant": "RSP", "threads": 1, "melem_per_s": 5.0},
             {"strategy": "serial-packed", "variant": "RSP", "threads": 1, "melem_per_s": 7.5}]"#);
-        let report = check_db(&healthy, &preds);
+        let report = check_rows(healthy.rows(), &preds);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.cells.len(), 1);
         assert!((report.cells[0].measured_speedup - 1.5).abs() < 1e-12);
@@ -254,7 +267,7 @@ mod tests {
         let collapsed = db(r#"[
             {"strategy": "serial", "variant": "RSP", "threads": 1, "melem_per_s": 5.0},
             {"strategy": "serial-packed", "variant": "RSP", "threads": 1, "melem_per_s": 4.0}]"#);
-        let report = check_db(&collapsed, &preds);
+        let report = check_rows(collapsed.rows(), &preds);
         assert!(!report.is_clean());
         assert!(
             report.violations.iter().any(|v| v.contains("regressed")),
@@ -265,8 +278,8 @@ mod tests {
         // a broken pack gather, or scalar fallback everywhere: every
         // measured cell must be flagged as a packed regression.
         let root = crate::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
-        let committed = ThroughputDb::load(&root.join("BENCH_drivers.json"))
-            .expect("BENCH_drivers.json is committed");
+        let committed =
+            BenchFile::read(&root.join("BENCH_drivers.json")).unwrap_or_else(|e| panic!("{e}"));
         let row = |strategy: &str, v: Variant, melem: f64| {
             format!(
                 "{{\"strategy\": \"{strategy}\", \"variant\": \"{v}\", \
@@ -275,8 +288,8 @@ mod tests {
         };
         let mut rows = Vec::new();
         for v in Variant::ALL {
-            let scalar = committed.melem_per_s("serial", v.name(), 1);
-            let packed = committed.melem_per_s("serial-packed", v.name(), 1);
+            let scalar = melem_per_s(committed.rows(), "serial", v.name(), 1);
+            let packed = melem_per_s(committed.rows(), "serial-packed", v.name(), 1);
             if let (Some(scalar), Some(_)) = (scalar, packed) {
                 rows.push(row("serial", v, scalar));
                 rows.push(row("serial-packed", v, 0.5 * scalar));
@@ -285,7 +298,7 @@ mod tests {
         let cells = rows.len() / 2;
         assert!(cells > 0, "no committed packed-vs-scalar pair");
         let all: Vec<_> = Variant::ALL.into_iter().map(|v| (v, 4.0)).collect();
-        let report = check_db(&db(&format!("[{}]", rows.join(","))), &all);
+        let report = check_rows(db(&format!("[{}]", rows.join(","))).rows(), &all);
         assert_eq!(report.cells.len(), cells, "{report}");
         let regressed = report.violations.iter().filter(|v| v.contains("regressed"));
         assert_eq!(regressed.count(), cells, "{report}");
@@ -298,7 +311,7 @@ mod tests {
         let implausible = db(r#"[
             {"strategy": "serial", "variant": "RSPR", "threads": 1, "melem_per_s": 5.0},
             {"strategy": "serial-packed", "variant": "RSPR", "threads": 1, "melem_per_s": 50.0}]"#);
-        let report = check_db(&implausible, &preds);
+        let report = check_rows(implausible.rows(), &preds);
         assert!(!report.is_clean());
         assert!(
             report
@@ -311,7 +324,7 @@ mod tests {
         // No packed rows at all: the path is unmeasured.
         let unmeasured = db(r#"[
             {"strategy": "serial", "variant": "RSPR", "threads": 1, "melem_per_s": 5.0}]"#);
-        let report = check_db(&unmeasured, &preds);
+        let report = check_rows(unmeasured.rows(), &preds);
         assert!(!report.is_clean());
         assert!(
             report.violations.iter().any(|v| v.contains("unmeasured")),

@@ -40,7 +40,7 @@ use std::time::Instant;
 use alya_bench::case::Case;
 use alya_core::Variant;
 use alya_machine::par;
-use alya_serve::{PoolConfig, Service, ServiceConfig, SessionSpec, SharedCase};
+use alya_serve::{PoolConfig, ServeReport, Service, ServiceConfig, SessionSpec, SharedCase};
 use alya_solver::StepConfig;
 
 const LEVELS: [usize; 4] = [1, 8, 64, 512];
@@ -118,6 +118,47 @@ struct Row {
     unconverged_steps: u64,
 }
 
+/// The `--top` table of one level: latency quantiles, fairness spread,
+/// the warm/cold bind ledger and one row per tenant over the measured
+/// window of `elapsed_s` seconds.
+fn top_table(report: &ServeReport, elapsed_s: f64) -> String {
+    let binds = report.warm_binds + report.cold_builds;
+    let warm_ratio = if binds == 0 {
+        1.0
+    } else {
+        report.warm_binds as f64 / binds as f64
+    };
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "serve top — window {elapsed_s:.1}s · p50 {:.3} ms · p99 {:.3} ms · \
+         fairness spread {:.3} · warm ratio {warm_ratio:.3} ({} warm / {} cold)",
+        report.step_latency_ns(0.50) as f64 * 1e-6,
+        report.step_latency_ns(0.99) as f64 * 1e-6,
+        report.fairness_spread(),
+        report.warm_binds,
+        report.cold_builds,
+    );
+    let _ = writeln!(
+        out,
+        "  {:<16} {:>7} {:>9} {:>8} {:>12} {:>10}",
+        "tenant", "active", "sessions", "steps", "work", "steps/s"
+    );
+    for t in &report.tenants {
+        let rate = if elapsed_s > 0.0 {
+            t.steps as f64 / elapsed_s
+        } else {
+            0.0
+        };
+        let _ = writeln!(
+            out,
+            "  {:<16} {:>7} {:>9} {:>8} {:>12} {rate:>10.1}",
+            t.name, t.active, t.sessions, t.steps, t.work_done
+        );
+    }
+    out
+}
+
 fn run_level(level: usize, case: &Arc<SharedCase>, steps: u32, top: bool) -> Row {
     let ntenants = TENANTS.min(level).max(1);
     let service = Service::new(ServiceConfig {
@@ -184,7 +225,7 @@ fn run_level(level: usize, case: &Arc<SharedCase>, steps: u32, top: bool) -> Row
         std::process::exit(1);
     }
     if top {
-        print!("{}", service.top_snapshot(elapsed));
+        print!("{}", top_table(&report, elapsed));
     }
 
     Row {

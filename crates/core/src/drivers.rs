@@ -372,101 +372,6 @@ pub enum ParallelStrategy {
 /// elements.
 pub const SHARD_AUTO_MIN_ELEMS_PER_WORKER: usize = 2048;
 
-/// Measured driver throughput parsed from a committed `BENCH_drivers.json`
-/// report (the `drivers` benchmark's output).
-///
-/// Nothing reads it while assembling: analyzer pass 8 audits the packed
-/// rows through it, and `tests/equivalence.rs` holds
-/// [`ParallelStrategy::auto`]'s rule against the committed rows.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputDb {
-    /// `(strategy, variant, threads, melem_per_s)` rows. Rows without a
-    /// `"variant"` field (older reports) carry an empty variant name.
-    rows: Vec<(String, String, usize, f64)>,
-}
-
-impl ThroughputDb {
-    /// Parses the `results` rows of a `BENCH_drivers.json` document.
-    /// Returns `None` when no well-formed row is found.
-    pub fn parse(json: &str) -> Option<Self> {
-        let mut rows = Vec::new();
-        // Row-oriented scan over the writer's own stable format: each
-        // result object carries "strategy", "threads" and "melem_per_s"
-        // (and, since the packed path landed, "variant").
-        for obj in json.split('{').skip(1) {
-            let Some(strategy) = str_field(obj, "strategy") else {
-                continue;
-            };
-            let variant = str_field(obj, "variant").unwrap_or_default();
-            let (Some(threads), Some(melem)) =
-                (num_field(obj, "threads"), num_field(obj, "melem_per_s"))
-            else {
-                continue;
-            };
-            if threads >= 1.0 && melem.is_finite() && melem > 0.0 {
-                rows.push((strategy, variant, threads as usize, melem));
-            }
-        }
-        if rows.is_empty() {
-            None
-        } else {
-            Some(Self { rows })
-        }
-    }
-
-    /// Loads and parses a report file. A missing or unparseable file
-    /// returns `None` *and* pushes a warning onto the telemetry event
-    /// channel.
-    pub fn load(path: &std::path::Path) -> Option<Self> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                telemetry::warn(format!("ThroughputDb: cannot read {}: {e}", path.display()));
-                return None;
-            }
-        };
-        let db = Self::parse(&text);
-        if db.is_none() {
-            telemetry::warn(format!(
-                "ThroughputDb: no well-formed throughput rows in {}",
-                path.display()
-            ));
-        }
-        db
-    }
-
-    /// Measured Melem/s for one exact `(strategy, variant, threads)` cell
-    /// (max over duplicate rows). `None` when the report has no such row.
-    /// The SIMD-contract analyzer reads packed-vs-scalar pairs through
-    /// this, so the match is exact — no nearest-thread fallback.
-    pub fn melem_per_s(&self, strategy: &str, variant: &str, threads: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .filter(|(s, v, t, _)| s == strategy && v == variant && *t == threads)
-            .map(|&(_, _, _, m)| m)
-            .max_by(f64::total_cmp)
-    }
-}
-
-/// Value of a `"key": "string"` field within one scanned JSON object.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat)? + pat.len();
-    let end = obj[start..].find('"')?;
-    Some(obj[start..start + end].to_string())
-}
-
-/// Value of a `"key": number` field within one scanned JSON object.
-fn num_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 impl ParallelStrategy {
     /// Builds a coloring strategy for the mesh.
     pub fn colored(mesh: &alya_mesh::TetMesh) -> Self {
@@ -973,68 +878,6 @@ mod tests {
         assert_eq!(serial.max_abs_diff(&par), 0.0);
         assert_eq!(ParallelStrategy::colored(&mesh).name(), "colored");
         assert_eq!(ParallelStrategy::sharded(&mesh, 2).name(), "sharded");
-    }
-
-    #[test]
-    fn throughput_db_parses_bench_rows_and_rejects_garbage() {
-        let json = r#"{
-          "bench": "drivers",
-          "results": [
-            {"strategy": "colored", "variant": "rsp", "threads": 4, "melem_per_s": 12.5},
-            {"strategy": "colored", "variant": "rspr", "threads": 4, "melem_per_s": 14.0},
-            {"strategy": "sharded", "variant": "rsp", "threads": 8, "melem_per_s": 21.0},
-            {"strategy": "sharded", "variant": "rsp", "threads": 4, "melem_per_s": -3.0}
-          ]
-        }"#;
-        let db = ThroughputDb::parse(json).expect("well-formed rows");
-        // Exact-cell lookup (no nearest-thread fallback), as the
-        // SIMD-contract analyzer uses it.
-        assert_eq!(db.melem_per_s("colored", "rspr", 4), Some(14.0));
-        assert_eq!(db.melem_per_s("colored", "rspr", 8), None);
-        assert_eq!(db.melem_per_s("sharded", "rsp", 8), Some(21.0));
-        // The negative-throughput row was rejected.
-        assert_eq!(db.melem_per_s("sharded", "rsp", 4), None);
-        assert!(ThroughputDb::parse("").is_none());
-        assert!(ThroughputDb::parse("{\"results\": []}").is_none());
-        assert!(ThroughputDb::parse("not json at all").is_none());
-    }
-
-    #[test]
-    fn throughput_db_load_failures_warn_exactly_once() {
-        // Both failure shapes in one test, run sequentially: the warning
-        // channel is process-global, so parallel sibling tests could
-        // interleave their own warnings — filtering each drain by this
-        // test's unique path component keeps the exactly-one assertions
-        // honest either way.
-
-        // Missing file: load warns once (unreadable) and returns None.
-        let missing = std::env::temp_dir().join("alya-db-missing-8f41/BENCH_drivers.json");
-        let _ = telemetry::drain_warnings();
-        assert!(ThroughputDb::load(&missing).is_none());
-        let warns: Vec<String> = telemetry::drain_warnings()
-            .into_iter()
-            .filter(|w| w.contains("alya-db-missing-8f41"))
-            .collect();
-        assert_eq!(warns.len(), 1, "{warns:?}");
-        assert!(warns[0].contains("cannot read"), "{warns:?}");
-
-        // Unparseable file: load warns once (no well-formed rows) and
-        // returns None all the same.
-        let dir = std::env::temp_dir().join("alya-db-garbled-8f41");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_drivers.json");
-        std::fs::write(&path, "{\"results\": [\"rows without fields\"]}").unwrap();
-        assert!(ThroughputDb::load(&path).is_none());
-        let warns: Vec<String> = telemetry::drain_warnings()
-            .into_iter()
-            .filter(|w| w.contains("alya-db-garbled-8f41"))
-            .collect();
-        assert_eq!(warns.len(), 1, "{warns:?}");
-        assert!(
-            warns[0].contains("no well-formed throughput rows"),
-            "{warns:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

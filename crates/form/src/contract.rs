@@ -107,23 +107,3 @@ pub fn contract_of_events(prog: &Program, events: &[Event]) -> KernelContract {
         spills_at_contract_budget,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::derive;
-    use alya_core::Variant;
-
-    #[test]
-    fn derived_contracts_match_the_hand_maintained_table() {
-        for v in Variant::ALL {
-            let derived = derive_contract(&derive(v));
-            assert_eq!(
-                derived,
-                v.contract(),
-                "{}: derived contract diverges from alya_core::variant",
-                v.name()
-            );
-        }
-    }
-}

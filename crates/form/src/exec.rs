@@ -444,52 +444,3 @@ pub fn assemble_generated(prog: &Program, input: &AssemblyInput) -> VectorField 
     let ne = input.mesh.num_elements();
     run_elements(prog, input, 0..ne, &lay, &mut NoRecord)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::derive;
-    use crate::fixture::Fixture;
-    use alya_core::drivers::trace_element;
-    use alya_core::Variant;
-
-    /// Event-for-event parity with the handwritten kernels, reporting the
-    /// first divergence with context — the strongest possible pin: the
-    /// generated program performs the *same operations in the same order*,
-    /// not merely the same totals.
-    #[test]
-    fn generated_event_streams_match_handwritten_exactly() {
-        let fx = Fixture::new();
-        let input = fx.input();
-        let ne = fx.mesh.num_elements();
-        let nn = fx.mesh.num_nodes();
-        for v in Variant::ALL {
-            let prog = derive(v);
-            for &e in &[0usize, ne / 3, ne - 1] {
-                for lay in [Layout::gpu(e, ne, nn), Layout::cpu(e, CPU_VECTOR_DIM, nn)] {
-                    let hand = trace_element(v, &input, e, &lay);
-                    let gen = trace_generated(&prog, &input, e, &lay);
-                    let n = hand.events.len().min(gen.events.len());
-                    for i in 0..n {
-                        assert_eq!(
-                            hand.events[i],
-                            gen.events[i],
-                            "{} element {e}: first divergence at event {i}\n  handwritten: {:?}\n  generated:   {:?}",
-                            v.name(),
-                            &hand.events[i.saturating_sub(5)..(i + 5).min(n)],
-                            &gen.events[i.saturating_sub(5)..(i + 5).min(n)],
-                        );
-                    }
-                    assert_eq!(
-                        hand.events.len(),
-                        gen.events.len(),
-                        "{} element {e}: stream lengths diverge after a common prefix; tails: {:?} vs {:?}",
-                        v.name(),
-                        &hand.events[n.saturating_sub(5)..],
-                        &gen.events[n.saturating_sub(5)..],
-                    );
-                }
-            }
-        }
-    }
-}

@@ -296,24 +296,4 @@ mod tests {
             assert_eq!(rebuilt.class(c), coloring.class(c));
         }
     }
-
-    #[test]
-    fn corrupted_coloring_is_caught_with_witness() {
-        let mesh = BoxMeshBuilder::new(3, 3, 3).build();
-        let (_, coloring) = color(&mesh);
-        // Force element 1 into element 0's class: the two tets of one Kuhn
-        // box share nodes, so this must race.
-        let mut colors: Vec<u32> = (0..mesh.num_elements())
-            .map(|e| coloring.color_of(e))
-            .collect();
-        colors[1] = colors[0];
-        let bad = Coloring::from_color_assignment(colors);
-        let conflict = bad.find_conflict(&mesh).expect("conflict not detected");
-        assert_eq!(conflict.color, coloring.color_of(0));
-        // The witness names a genuinely shared node.
-        let a = mesh.element(conflict.first as usize);
-        let b = mesh.element(conflict.second as usize);
-        assert!(a.contains(&conflict.node) && b.contains(&conflict.node));
-        assert!(!bad.is_race_free(&mesh));
-    }
 }

@@ -657,7 +657,6 @@ impl ExchangePlan {
 mod tests {
     use super::*;
     use crate::generator::{BoxMeshBuilder, TerrainMeshBuilder};
-    use crate::ordering::{element_permutation, reorder_elements, ElementOrder};
 
     fn shard_set(mesh: &TetMesh, parts: usize) -> ShardSet {
         ShardSet::build(mesh, &Partition::rcb(mesh, parts))
@@ -902,21 +901,5 @@ mod tests {
                 assert_eq!(shard.boundary_slot(g), None, "interior node resolved");
             }
         }
-    }
-
-    #[test]
-    fn validate_rejects_a_mismatched_mesh() {
-        // Build shards on one element ordering, validate against another:
-        // the compact connectivity no longer matches and must be rejected.
-        let mesh = BoxMeshBuilder::new(3, 3, 2).build();
-        let set = shard_set(&mesh, 4);
-        let perm = element_permutation(&mesh, ElementOrder::Morton);
-        let reordered = reorder_elements(&mesh, &perm);
-        assert_eq!(reordered.num_elements(), mesh.num_elements());
-        if reordered.connectivity() != mesh.connectivity() {
-            assert!(set.validate(&reordered).is_err());
-        }
-        let smaller = BoxMeshBuilder::new(2, 2, 2).build();
-        assert!(set.validate(&smaller).is_err());
     }
 }

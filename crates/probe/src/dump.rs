@@ -61,7 +61,6 @@ fn describe(ev: &Event) -> String {
         }
         EventKind::Counter => format!("counter      {name} += {}", ev.a),
         EventKind::Warn => format!("warn         {name}"),
-        EventKind::Drift => format!("drift        {name} at {}‰ of baseline", ev.a),
     }
 }
 

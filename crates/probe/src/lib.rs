@@ -1,5 +1,4 @@
-//! # alya-probe — always-on flight recorder, black-box dumps, and the
-//! # performance-regression sentinel
+//! # alya-probe — always-on flight recorder and black-box dumps
 //!
 //! The paper's method is measurement-driven: every optimization step is
 //! attributed to measured traffic and runtime deltas. This crate keeps
@@ -20,12 +19,6 @@
 //!   thread are stitched into a causally-ordered human-readable report —
 //!   each thread's open spans say where it is stuck — plus a chrome-trace
 //!   file reusing `telemetry::export`.
-//! * **Regression sentinel** ([`sentinel`]) — compares live
-//!   measurements (Melem/s, halo bytes, blocked-wait fractions) against
-//!   committed `BENCH_*.json` baselines and closed-form predictions,
-//!   emitting structured [`sentinel::Drift`]s outside a configurable
-//!   band. Analyzer pass 11 proves the sentinel is silent on the
-//!   committed baselines and fires on exactly the rows of a halved copy.
 //!
 //! The recorder is on by default ("always-on"): the probe and
 //! equivalence suites pin recorder-on bitwise identical to recorder-off,
@@ -40,10 +33,8 @@ use alya_telemetry as telemetry;
 use alya_telemetry::ProbeEvent;
 
 pub mod dump;
-pub mod sentinel;
 
 pub use dump::{BlackBox, ThreadLog};
-pub use sentinel::{Drift, Sentinel, ServiceSample};
 
 /// Events each per-thread ring retains; at 64 bytes per slot a ring is
 /// 128 KiB — deep enough to hold the full span history of a rank over
@@ -106,9 +97,6 @@ pub enum EventKind {
     /// A warning crossed the telemetry warn channel (tag = truncated
     /// message; `a`/`b` unused).
     Warn,
-    /// The sentinel flagged a baseline drift; `a` = measured as
-    /// permille of expected (the tag names the drifted key).
-    Drift,
 }
 
 /// One flight-recorder event.
@@ -118,7 +106,7 @@ pub struct Event {
     pub at_ns: u64,
     /// Event class.
     pub kind: EventKind,
-    /// Inline label (span/counter name, warn text, drift key).
+    /// Inline label (span/counter name, warn text).
     pub name: Tag,
     /// Kind-specific payload (see [`EventKind`]).
     pub a: u64,
@@ -267,12 +255,6 @@ pub fn enabled() -> bool {
     preg().enabled.load(Ordering::Relaxed)
 }
 
-/// Nanoseconds on the shared monotonic clock (same timeline as every
-/// telemetry span, so dumps and traces align).
-pub fn probe_clock_ns() -> u64 {
-    telemetry::now_ns()
-}
-
 fn record_event(kind: EventKind, name: Tag, a: u64, b: u64) {
     if !preg().enabled.load(Ordering::Relaxed) {
         return;
@@ -367,18 +349,6 @@ pub fn note_counter(name: &'static str, delta: u64) {
         return;
     }
     record_event(EventKind::Counter, Tag::new(name), delta, 0);
-}
-
-/// Records a warning (also reachable via the telemetry sink; this entry
-/// point serves code that wants the recorder without the warn channel).
-pub fn note_warn(message: &str) {
-    record_event(EventKind::Warn, Tag::new(message), 0, 0);
-}
-
-/// Records a sentinel drift on `key`; `measured_permille` is the live
-/// value as permille of the baseline (1000 = exactly on baseline).
-pub fn note_drift(key: &str, measured_permille: u64) {
-    record_event(EventKind::Drift, Tag::new(key), measured_permille, 0);
 }
 
 /// The telemetry sink: forwards every span begin/end (in a telemetry

@@ -580,68 +580,6 @@ impl Service {
             step_ns_sorted,
         }
     }
-
-    /// A `top`-style live sample of the service for the probe sentinel:
-    /// latency quantiles over the recent window, fairness spread,
-    /// cold/warm bind ledger and one row per tenant. `elapsed_s` is the
-    /// caller's sample window (the service does not keep wall time).
-    /// Also drops a breadcrumb in the flight recorder so dumps show
-    /// when the service was last sampled.
-    pub fn sample(&self, elapsed_s: f64) -> alya_probe::ServiceSample {
-        let report = self.report();
-        alya_probe::note_counter("serve-top-sample", 1);
-        alya_probe::ServiceSample {
-            elapsed_s,
-            p50_step_ms: report.step_latency_ns(0.50) as f64 * 1e-6,
-            p99_step_ms: report.step_latency_ns(0.99) as f64 * 1e-6,
-            fairness_spread: report.fairness_spread(),
-            cold_builds: report.cold_builds,
-            warm_binds: report.warm_binds,
-            tenants: report
-                .tenants
-                .iter()
-                .map(|t| (t.name.clone(), t.active, t.sessions, t.steps, t.work_done))
-                .collect(),
-        }
-    }
-
-    /// Renders [`Service::sample`] as the periodic `top`-style table the
-    /// serve bench prints: per-tenant throughput, latency quantiles,
-    /// fairness and the cold/warm bind ratio.
-    pub fn top_snapshot(&self, elapsed_s: f64) -> String {
-        use std::fmt::Write as _;
-        let s = self.sample(elapsed_s);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serve top — window {:.1}s · p50 {:.3} ms · p99 {:.3} ms · \
-             fairness spread {:.3} · warm ratio {:.3} ({} warm / {} cold)",
-            s.elapsed_s,
-            s.p50_step_ms,
-            s.p99_step_ms,
-            s.fairness_spread,
-            s.warm_ratio(),
-            s.warm_binds,
-            s.cold_builds,
-        );
-        let _ = writeln!(
-            out,
-            "  {:<16} {:>7} {:>9} {:>8} {:>12} {:>10}",
-            "tenant", "active", "sessions", "steps", "work", "steps/s"
-        );
-        for (name, active, sessions, steps, work) in &s.tenants {
-            let rate = if s.elapsed_s > 0.0 {
-                *steps as f64 / s.elapsed_s
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "  {name:<16} {active:>7} {sessions:>9} {steps:>8} {work:>12} {rate:>10.1}"
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! budget and records a real overlap win. (The telemetry an overlapped run
 //! emits is analyzer pass 6, `alya_analyze::telemetry`.)
 
+use alya_analyze::bench::BenchFile;
 use alya_analyze::comm::{check_bench_comm, check_distributed};
 use alya_core::{assemble_serial, AssemblyInput, DistributedDriver, Variant};
 use alya_fem::material::ConstantProperties;
@@ -147,15 +148,9 @@ fn live_exchanges_honor_the_comm_contract_on_random_meshes() {
 
 #[test]
 fn committed_bench_comm_report_matches_the_closed_form() {
-    // tests/ compiles into alya-bench, so the workspace root is two up.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .join("BENCH_comm.json");
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must be committed: {e}", path.display()));
-    let report = check_bench_comm(&json);
+    let root = alya_analyze::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
+    let bench = BenchFile::read(&root.join("BENCH_comm.json")).unwrap_or_else(|e| panic!("{e}"));
+    let report = check_bench_comm(&bench);
     assert!(report.is_clean(), "{report}");
     assert!(report.rows_checked >= RANK_COUNTS.len(), "{report:?}");
 
@@ -163,34 +158,21 @@ fn committed_bench_comm_report_matches_the_closed_form() {
     // claim that overlap actually *helps* is ours to hold: once several
     // ranks exchange real halo traffic, overlapped interior assembly must
     // have absorbed part of the blocked wait.
-    for (ranks, win) in committed_overlap_wins(&json) {
-        if ranks >= 4 {
+    let mut multi_rank_rows = 0;
+    for row in bench.rows() {
+        let (Some(ranks), Some(win)) = (row.num("ranks"), row.num("overlap_win")) else {
+            continue;
+        };
+        if ranks >= 4.0 {
+            multi_rank_rows += 1;
             assert!(
                 win > 0.0,
                 "committed BENCH_comm.json shows no overlap win at {ranks} ranks ({win})"
             );
         }
     }
-}
-
-/// Pulls `(ranks, overlap_win)` out of each result row of the committed
-/// report (one row per line, as `comm --json` renders it).
-fn committed_overlap_wins(json: &str) -> Vec<(usize, f64)> {
-    fn field(line: &str, name: &str) -> Option<f64> {
-        let rest = line.split(&format!("\"{name}\": ")).nth(1)?;
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        rest[..end].trim().parse().ok()
-    }
-    let rows: Vec<(usize, f64)> = json
-        .lines()
-        .filter_map(|l| {
-            let ranks = field(l, "ranks")? as usize;
-            Some((ranks, field(l, "overlap_win")?))
-        })
-        .collect();
     assert!(
-        rows.iter().any(|&(r, _)| r >= 4),
+        multi_rank_rows > 0,
         "committed report carries no rows at ≥4 ranks"
     );
-    rows
 }

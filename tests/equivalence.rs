@@ -660,35 +660,37 @@ fn every_assembly_path_reproduces_its_recorded_rhs_bits() {
 /// contradicts the rule fails here rather than silently steering nothing.
 #[test]
 fn auto_is_the_committed_tables_best_row_with_serial_as_the_floor() {
-    use alya_core::drivers::ThroughputDb;
-    let json = include_str!("../BENCH_drivers.json");
-    let db = ThroughputDb::parse(json).expect("BENCH_drivers.json holds throughput rows");
-    let elements: usize = json
-        .split_once("\"elements\": ")
-        .and_then(|(_, rest)| rest.split_once(','))
-        .and_then(|(n, _)| n.parse().ok())
-        .expect("BENCH_drivers.json names its element count");
+    use alya_analyze::bench::BenchFile;
+    use alya_analyze::simd::melem_per_s;
+    let root = alya_analyze::sources::workspace_root_from(env!("CARGO_MANIFEST_DIR"));
+    let bench = BenchFile::read(&root.join("BENCH_drivers.json")).unwrap_or_else(|e| panic!("{e}"));
+    let elements = bench
+        .top_num("elements")
+        .expect("BENCH_drivers.json names its element count") as usize;
+    let db = |strategy: &str, variant: &str, threads| {
+        melem_per_s(bench.rows(), strategy, variant, threads)
+    };
     let mesh = alya_mesh::TerrainMeshBuilder::with_approx_elements(elements).build();
     assert_eq!(mesh.num_elements(), elements, "not the benched mesh");
 
-    let serial_floor = |variant: &str| db.melem_per_s("serial-packed", variant, 1);
+    let serial_floor = |variant: &str| db("serial-packed", variant, 1);
     let mut cells = 0;
     for threads in 1..=64 {
         for variant in Variant::ALL.map(Variant::name) {
-            if db.melem_per_s("sharded-packed", variant, threads).is_none() {
+            if db("sharded-packed", variant, threads).is_none() {
                 continue;
             }
             let auto = ParallelStrategy::auto_with(&mesh, threads);
             let got = match golden_row(&auto).split('/').next() {
                 Some("serial") => serial_floor(variant),
-                Some(name) => db.melem_per_s(&format!("{name}-packed"), variant, threads),
+                Some(name) => db(&format!("{name}-packed"), variant, threads),
                 None => None,
             }
             .unwrap_or_else(|| panic!("no packed {} row at {threads} threads", auto.name()));
             let best = ["serial", "colored", "sharded"]
                 .iter()
                 .flat_map(|s| [(*s).to_string(), format!("{s}-packed")])
-                .filter_map(|s| db.melem_per_s(&s, variant, threads))
+                .filter_map(|s| db(&s, variant, threads))
                 .fold(0.0, f64::max);
             let floor = serial_floor(variant).expect("a serial-packed row at one thread");
             assert!(

@@ -3,8 +3,7 @@
 //! every variant × strategy and for the distributed driver. A seeded halo
 //! fault must return a typed stall and leave a black-box dump naming the
 //! starved rank's open phase and the blocking rank, and no per-thread ring
-//! may outgrow its fixed capacity. (The regression sentinel is analyzer
-//! pass 11, `alya_analyze::probe`.)
+//! may outgrow its fixed capacity.
 //!
 //! The recorder's enabled gate and last-dump slot are process-global, so
 //! every test that toggles or reads them serializes on [`GATE`].
