@@ -213,16 +213,23 @@ mod tests {
         assert_eq!(bench.top_num("n"), Some(2.0));
     }
 
-    #[test]
-    fn a_truncated_rowless_or_missing_report_is_an_error_naming_the_file() {
+    /// A fresh directory holding the first half of each committed report.
+    fn truncated_copies(tag: &str) -> std::path::PathBuf {
         let scratch =
-            std::env::temp_dir().join(format!("alya-bench-reader-{}", std::process::id()));
+            std::env::temp_dir().join(format!("alya-bench-reader-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&scratch).unwrap();
         for name in COMMITTED {
             let text = std::fs::read_to_string(root().join(name)).unwrap();
-            let path = scratch.join(name);
-            std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-            let err = BenchFile::read(&path).expect_err(name);
+            std::fs::write(scratch.join(name), &text[..text.len() / 2]).unwrap();
+        }
+        scratch
+    }
+
+    #[test]
+    fn a_truncated_rowless_or_missing_report_is_an_error_naming_the_file() {
+        let scratch = truncated_copies("err");
+        for name in COMMITTED {
+            let err = BenchFile::read(&scratch.join(name)).expect_err(name);
             assert!(err.contains(name) && err.contains("invalid JSON"), "{err}");
         }
         for (doc, why) in [
@@ -249,8 +256,13 @@ mod tests {
         let missing = scratch.join("absent").join("BENCH_drivers.json");
         let err = BenchFile::read(&missing).expect_err("missing file");
         assert!(err.contains("absent"), "{err}");
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
 
+    #[test]
+    fn a_report_that_fails_to_load_is_exactly_one_violation() {
         // Pass 8's workspace check turns each error into a violation.
+        let scratch = truncated_copies("pass8");
         for root in [scratch.as_path(), &scratch.join("absent")] {
             let report = crate::simd::check_workspace_simd(root);
             assert_eq!(report.violations.len(), 1, "{report}");
